@@ -6,11 +6,10 @@ import datetime
 import json
 import multiprocessing
 from fractions import Fraction
-from math import factorial
 
 import click
 
-from .covers import CharacterCache, connected_counts, cover_profiles, cover_ratios, naive_enumerate, sq_count
+from .covers import NAIVE_MAX_DEGREE, connected_counts, cover_ratios, naive_connected_counts, sq_count
 from .layers import LayerSignature, f_closed, f_recurrence
 from .polynomials import Polynomial
 from .rationals import PiValue
@@ -306,24 +305,12 @@ def covers_count(big_k: int, max_degree: int, method: str) -> None:
     if big_k < 1 or max_degree < 1:
         raise click.UsageError("--K and --max-degree must be positive")
     if method == "naive":
-        if max_degree > 5:
-            raise click.UsageError("--method naive handles degrees up to 5 only")
-        table: dict[tuple[int, int, int], Fraction] = {}
-        for n in range(1, max_degree + 1):
-            for profile in cover_profiles(n, big_k, big_k + 4):
-                value = naive_enumerate(profile.corner_types, connected_only=True)
-                if value != 0:
-                    key = (n, profile.zeros, profile.poles)
-                    table[key] = table.get(key, Fraction(0)) + value
-        sq = Fraction(0)
-        for n in range(1, max_degree + 1):
-            sq += table.get((n, big_k, big_k + 4), Fraction(0))
-        sq *= Fraction(factorial(big_k) * factorial(big_k + 4), 4)
+        if max_degree > NAIVE_MAX_DEGREE:
+            raise click.UsageError(f"--method naive handles degrees up to {NAIVE_MAX_DEGREE} only")
+        table = naive_connected_counts(big_k, max_degree)
     else:
-        cache = CharacterCache()
-        table = connected_counts(big_k, max_degree, cache)
-        sq = sq_count(big_k, max_degree, cache)
-        cache.flush()
+        table = connected_counts(big_k, max_degree)
+    sq = sq_count(table, big_k, max_degree)
     rows = [
         {"degree": n, "zeros": z, "poles": p, "num": str(v.numerator), "den": str(v.denominator)}
         for (n, z, p), v in sorted(table.items())
@@ -342,18 +329,18 @@ def covers_count(big_k: int, max_degree: int, method: str) -> None:
 @click.option("--degrees", required=True, help="Comma-separated degree bounds, e.g. 10,20,30.")
 def covers_ratio(big_k: int, degrees: str) -> None:
     """Cover counts normalized by the volume asymptotics (tends to 1)."""
+    if big_k < 1:
+        raise click.UsageError("--K must be a positive integer")
     try:
         wanted = [int(x) for x in degrees.split(",") if x]
     except ValueError:
         raise click.UsageError(f"malformed degree list {degrees!r}")
     if not wanted:
         raise click.UsageError("no degrees given")
-    cache = CharacterCache()
     try:
-        ratios = cover_ratios(big_k, wanted, cache)
+        ratios = cover_ratios(big_k, wanted)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    cache.flush()
     for n in sorted(ratios):
         click.echo(f"r_{n} = {ratios[n]:.6f}")
 
@@ -361,13 +348,20 @@ def covers_ratio(big_k: int, degrees: str) -> None:
 @main.command("verify")
 @click.option("--K-max", "k_max", type=int, default=2, show_default=True)
 @click.option("--mn-max", "mn_max", type=int, default=8, show_default=True)
-@click.option("--cover-N-max", "cover_n_max", type=int, default=5, show_default=True)
+@click.option("--cover-N-max", "cover_n_max", type=int, default=NAIVE_MAX_DEGREE, show_default=True)
 @click.pass_context
 def verify_cmd(ctx: click.Context, k_max: int, mn_max: int, cover_n_max: int) -> None:
     """Recompute everything both ways; exit 0 only if all routes agree."""
-    cache = CharacterCache()
-    results = run_verification(k_max=k_max, mn_max=mn_max, cover_n_max=cover_n_max, cache=cache)
-    cache.flush()
+    if cover_n_max > NAIVE_MAX_DEGREE:
+        click.echo(
+            f"note: --cover-N-max {cover_n_max} is capped at {NAIVE_MAX_DEGREE}, the largest degree "
+            "direct enumeration handles",
+            err=True,
+        )
+    results = run_verification(k_max=k_max, mn_max=mn_max, cover_n_max=cover_n_max)
+    if not results:
+        click.echo("Error: the bounds select no checks; raise --K-max, --mn-max or --cover-N-max", err=True)
+        ctx.exit(1)
     failed = [r for r in results if not r.passed]
     for r in results:
         click.echo(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")

@@ -25,15 +25,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 Partition = tuple[int, ...]
 Profile = tuple[Partition, Partition, Partition, Partition]
+Key = TypeVar("Key")
+
+# largest degree at which naive_enumerate walks all monodromy tuples
+NAIVE_MAX_DEGREE = 5
 
 
 @dataclass(frozen=True)
@@ -118,91 +120,6 @@ def dimension(shape: Partition) -> int:
     return math.factorial(sum(shape)) // hook_product(shape)
 
 
-class CharacterCache:
-    """Optional on-disk store for symmetric-group character values.
-
-    The file format is line based: a header line ``pillowchar v1`` followed
-    by records ``N|irrep|class|value`` with comma-separated partition parts.
-    A file that fails to parse is discarded rather than trusted.  The
-    location defaults to ``~/.cache/pillowcount/characters.txt`` and the
-    directory can be overridden with the PILLOW_CACHE_DIR environment
-    variable.
-    """
-
-    HEADER = "pillowchar v1"
-
-    def __init__(self, path: str | None = None) -> None:
-        if path is None:
-            base = os.environ.get("PILLOW_CACHE_DIR")
-            if base is None:
-                base = os.path.join(os.path.expanduser("~"), ".cache", "pillowcount")
-            path = os.path.join(base, "characters.txt")
-        self.path = path
-        self._values: dict[tuple[Partition, Partition], int] = {}
-        self._dirty = False
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            with open(self.path, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
-        except OSError:
-            return
-        if not lines or lines[0] != self.HEADER:
-            return
-        parsed: dict[tuple[Partition, Partition], int] = {}
-        try:
-            for line in lines[1:]:
-                if not line:
-                    continue
-                n_text, irrep_text, cls_text, val_text = line.split("|")
-                irrep = tuple(int(p) for p in irrep_text.split(",") if p)
-                cls = tuple(int(p) for p in cls_text.split(",") if p)
-                if sum(irrep) != int(n_text) or sum(cls) != int(n_text):
-                    return
-                parsed[(irrep, cls)] = int(val_text)
-        except ValueError:
-            return
-        self._values = parsed
-
-    def get(self, irrep: Partition, cls: Partition) -> int | None:
-        return self._values.get((irrep, cls))
-
-    def put(self, irrep: Partition, cls: Partition, value: int) -> None:
-        key = (irrep, cls)
-        if self._values.get(key) != value:
-            self._values[key] = value
-            self._dirty = True
-
-    def flush(self) -> None:
-        if not self._dirty:
-            return
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(self.HEADER + "\n")
-                for (irrep, cls), value in sorted(self._values.items()):
-                    fh.write(
-                        "%d|%s|%s|%d\n"
-                        % (
-                            sum(irrep),
-                            ",".join(str(p) for p in irrep),
-                            ",".join(str(p) for p in cls),
-                            value,
-                        )
-                    )
-            os.replace(tmp, self.path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return
-        self._dirty = False
-
-
 def _strip_border(shape: Partition, length: int) -> Iterator[tuple[int, Partition]]:
     """Yield (sign, smaller shape) for each border strip of the given length
     removable from shape, via the beta-number encoding."""
@@ -245,7 +162,7 @@ def _mn_value(shape: Partition, parts: Partition) -> int:
     return total
 
 
-def character(irrep: Partition, cls: Partition, cache: CharacterCache | None = None) -> int:
+def character(irrep: Partition, cls: Partition) -> int:
     """Character value of the irreducible representation labelled by irrep on
     the class of cycle type cls, by Murnaghan-Nakayama recursion (largest
     cycle consumed first)."""
@@ -253,19 +170,12 @@ def character(irrep: Partition, cls: Partition, cache: CharacterCache | None = N
     cls = tuple(sorted(cls, reverse=True))
     if sum(irrep) != sum(cls):
         raise ValueError("irrep and class label different symmetric groups")
-    if cache is not None:
-        hit = cache.get(irrep, cls)
-        if hit is not None:
-            return hit
     if len(_MN_MEMO) > _MN_MEMO_LIMIT:
         _MN_MEMO.clear()
-    value = _mn_value(irrep, cls)
-    if cache is not None:
-        cache.put(irrep, cls, value)
-    return value
+    return _mn_value(irrep, cls)
 
 
-def frobenius_count(classes: Sequence[Partition], cache: CharacterCache | None = None) -> Fraction:
+def frobenius_count(classes: Sequence[Partition]) -> Fraction:
     """Weighted number of tuples (g1, ..., gr) with product 1 and gi in the
     i-th class: (1/N!) * #tuples, via the character sum
     (prod |C_i| / N!^2) * sum_chi prod_i chi(C_i) / dim(chi)^(r-2)."""
@@ -286,7 +196,7 @@ def frobenius_count(classes: Sequence[Partition], cache: CharacterCache | None =
     for shape in partitions(n):
         prod = 1
         for cls in normalized:
-            prod *= character(shape, cls, cache)
+            prod *= character(shape, cls)
             if prod == 0:
                 break
         if prod == 0:
@@ -348,9 +258,7 @@ def _ordered_arrangements(multiset: tuple[Partition, ...]) -> int:
     return count
 
 
-def _multiset_values(
-    n: int, max_threes: int, max_ones: int, cache: CharacterCache | None
-) -> dict[tuple[Partition, ...], Fraction]:
+def _multiset_values(n: int, max_threes: int, max_ones: int) -> dict[tuple[Partition, ...], Fraction]:
     """Frobenius counts of degree n, indexed by the (sorted) multiset of the
     four corner classes.  The character sum is symmetric in the classes, so
     evaluating once per multiset saves the bulk of the work."""
@@ -359,7 +267,7 @@ def _multiset_values(
         return {}
     shapes = list(partitions(n))
     hooks2 = [hook_product(s) ** 2 for s in shapes]
-    vectors = {t: [character(s, t, cache) for s in shapes] for t in types}
+    vectors = {t: [character(s, t) for s in shapes] for t in types}
     sizes = {t: class_size(t) for t in types}
     nfact4 = math.factorial(n) ** 4
     out: dict[tuple[Partition, ...], Fraction] = {}
@@ -391,9 +299,43 @@ def _multiset_values(
     return out
 
 
-def connected_counts(
-    k: int, max_degree: int, cache: CharacterCache | None = None
-) -> dict[tuple[int, int, int], Fraction]:
+def _graded_log(
+    series: dict[Key, Fraction],
+    degree: Callable[[Key], int],
+    max_degree: int,
+    merge: Callable[[Key, Key], Key | None],
+) -> dict[Key, Fraction]:
+    """Connected counts C = log(1 + A) = sum_j (-1)^(j+1) A^j / j from the
+    counts A of all covers, in an algebra graded by the keys of A and
+    truncated at degree max_degree.
+
+    A disjoint union of covers multiplies their terms: merge gives the key
+    of the union, or None when it falls outside a further truncation.  Such
+    a truncation must be additive over components so that it commutes with
+    the logarithm.
+    """
+    by_degree: dict[int, list[tuple[Key, Fraction]]] = {}
+    for key, value in series.items():
+        by_degree.setdefault(degree(key), []).append((key, value))
+    result: dict[Key, Fraction] = {}
+    power = series
+    j = 1
+    while power:
+        coeff = Fraction(1 if j % 2 else -1, j)
+        nxt: dict[Key, Fraction] = {}
+        for key, value in power.items():
+            result[key] = result.get(key, Fraction(0)) + coeff * value
+            for n2 in range(1, max_degree - degree(key) + 1):
+                for key2, value2 in by_degree.get(n2, ()):
+                    merged = merge(key, key2)
+                    if merged is not None:
+                        nxt[merged] = nxt.get(merged, Fraction(0)) + value * value2
+        power = nxt
+        j += 1
+    return {key: value for key, value in result.items() if value != 0}
+
+
+def connected_counts(k: int, max_degree: int) -> dict[tuple[int, int, int], Fraction]:
     """Connected cover counts graded by (degree, 3-cycles, fixed points).
 
     Maps (N, z, p) to the weighted count of connected covers of degree N
@@ -404,34 +346,18 @@ def connected_counts(
     max_ones = k + 4
     all_counts: dict[tuple[int, int, int], Fraction] = {}
     for n in range(1, max_degree + 1):
-        for combo, value in _multiset_values(n, k, max_ones, cache).items():
+        for combo, value in _multiset_values(n, k, max_ones).items():
             threes = sum(_threes_and_ones(c)[0] for c in combo)
             ones = sum(_threes_and_ones(c)[1] for c in combo)
             key = (n, threes, ones)
             weighted = _ordered_arrangements(combo) * value
             all_counts[key] = all_counts.get(key, Fraction(0)) + weighted
-    if cache is not None:
-        cache.flush()
-    # C = log(1 + A) in the algebra graded by (degree, z, p), truncated at
-    # degree <= max_degree, z <= k, p <= k + 4
-    result: dict[tuple[int, int, int], Fraction] = {}
-    current = dict(all_counts)
-    sign, j = 1, 1
-    while current:
-        for key, value in current.items():
-            result[key] = result.get(key, Fraction(0)) + Fraction(sign, j) * value
-        nxt: dict[tuple[int, int, int], Fraction] = {}
-        for (n1, z1, p1), v1 in current.items():
-            for (n2, z2, p2), v2 in all_counts.items():
-                n, z, p = n1 + n2, z1 + z2, p1 + p2
-                if n > max_degree or z > k or p > max_ones:
-                    continue
-                key = (n, z, p)
-                nxt[key] = nxt.get(key, Fraction(0)) + v1 * v2
-        current = nxt
-        sign = -sign
-        j += 1
-    return {key: value for key, value in result.items() if value != 0}
+
+    def merge(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int] | None:
+        z, p = a[1] + b[1], a[2] + b[2]
+        return (a[0] + b[0], z, p) if z <= k and p <= max_ones else None
+
+    return _graded_log(all_counts, lambda key: key[0], max_degree, merge)
 
 
 def _merge_profile(p1: Profile, p2: Profile) -> Profile:
@@ -440,9 +366,7 @@ def _merge_profile(p1: Profile, p2: Profile) -> Profile:
     )  # type: ignore[return-value]
 
 
-def profile_connected_counts(
-    max_degree: int, cache: CharacterCache | None = None
-) -> dict[Profile, Fraction]:
+def profile_connected_counts(max_degree: int) -> dict[Profile, Fraction]:
     """Connected cover counts for every individual branching profile (with
     corner parts in {1, 2, 3}) up to max_degree.
 
@@ -453,43 +377,23 @@ def profile_connected_counts(
     """
     all_counts: dict[Profile, Fraction] = {}
     for n in range(1, max_degree + 1):
-        for combo, value in _multiset_values(n, max_degree, 4 * max_degree, cache).items():
+        for combo, value in _multiset_values(n, max_degree, 4 * max_degree).items():
             for profile in set(itertools.permutations(combo)):
                 all_counts[profile] = value  # type: ignore[index]
-    if cache is not None:
-        cache.flush()
-    by_degree: dict[int, dict[Profile, Fraction]] = {}
-    for profile, value in all_counts.items():
-        by_degree.setdefault(sum(profile[0]), {})[profile] = value
-    result: dict[Profile, Fraction] = {}
-    current = dict(all_counts)
-    sign, j = 1, 1
-    while current:
-        for profile, value in current.items():
-            result[profile] = result.get(profile, Fraction(0)) + Fraction(sign, j) * value
-        nxt: dict[Profile, Fraction] = {}
-        for profile, value in current.items():
-            deg = sum(profile[0])
-            for n2 in range(1, max_degree - deg + 1):
-                for p2, v2 in by_degree.get(n2, {}).items():
-                    merged = _merge_profile(profile, p2)
-                    nxt[merged] = nxt.get(merged, Fraction(0)) + value * v2
-        current = nxt
-        sign = -sign
-        j += 1
-    return {profile: value for profile, value in result.items() if value != 0}
+    return _graded_log(all_counts, lambda profile: sum(profile[0]), max_degree, _merge_profile)
 
 
-def sq_count(k: int, n_max: int, cache: CharacterCache | None = None) -> Fraction:
+def sq_count(counts: dict[tuple[int, int, int], Fraction], k: int, n_max: int) -> Fraction:
     """Weighted number of lattice surfaces of degree at most n_max in the
-    stratum with k labelled simple zeros and k + 4 labelled simple poles.
+    stratum with k labelled simple zeros and k + 4 labelled simple poles,
+    read from a table of connected counts graded by (degree, z, p) that
+    reaches degree n_max (connected_counts or naive_connected_counts).
 
     The monodromy quadruples count covering maps, and the four half-lattice
     translations of the pillowcase act on maps (permuting the corners) with
     free generic orbits, so each surface corresponds to four quadruple
     classes.  Hence the count is k! (k+4)! / 4 times the cumulative
     connected counts at grading (z, p) = (k, k+4)."""
-    counts = connected_counts(k, n_max, cache)
     total = sum(
         (counts.get((n, k, k + 4), Fraction(0)) for n in range(1, n_max + 1)),
         Fraction(0),
@@ -497,10 +401,8 @@ def sq_count(k: int, n_max: int, cache: CharacterCache | None = None) -> Fractio
     return Fraction(math.factorial(k) * math.factorial(k + 4), 4) * total
 
 
-def cover_ratios(
-    k: int, degrees: Iterable[int], cache: CharacterCache | None = None
-) -> dict[int, float]:
-    """Normalized surface counts r_N = 2 dim * sq_count(k, N) / (Vol N^dim).
+def cover_ratios(k: int, degrees: Iterable[int]) -> dict[int, float]:
+    """Normalized surface counts r_N = 2 dim * sq_count / (Vol N^dim).
 
     dim = 2k + 2 is the complex dimension of the stratum and Vol its total
     volume pi^(2k+2)/2^(k-1); the counting function grows like Vol N^dim /
@@ -510,24 +412,18 @@ def cover_ratios(
     wanted = sorted(set(int(n) for n in degrees))
     if not wanted or wanted[0] < 1:
         raise ValueError("degrees must be positive integers")
-    counts = connected_counts(k, wanted[-1], cache)
+    counts = connected_counts(k, wanted[-1])
     dim = 2 * k + 2
-    label = Fraction(math.factorial(k) * math.factorial(k + 4), 4)
-    out: dict[int, float] = {}
-    total = Fraction(0)
-    done = 0
-    for n in wanted:
-        for d in range(done + 1, n + 1):
-            total += counts.get((d, k, k + 4), Fraction(0))
-        done = n
-        sq = label * total
-        out[n] = float(2 * dim * sq) * 2.0 ** (k - 1) / (math.pi ** (2 * k + 2) * n**dim)
-    return out
+    return {
+        n: float(2 * dim * sq_count(counts, k, n)) * 2.0 ** (k - 1) / (math.pi ** (2 * k + 2) * n**dim)
+        for n in wanted
+    }
 
 
 def naive_enumerate(classes: Sequence[Partition], connected_only: bool = False) -> Fraction:
     """Directly count tuples with product 1 and gi in the prescribed classes,
-    weighted by 1/N!.  Exponential in N; an independent oracle for N <= 5.
+    weighted by 1/N!.  Exponential in N; an independent oracle for
+    N <= NAIVE_MAX_DEGREE.
 
     The first factor is pinned to a single representative and reweighted by
     |C1|, which is valid because conjugation acts on the solution set.
@@ -535,7 +431,7 @@ def naive_enumerate(classes: Sequence[Partition], connected_only: bool = False) 
     if not classes:
         return Fraction(0)
     n = sum(classes[0])
-    if n > 5:
+    if n > NAIVE_MAX_DEGREE:
         raise ValueError("degree too large for direct enumeration")
     for cls in classes:
         if sum(cls) != n:
@@ -611,3 +507,17 @@ def naive_enumerate(classes: Sequence[Partition], connected_only: bool = False) 
                 continue
             count += 1
     return Fraction(weight * count, math.factorial(n))
+
+
+def naive_connected_counts(k: int, max_degree: int) -> dict[tuple[int, int, int], Fraction]:
+    """connected_counts(k, max_degree) by direct enumeration of the
+    transitive monodromy tuples of every profile, for max_degree <=
+    NAIVE_MAX_DEGREE."""
+    table: dict[tuple[int, int, int], Fraction] = {}
+    for n in range(1, max_degree + 1):
+        for profile in cover_profiles(n, k, k + 4):
+            value = naive_enumerate(profile.corner_types, connected_only=True)
+            if value != 0:
+                key = (n, profile.zeros, profile.poles)
+                table[key] = table.get(key, Fraction(0)) + value
+    return table

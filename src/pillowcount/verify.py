@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import (
-    CharacterCache,
+    NAIVE_MAX_DEGREE,
     cover_profiles,
     frobenius_count,
     naive_enumerate,
@@ -42,8 +42,7 @@ def _valid_signatures(mn_max: int) -> list[LayerSignature]:
 def run_verification(
     k_max: int = 2,
     mn_max: int = 8,
-    cover_n_max: int = 5,
-    cache: CharacterCache | None = None,
+    cover_n_max: int = NAIVE_MAX_DEGREE,
 ) -> list[CheckResult]:
     """Run every cross-route check and report one result per identity.
 
@@ -51,7 +50,8 @@ def run_verification(
     m + n <= mn_max, f_closed(m, 0) = f_kontsevich_base(m), the leading-term
     fit from raw lattice counts on its supported signatures, volume(K)
     against the closed form for K <= k_max, and the character-sum cover
-    counts against direct enumeration for degrees up to min(cover_n_max, 5).
+    counts against direct enumeration for degrees up to
+    min(cover_n_max, NAIVE_MAX_DEGREE).
     """
     results: list[CheckResult] = []
 
@@ -105,14 +105,14 @@ def run_verification(
             )
         )
 
-    n_cap = min(cover_n_max, 5)
-    connected = profile_connected_counts(n_cap, cache) if n_cap >= 1 else {}
+    n_cap = min(cover_n_max, NAIVE_MAX_DEGREE)
+    connected = profile_connected_counts(n_cap) if n_cap >= 1 else {}
     for n in range(1, n_cap + 1):
         all_ok = True
         lhs = rhs = f"all profile counts at degree {n}"
         for profile in cover_profiles(n, max_threes=2, max_ones=6):
             classes = profile.corner_types
-            frob = frobenius_count(classes, cache)
+            frob = frobenius_count(classes)
             naive_all = naive_enumerate(classes)
             if frob != naive_all:
                 all_ok, lhs, rhs = False, f"{classes}: {frob}", f"{classes}: {naive_all}"

@@ -12,10 +12,7 @@ import math
 import time
 from fractions import Fraction
 
-import pytest
-
 from pillowcount.covers import (
-    CharacterCache,
     cover_profiles,
     cover_ratios,
     frobenius_count,
@@ -32,11 +29,6 @@ from pillowcount.ribbon import (
     verify_pole_recurrence,
 )
 from pillowcount.trees import enumerate_decorated_trees, tree_contribution, volume, zeta_lemma_ratio
-
-
-@pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("PILLOW_CACHE_DIR", str(tmp_path))
 
 
 def _report(number: int, passed: bool, detail: str) -> None:
@@ -214,20 +206,18 @@ def test_criterion_6_lattice_fit_recovers_polynomials():
 
 
 def test_criterion_7_cover_counts_match_enumeration():
-    cache = CharacterCache()
-    connected = profile_connected_counts(5, cache)
+    connected = profile_connected_counts(5)
     checked = 0
     bad: list[tuple] = []
     for n in range(1, 6):
         for profile in cover_profiles(n, max_threes=2, max_ones=6):
             classes = profile.corner_types
-            if frobenius_count(classes, cache) != naive_enumerate(classes):
+            if frobenius_count(classes) != naive_enumerate(classes):
                 bad.append(("disconnected", classes))
             got = connected.get(classes, Fraction(0))
             if got != naive_enumerate(classes, connected_only=True):
                 bad.append(("connected", classes))
             checked += 1
-    cache.flush()
     passed = not bad
     _report(
         7,

@@ -7,14 +7,14 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import pillowcount.cli as cli_mod
 import pillowcount.verify as verify_mod
 from pillowcount.cli import main
 from pillowcount.polynomials import Polynomial
 
 
 @pytest.fixture()
-def runner(tmp_path, monkeypatch):
-    monkeypatch.setenv("PILLOW_CACHE_DIR", str(tmp_path))
+def runner():
     return CliRunner()
 
 
@@ -155,16 +155,29 @@ def test_ribbon_fit(runner):
 
 
 def test_covers_count_methods_agree(runner):
-    frob = runner.invoke(main, ["covers", "count", "--K", "1", "--max-degree", "3"])
-    naive = runner.invoke(
-        main, ["covers", "count", "--K", "1", "--max-degree", "3", "--method", "naive"]
-    )
-    assert frob.exit_code == 0
-    assert frob.output == naive.output
-    payload = json.loads(frob.output)
+    outputs = {}
+    for big_k in ("1", "2"):
+        for max_degree in ("3", "5"):
+            args = ["covers", "count", "--K", big_k, "--max-degree", max_degree]
+            frob = runner.invoke(main, args)
+            naive = runner.invoke(main, args + ["--method", "naive"])
+            assert frob.exit_code == 0
+            assert naive.exit_code == 0
+            assert frob.stdout == naive.stdout
+            outputs[big_k, max_degree] = frob.stdout
+    payload = json.loads(outputs["1", "3"])
     assert payload["sq_count"] == {"num": "360", "den": "1"}
     rows = {(r["degree"], r["zeros"], r["poles"]): r["num"] for r in payload["connected"]}
     assert rows[(3, 1, 5)] == "12"
+
+
+def test_covers_count_ignores_old_character_cache(runner, tmp_path, monkeypatch):
+    """A character file left by older versions must not change a result."""
+    (tmp_path / "characters.txt").write_text("pillowchar v1\n3|3|3|5\n", encoding="ascii")
+    monkeypatch.setenv("PILLOW_CACHE_DIR", str(tmp_path))
+    result = runner.invoke(main, ["covers", "count", "--K", "1", "--max-degree", "3"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["sq_count"] == {"num": "360", "den": "1"}
 
 
 def test_covers_count_naive_degree_limit(runner):
@@ -186,6 +199,14 @@ def test_covers_ratio(runner):
     assert bad.exit_code == 2
 
 
+def test_covers_ratio_rejects_bad_K(runner):
+    for big_k in ("0", "-1"):
+        result = runner.invoke(main, ["covers", "ratio", "--K", big_k, "--degrees", "3"])
+        assert result.exit_code == 2
+        assert "--K must be a positive integer" in result.output
+        assert "r_3" not in result.output
+
+
 def test_verify_passes(runner):
     result = runner.invoke(
         main, ["verify", "--K-max", "1", "--mn-max", "4", "--cover-N-max", "2"]
@@ -194,6 +215,26 @@ def test_verify_passes(runner):
     lines = result.output.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+def test_verify_fails_when_no_checks_run(runner):
+    result = runner.invoke(
+        main, ["verify", "--K-max", "0", "--mn-max", "0", "--cover-N-max", "0"]
+    )
+    assert result.exit_code == 1
+    assert "checks passed" not in result.output
+    assert "no checks" in result.stderr
+
+
+def test_verify_notes_capped_cover_degree(runner, monkeypatch):
+    stub = [verify_mod.CheckResult("stub", True, "", "")]
+    monkeypatch.setattr(cli_mod, "run_verification", lambda **bounds: stub)
+    capped = runner.invoke(main, ["verify", "--cover-N-max", "7"])
+    assert capped.exit_code == 0
+    assert "capped at 5" in capped.stderr
+    assert capped.stdout == "PASS  stub\n1/1 checks passed\n"
+    default = runner.invoke(main, ["verify"])
+    assert default.stderr == ""
 
 
 def test_verify_fails_on_corruption(runner, monkeypatch):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pillowcount.covers import (
-    CharacterCache,
     CoverProfile,
     character,
     class_size,
@@ -210,10 +208,11 @@ def test_disconnected_total_equals_frobenius():
 
 
 def test_sq_count_values():
-    assert sq_count(1, 2) == 0
-    assert sq_count(1, 3) == 360
+    counts = connected_counts(1, 4)
+    assert sq_count(counts, 1, 2) == 0
+    assert sq_count(counts, 1, 3) == 360
     # cumulative, hence nondecreasing
-    assert sq_count(1, 4) >= sq_count(1, 3)
+    assert sq_count(counts, 1, 4) >= sq_count(counts, 1, 3)
 
 
 def test_cover_ratios_normalization():
@@ -234,51 +233,3 @@ def test_naive_enumerate_guards():
         naive_enumerate([(2,), (2,), (2,)])
     with pytest.raises(ValueError):
         naive_enumerate([(2,), (3,), (2,), (2,)])
-
-
-def test_cache_roundtrip(tmp_path):
-    path = os.path.join(tmp_path, "chars.txt")
-    cache = CharacterCache(path)
-    value = character((2, 2, 1), (3, 2), cache)
-    cache.flush()
-    assert os.path.exists(path)
-    fresh = CharacterCache(path)
-    assert fresh.get((2, 2, 1), (3, 2)) == value
-    # values served from the cache agree with recomputation
-    assert character((2, 2, 1), (3, 2), fresh) == value
-
-
-def test_cache_ignores_corrupted_file(tmp_path):
-    path = os.path.join(tmp_path, "chars.txt")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("pillowchar v1\n5|2,2,1|3,2|not-an-integer\n")
-    cache = CharacterCache(path)
-    assert cache.get((2, 2, 1), (3, 2)) is None
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("some other header\n5|2,2,1|3,2|1\n")
-    cache = CharacterCache(path)
-    assert cache.get((2, 2, 1), (3, 2)) is None
-    # a record whose partitions do not sum to the declared degree is discarded
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("pillowchar v1\n5|2,2|3,2|1\n")
-    cache = CharacterCache(path)
-    assert cache.get((2, 2), (3, 2)) is None
-
-
-def test_cache_env_var_location(tmp_path, monkeypatch):
-    monkeypatch.setenv("PILLOW_CACHE_DIR", str(tmp_path))
-    cache = CharacterCache()
-    assert cache.path == os.path.join(str(tmp_path), "characters.txt")
-    character((3, 1), (2, 2), cache)
-    cache.flush()
-    assert os.path.exists(cache.path)
-
-
-def test_cold_cache_matches_warm_cache(tmp_path):
-    path = os.path.join(tmp_path, "chars.txt")
-    cache = CharacterCache(path)
-    warm = connected_counts(1, 3, cache)
-    cache.flush()
-    reloaded = CharacterCache(path)
-    assert connected_counts(1, 3, reloaded) == warm
-    assert connected_counts(1, 3, None) == warm

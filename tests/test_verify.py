@@ -9,8 +9,7 @@ from pillowcount.polynomials import Polynomial
 from pillowcount.verify import run_verification
 
 
-def test_all_checks_pass(tmp_path, monkeypatch):
-    monkeypatch.setenv("PILLOW_CACHE_DIR", str(tmp_path))
+def test_all_checks_pass():
     results = run_verification(k_max=1, mn_max=4, cover_n_max=3)
     assert results
     assert all(r.passed for r in results)
