@@ -98,7 +98,10 @@ def ribbon_count(graph_id: str, widths: str) -> None:
     except ValueError:
         raise click.UsageError(f"malformed width list {widths!r}")
     _signature(m, n)
-    graphs = enumerate_graphs(m, n, label_mode="faces-only")
+    try:
+        graphs = enumerate_graphs(m, n, label_mode="faces-only")
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     if not 0 <= index < len(graphs):
         raise click.UsageError(f"graph id {graph_id!r} out of range; {len(graphs)} graphs exist")
     try:

@@ -15,15 +15,19 @@ darts among themselves. Face labels are preserved in both modes.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, prod
 from typing import Iterator, Sequence
 
 from .layers import LayerSignature
 from .polynomials import Polynomial, RationalFunction, rf_add, rf_equal, rf_mul, rf_partial, rf_scale
-from .rationals import factorial
+from .rationals import binomial, factorial
+
+# enumerate_graphs refuses signatures with more labelled pairings than this
+MAX_LABELLED_PAIRINGS = 1_000_000
 
 __all__ = [
     "RibbonGraph",
@@ -74,20 +78,7 @@ class RibbonGraph:
         return d // 3 if d < 3 * self.m else self.m + (d - 3 * self.m)
 
     def face_cycles(self) -> list[list[int]]:
-        sig = self.sigma
-        seen = [False] * self.darts
-        cycles = []
-        for start in range(self.darts):
-            if seen[start]:
-                continue
-            cyc = []
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                cyc.append(d)
-                d = sig[self.alpha[d]]
-            cycles.append(cyc)
-        return cycles
+        return _face_partition(self.m, self.n, self.alpha)
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,27 +102,6 @@ def _pairings(darts: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
         head = (first, other)
         for tail in _pairings(rest[:i] + rest[i + 1:]):
             yield (head,) + tail
-
-
-def _connected(m: int, n: int, alpha: Sequence[int]) -> bool:
-    d = 3 * m + n
-    parent = list(range(d))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
-
-    for i in range(m):
-        union(3 * i, 3 * i + 1)
-        union(3 * i, 3 * i + 2)
-    for x in range(d):
-        union(x, alpha[x])
-    return len({find(x) for x in range(d)}) == 1
 
 
 def _face_partition(m: int, n: int, alpha: Sequence[int]) -> list[list[int]]:
@@ -198,38 +168,104 @@ def _apply_gauge(tau: Sequence[int], alpha: Sequence[int], labels: Sequence[int]
     return tuple(new_alpha), tuple(new_labels)
 
 
+def _walk(sigma: Sequence[int], alpha: Sequence[int], root: int) -> list[int]:
+    """Darts in the order a breadth-first walk along sigma and alpha meets them."""
+    order, seen = [root], {root}
+    for x in order:
+        for y in (sigma[x], alpha[x]):
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    return order
+
+
+def _labelled_pairings(m: int, n: int) -> int:
+    """(3m+n-1)!! * l!: the face-labelled dart pairings enumerate_graphs walks."""
+    return prod(range(3 * m + n - 1, 0, -2)) * factorial(LayerSignature(m, n).faces)
+
+
 def enumerate_graphs(m: int, n: int, label_mode: str = "faces-only") -> list[RibbonGraph]:
     """All isomorphism classes of connected genus-0 graphs with labelled faces.
 
     label_mode "full" keeps vertex labels as well; "faces-only" drops them.
+
+    Each labelled pairing is keyed by its rooted code (Weinberg's canonical
+    form): darts renumbered along a breadth-first walk from a root, taking the
+    least code over a root set the gauge group maps to itself, so equal codes
+    mean isomorphic graphs.  Each class is printed as the least gauge image of
+    one of its members.
     """
     if label_mode not in ("faces-only", "full"):
         raise ValueError(f"unknown label mode {label_mode!r}")
-    sig = LayerSignature(m, n)
-    l = sig.faces
+    l = LayerSignature(m, n).faces
+    size = _labelled_pairings(m, n)
+    if size > MAX_LABELLED_PAIRINGS:
+        raise ValueError(
+            f"signature ({m},{n}) has {size} labelled pairings to enumerate, "
+            f"more than the limit of {MAX_LABELLED_PAIRINGS}"
+        )
     d = 3 * m + n
-    gauge = _gauge_maps(m, n, label_mode == "full")
-    found: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    full = label_mode == "full"
+    sigma = _sigma(m, n)
+    if full:
+        roots = [0, 1, 2] if m else [0]
+    else:
+        roots = list(range(3 * m, d)) if n else list(range(d))
+    classes: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for pairing in _pairings(list(range(d))):
         alpha = [0] * d
         for a, b in pairing:
             alpha[a], alpha[b] = b, a
         alpha = tuple(alpha)
-        if not _connected(m, n, alpha):
-            continue
         cycles = _face_partition(m, n, alpha)
         if len(cycles) != l:
             continue
-        cycles.sort(key=lambda c: c[0])
+        orders = [_walk(sigma, alpha, root) for root in roots]
+        if len(orders[0]) != d:
+            continue  # disconnected
+        cycle_of = [0] * d
+        for ci, cyc in enumerate(cycles):
+            for x in cyc:
+                cycle_of[x] = ci
+        codes = []
+        for order in orders:
+            number = [0] * d
+            for i, x in enumerate(order):
+                number[x] = i
+            # full mode names each dart's vertex by its least dart
+            shape = (
+                tuple(number[sigma[x]] for x in order),
+                tuple(number[alpha[x]] for x in order),
+                tuple(x - x % 3 if x < 3 * m else x for x in order) if full else (),
+            )
+            codes.append((shape, order))
         for perm in permutations(range(l)):
-            labels = [0] * d
-            for ci, cyc in enumerate(cycles):
-                for dart in cyc:
-                    labels[dart] = perm[ci]
-            labels = tuple(labels)
-            key = min(_apply_gauge(tau, alpha, labels) for tau in gauge)
-            found.add(key)
-    return [RibbonGraph(m, n, a, f) for a, f in sorted(found)]
+            labels = tuple(perm[c] for c in cycle_of)
+            key = min((shape, tuple(labels[x] for x in order)) for shape, order in codes)
+            classes.setdefault(key, (alpha, labels))
+    gauge = _gauge_maps(m, n, full)
+    found = sorted(min(_apply_gauge(tau, alpha, labels) for tau in gauge) for alpha, labels in classes.values())
+    return [RibbonGraph(m, n, a, f) for a, f in found]
+
+
+def _counting_order(columns: Sequence[tuple[int, ...]], l: int) -> list[tuple[int, ...]]:
+    """The distinct columns in the order exact_lattice_count assigns them.
+
+    Built from the back: each step puts in front of the columns placed so far
+    one that touches the fewest faces none of them touch.  It is then the last
+    column on those faces, and one of them forces its total.  That forces as
+    many columns as there are faces (one fewer when no edge has one face on
+    both sides); the columns never placed are free and lead the order.
+    """
+    rest = sorted(columns)
+    claimed: set[int] = set()
+    tail: list[tuple[int, ...]] = []
+    while len(claimed) < l:
+        new = [{f for f in range(l) if c[f]} - claimed for c in rest]
+        i = min((i for i in range(len(rest)) if new[i]), key=lambda i: len(new[i]))
+        claimed |= new[i]
+        tail.append(rest.pop(i))
+    return rest + tail[::-1]
 
 
 def exact_lattice_count(g: RibbonGraph, widths: Sequence[int]) -> int:
@@ -237,78 +273,53 @@ def exact_lattice_count(g: RibbonGraph, widths: Sequence[int]) -> int:
 
     Works in doubled units: each edge length l_e = x_e/2 with x_e a positive
     integer, and each face imposes sum of x over its boundary darts = 2 w_i.
+    The mu edges sharing a face-incidence column (_edge_forms) enter only
+    through their total t, which they split in C(t-1, mu-1) ways, so the
+    count is sum over t_c >= mu_c with sum_c t_c col_c = 2w of
+    prod_c C(t_c-1, mu_c-1), taken over the distinct columns c.
     """
     l = g.faces
     if len(widths) != l:
         raise ValueError(f"expected {l} widths, got {len(widths)}")
     if any(w <= 0 for w in widths):
         raise ValueError("widths must be positive")
-    edges = g.edges()
-    eindex = {}
-    for i, (a, b) in enumerate(edges):
-        eindex[a] = i
-        eindex[b] = i
-    nfaces = l
-    # incidence[f][e] = how many darts of face f lie on edge e
-    incidence = [[0] * len(edges) for _ in range(nfaces)]
-    for dart, face in enumerate(g.face_of_dart):
-        incidence[face][eindex[dart]] += 1
+    mult = Counter(_edge_forms(g))
+    cols = _counting_order(list(mult), l)
+    mus = [mult[c] for c in cols]
+    supports = [[f for f in range(l) if c[f]] for c in cols]
+    # forcing[k]: a face whose last column is k; need[k][f]: the least that
+    # columns k.. put on face f
+    last = {f: k for k, support in enumerate(supports) for f in support}
+    forcing = [next((f for f in support if last[f] == k), None) for k, support in enumerate(supports)]
+    need = [[0] * l]
+    for col, mu in zip(reversed(cols), reversed(mus)):
+        need.append([r + mu * c for r, c in zip(need[-1], col)])
+    need.reverse()
     remaining = [2 * w for w in widths]
-    unset = [sum(row) for row in incidence]
-    touched = [[f for f in range(nfaces) if incidence[f][e]] for e in range(len(edges))]
-    unassigned = set(range(len(edges)))
+    if any(r < lo for r, lo in zip(remaining, need[0])):
+        return 0
 
-    def bounds(e: int) -> tuple[int, int]:
-        """Feasible value range for edge e; forced to a point when e is the
-        last unassigned incidence of one of its faces."""
-        lo, hi = 1, None
-        for f in touched[e]:
-            inc = incidence[f][e]
-            slack = remaining[f] - (unset[f] - inc)
-            c = slack // inc
-            hi = c if hi is None else min(hi, c)
-            if unset[f] == inc:
-                if remaining[f] % inc != 0:
-                    return 1, 0
-                v = remaining[f] // inc
-                lo, hi = max(lo, v), min(hi, v)
-        return lo, hi
+    def count(k: int) -> int:
+        if k == len(cols):
+            return 0 if any(remaining) else 1
+        col, mu, support, f = cols[k], mus[k], supports[k], forcing[k]
+        hi = min((remaining[e] - need[k + 1][e]) // col[e] for e in support)
+        if f is None:
+            lo = mu
+        elif remaining[f] % col[f]:
+            return 0
+        else:
+            lo = remaining[f] // col[f]
+        total = 0
+        for t in range(lo, hi + 1):
+            for e in support:
+                remaining[e] -= t * col[e]
+            total += binomial(t - 1, mu - 1) * count(k + 1)
+            for e in support:
+                remaining[e] += t * col[e]
+        return total
 
-    count = 0
-
-    def recurse() -> None:
-        nonlocal count
-        if not unassigned:
-            if all(r == 0 for r in remaining):
-                count += 1
-            return
-        best, best_span = None, None
-        for e in unassigned:
-            lo, hi = bounds(e)
-            if hi < lo:
-                return
-            if best_span is None or hi - lo < best_span:
-                best, best_span, best_lo, best_hi = e, hi - lo, lo, hi
-        e = best
-        unassigned.remove(e)
-        for f in touched[e]:
-            unset[f] -= incidence[f][e]
-        for x in range(best_lo, best_hi + 1):
-            ok = True
-            for f in touched[e]:
-                remaining[f] -= incidence[f][e] * x
-                if remaining[f] < unset[f]:
-                    ok = False
-            if ok:
-                recurse()
-            for f in touched[e]:
-                remaining[f] += incidence[f][e] * x
-        for f in touched[e]:
-            unset[f] += incidence[f][e]
-        unassigned.add(e)
-
-    recurse()
-    return count
+    return count(0)
 
 
 def _edge_forms(g: RibbonGraph) -> list[tuple[int, ...]]:
@@ -404,14 +415,7 @@ def _wall_normals(graphs: Sequence[RibbonGraph], l: int) -> set[tuple[int, ...]]
     if l == 1:
         return normals
     for g in graphs:
-        edges = g.edges()
-        cols = []
-        for a, b in edges:
-            vec = [0] * l
-            vec[g.face_of_dart[a]] += 1
-            vec[g.face_of_dart[b]] += 1
-            cols.append(tuple(vec))
-        cols = list(set(cols))
+        cols = list(set(_edge_forms(g)))
         if l == 2:
             for (c1, c2) in cols:
                 nu = (c2, -c1)
@@ -499,9 +503,13 @@ def leading_part_fit(m: int, n: int, sample_radius: int = 4) -> Polynomial:
     if not graphs:
         raise ValueError(f"no graphs for signature ({m},{n})")
     walls = _wall_normals(graphs, l)
+    # graphs with the same edge columns have the same count
+    classes: dict[tuple[tuple[int, ...], ...], list] = {}
+    for g in graphs:
+        classes.setdefault(tuple(sorted(_edge_forms(g))), [g, 0])[1] += 1
 
     def total_count(widths: tuple[int, ...]) -> int:
-        return sum(exact_lattice_count(g, widths) for g in graphs)
+        return sum(size * exact_lattice_count(g, widths) for g, size in classes.values())
 
     def leading_along(u: tuple[int, ...]) -> Fraction:
         npoints = 2 * a + 1

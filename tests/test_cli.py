@@ -148,6 +148,17 @@ def test_ribbon_count_usage_errors(runner):
     assert wrong_len.exit_code == 2
 
 
+def test_ribbon_commands_refuse_oversized_signature(runner):
+    for args in (
+        ["enumerate", "--m", "5", "--n", "1"],
+        ["count", "--graph-id", "5-1-0", "--widths", "1,1,1,1"],
+        ["fit", "--m", "5", "--n", "1"],
+    ):
+        result = runner.invoke(main, ["ribbon", *args])
+        assert result.exit_code == 2
+        assert "48648600 labelled pairings" in result.output
+
+
 def test_ribbon_fit(runner):
     result = runner.invoke(main, ["ribbon", "fit", "--m", "1", "--n", "1"])
     assert result.exit_code == 0

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
 from itertools import product
 
 import pytest
@@ -9,7 +12,9 @@ import pytest
 from pillowcount.layers import LayerSignature, f_closed
 from pillowcount.polynomials import Polynomial, RationalFunction, rf_equal
 from pillowcount.ribbon import (
+    MAX_LABELLED_PAIRINGS,
     RibbonGraph,
+    _labelled_pairings,
     enumerate_graphs,
     exact_lattice_count,
     hat_F,
@@ -26,6 +31,17 @@ CLASS_COUNTS = {
     (1, 3): (1, 2),
     (2, 2): (5, 16),
     (2, 0): (4, 8),
+    (3, 1): (24, 144),
+    (2, 4): (1, 24),
+}
+
+# sha256 prefixes of the serialised enumerations, frozen before the rooted-map
+# canonical form replaced the per-labelling gauge minimum
+ENUMERATION_DIGESTS = {
+    (3, 1, "faces-only"): "6915affc5dcb1001",
+    (3, 1, "full"): "ebfdf2881d844288",
+    (3, 3, "full"): "c953b23bf2c75e51",
+    (2, 4, "faces-only"): "19f70dc6d7f10786",
 }
 
 
@@ -34,6 +50,21 @@ def test_frozen_class_counts(mn: tuple[int, int]):
     faces_only, full = CLASS_COUNTS[mn]
     assert len(enumerate_graphs(*mn, label_mode="faces-only")) == faces_only
     assert len(enumerate_graphs(*mn, label_mode="full")) == full
+
+
+@pytest.mark.parametrize("key", sorted(ENUMERATION_DIGESTS))
+def test_enumeration_bytes_pinned(key: tuple[int, int, str]):
+    m, n, mode = key
+    graphs = enumerate_graphs(m, n, label_mode=mode)
+    blob = json.dumps([[list(g.alpha), list(g.face_of_dart)] for g in graphs], separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == ENUMERATION_DIGESTS[key]
+
+
+def test_enumerate_refuses_oversized_signature():
+    # (4,2) has 13!! * 3! = 810810 labelled pairings and stays allowed
+    assert _labelled_pairings(4, 2) == 810810 <= MAX_LABELLED_PAIRINGS
+    with pytest.raises(ValueError, match="48648600"):
+        enumerate_graphs(5, 1)
 
 
 def test_enumerate_rejects_bad_input():
@@ -74,31 +105,71 @@ def edge_form_multiset(g: RibbonGraph) -> tuple[tuple[int, ...], ...]:
 
 
 def brute_lattice_count(g: RibbonGraph, widths: tuple[int, ...]) -> int:
-    """Independent direct count over all doubled edge lengths."""
-    edges = g.edges()
-    eindex = {}
-    for i, (a, b) in enumerate(edges):
-        eindex[a] = i
-        eindex[b] = i
+    """Independent direct count over all doubled edge lengths: every positive
+    value of each edge in turn, stopping once a face sum passes its target."""
+    ends = [(g.face_of_dart[a], g.face_of_dart[b]) for a, b in g.edges()]
     target = [2 * w for w in widths]
-    hi = max(target)
-    count = 0
-    for xs in product(range(1, hi + 1), repeat=len(edges)):
-        sums = [0] * g.faces
-        for dart, face in enumerate(g.face_of_dart):
-            sums[face] += xs[eindex[dart]]
-        if sums == target:
-            count += 1
-    return count
+    sums = [0] * g.faces
+
+    def count(i: int) -> int:
+        if i == len(ends):
+            return int(sums == target)
+        fa, fb = ends[i]
+        total, x = 0, 1
+        while True:
+            sums[fa] += x
+            sums[fb] += x
+            fits = sums[fa] <= target[fa] and sums[fb] <= target[fb]
+            if fits:
+                total += count(i + 1)
+            sums[fa] -= x
+            sums[fb] -= x
+            if not fits:
+                return total
+            x += 1
+
+    return count(0)
 
 
-@pytest.mark.parametrize("mn", [(0, 2), (1, 1), (1, 3), (2, 2)])
+@pytest.mark.parametrize("mn", [(0, 2), (1, 1), (1, 3), (2, 2), (2, 0), (3, 1)])
 def test_lattice_count_matches_brute_force(mn: tuple[int, int]):
-    m, n = mn
-    l = LayerSignature(m, n).faces
-    for g in enumerate_graphs(m, n):
-        for widths in product(range(1, 4), repeat=l):
-            assert exact_lattice_count(g, widths) == brute_lattice_count(g, widths)
+    l = LayerSignature(*mn).faces
+    # (3,1) needs widths summing to at least 5 and counts zero on all of {1,2}^3
+    sizes = (2, 3, 4) if mn == (3, 1) else (1, 2, 3)
+    nonzero = 0
+    for mode in ("faces-only", "full"):
+        for g in enumerate_graphs(*mn, label_mode=mode):
+            for widths in product(sizes, repeat=l):
+                count = exact_lattice_count(g, widths)
+                assert count == brute_lattice_count(g, widths)
+                nonzero += count > 0
+    assert nonzero > 0
+
+
+def test_lattice_count_depends_only_on_edge_columns():
+    """Relabelling darts at random permutes the edges, those with equal
+    columns among them, and leaves the count alone; graphs sharing their
+    edge-column multiset share their counts (what leading_part_fit uses)."""
+    rng = random.Random(3)
+    by_columns: dict[tuple, list[RibbonGraph]] = {}
+    for g in enumerate_graphs(3, 1, label_mode="full"):
+        by_columns.setdefault(edge_form_multiset(g), []).append(g)
+    assert len(by_columns) == 21
+    nonzero = 0
+    for members in by_columns.values():
+        g = members[0]
+        pi = list(range(g.darts))
+        rng.shuffle(pi)
+        alpha, faces = [0] * g.darts, [0] * g.darts
+        for x in range(g.darts):
+            alpha[pi[x]] = pi[g.alpha[x]]
+            faces[pi[x]] = g.face_of_dart[x]
+        shuffled = RibbonGraph(g.m, g.n, tuple(alpha), tuple(faces))
+        for widths in product((3, 4, 6), repeat=3):
+            counts = {exact_lattice_count(h, widths) for h in members + [shuffled]}
+            assert len(counts) == 1
+            nonzero += counts != {0}
+    assert nonzero > 0
 
 
 def test_lattice_count_input_validation():
