@@ -46,7 +46,10 @@ def _signature(m: int, n: int) -> LayerSignature:
 def local_poly(m: int, n: int, method: str, fmt: str) -> None:
     """Print the local polynomial F_{m,n}."""
     sig = _signature(m, n)
-    poly = f_recurrence(sig) if method == "recurrence" else f_closed(sig)
+    try:
+        poly = f_recurrence(sig) if method == "recurrence" else f_closed(sig)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     if fmt == "json":
         click.echo(_polynomial_json(poly, sig.faces))
     else:

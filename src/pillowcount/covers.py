@@ -420,6 +420,26 @@ def cover_ratios(k: int, degrees: Iterable[int]) -> dict[int, float]:
     }
 
 
+@lru_cache(maxsize=None)
+def _cycle_types(n: int) -> dict[tuple[int, ...], Partition]:
+    """The cycle type of every permutation of range(n)."""
+    types = {}
+    for perm in itertools.permutations(range(n)):
+        seen = [False] * n
+        parts = []
+        for i in range(n):
+            if seen[i]:
+                continue
+            length, j = 0, i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            parts.append(length)
+        types[perm] = tuple(sorted(parts, reverse=True))
+    return types
+
+
 def naive_enumerate(classes: Sequence[Partition], connected_only: bool = False) -> Fraction:
     """Directly count tuples with product 1 and gi in the prescribed classes,
     weighted by 1/N!.  Exponential in N; an independent oracle for
@@ -439,20 +459,7 @@ def naive_enumerate(classes: Sequence[Partition], connected_only: bool = False) 
     if len(classes) != 4:
         raise ValueError("the direct enumeration handles exactly four classes")
     normalized = [tuple(sorted(cls, reverse=True)) for cls in classes]
-
-    def cycle_type(perm: tuple[int, ...]) -> Partition:
-        seen = [False] * n
-        parts = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            length, j = 0, i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            parts.append(length)
-        return tuple(sorted(parts, reverse=True))
+    types = _cycle_types(n)
 
     def rep_of_type(cls: Partition) -> tuple[int, ...]:
         perm = list(range(n))
@@ -489,10 +496,7 @@ def naive_enumerate(classes: Sequence[Partition], connected_only: bool = False) 
                     parent[ri] = rj
         return len({find(i) for i in range(n)}) == 1
 
-    all_perms = list(itertools.permutations(range(n)))
-    in_class = {
-        cls: [p for p in all_perms if cycle_type(p) == cls] for cls in set(normalized)
-    }
+    in_class = {cls: [p for p, t in types.items() if t == cls] for cls in set(normalized)}
     g1 = rep_of_type(normalized[0])
     weight = class_size(normalized[0])
     target = normalized[3]
@@ -501,7 +505,7 @@ def naive_enumerate(classes: Sequence[Partition], connected_only: bool = False) 
         h = compose(g1, g2)
         for g3 in in_class[normalized[2]]:
             g4 = inverse(compose(h, g3))
-            if cycle_type(g4) != target:
+            if types[g4] != target:
                 continue
             if connected_only and not transitive((g1, g2, g3, g4)):
                 continue

@@ -18,6 +18,7 @@ from .polynomials import Polynomial, apply_D
 from .rationals import binomial, factorial, multinomial
 
 __all__ = [
+    "MAX_LOCAL_TERMS",
     "LayerSignature",
     "f_closed",
     "f_kontsevich_base",
@@ -54,6 +55,24 @@ class LayerSignature:
         return (self.m + self.n) // 2 - 1
 
 
+# largest number of monomials a route may build: F_{20,0} has 167960 and
+# takes seconds, and the count grows about fourfold with each step m -> m+2
+MAX_LOCAL_TERMS = 200_000
+
+
+def _term_count(sig: LayerSignature) -> int:
+    """Number of monomials of F_{m,n}: the compositions of a into l parts."""
+    return binomial(sig.half_degree + sig.faces - 1, sig.faces - 1)
+
+
+def _refuse_oversized(sig: LayerSignature) -> None:
+    count = _term_count(sig)
+    if count > MAX_LOCAL_TERMS:
+        raise ValueError(
+            f"F_{{{sig.m},{sig.n}}} has {count} terms, more than the limit of {MAX_LOCAL_TERMS}"
+        )
+
+
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of `parts` nonnegative integers summing to `total`."""
     if parts == 0:
@@ -71,6 +90,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _f_closed(m: int, n: int) -> Polynomial:
     sig = LayerSignature(m, n)
+    _refuse_oversized(sig)
     a, l = sig.half_degree, sig.faces
     lead = Fraction(factorial(m), factorial(a))
     terms = {}
@@ -88,6 +108,7 @@ def f_closed(sig: LayerSignature) -> Polynomial:
 def _f_kontsevich_base(m: int) -> Polynomial:
     if m <= 0 or m % 2 != 0:
         raise ValueError(f"base case needs positive even m, got {m}")
+    _refuse_oversized(LayerSignature(m, 0))
     k = m // 2
     l = k + 2
     terms = {}
@@ -108,6 +129,7 @@ def f_kontsevich_base(m: int) -> Polynomial:
 @lru_cache(maxsize=None)
 def _f_recurrence(m: int, n: int) -> Polynomial:
     sig = LayerSignature(m, n)
+    _refuse_oversized(sig)
     l = sig.faces
     if n == 0:
         return _f_kontsevich_base(m)

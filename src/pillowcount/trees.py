@@ -8,12 +8,11 @@ trees for a given K yields the volume pi^{2K+2}/2^{K-1}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Iterator, Sequence
-
-import networkx as nx
 
 from . import layers
 from .polynomials import Polynomial
@@ -42,6 +41,7 @@ class DecoratedTree:
     vertices: int
     edges: tuple[tuple[int, int], ...]
     decorations: tuple[int, ...]
+    _layers: tuple[layers.LayerSignature, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v = self.vertices
@@ -53,33 +53,33 @@ class DecoratedTree:
             raise ValueError("edge count does not match a tree")
         if len(self.decorations) != v:
             raise ValueError("one decoration per vertex required")
-        # connectivity via union-find
-        parent = list(range(v))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for a, b in edges:
             if not (0 <= a < v and 0 <= b < v) or a == b:
                 raise ValueError(f"bad edge ({a},{b})")
-            parent[find(a)] = find(b)
-        if len({find(x) for x in range(v)}) != 1:
+        adj = self.adjacency()
+        reached = {0}
+        stack = [0]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in reached:
+                    reached.add(u)
+                    stack.append(u)
+        if len(reached) != v:
             raise ValueError("tree is not connected")
+        sigs = []
         for u in range(v):
-            a = self.decorations[u]
-            if a < 0 or a < self.valence(u) - 3:
+            a, l = self.decorations[u], len(adj[u])
+            if a < 0 or a < l - 3:
                 raise ValueError(f"decoration {a} too small at vertex {u}")
-            self.layer(u)  # must be a valid layer signature
+            sigs.append(layers.LayerSignature(a + l - 1, a - l + 3))
+        object.__setattr__(self, "_layers", tuple(sigs))
 
     def valence(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        # the layer at a vertex has one boundary face per incident cylinder
+        return self._layers[v].faces
 
     def layer(self, v: int) -> layers.LayerSignature:
-        a, l = self.decorations[v], self.valence(v)
-        return layers.LayerSignature(a + l - 1, a - l + 3)
+        return self._layers[v]
 
     @property
     def k(self) -> int:
@@ -196,16 +196,71 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _next_rooted_tree(levels: list[int], p: int | None = None) -> list[int] | None:
+    """The rooted tree after `levels` in Beyer-Hedetniemi order, or None."""
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = list(levels)
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
+
+
+def _split_tree(levels: list[int]) -> tuple[list[int], list[int]]:
+    """The root's first subtree, and the tree with that subtree removed."""
+    ones = [i for i, h in enumerate(levels) if h == 1]
+    m = ones[1] if len(ones) > 1 else len(levels)
+    return [h - 1 for h in levels[1:m]], [0] + levels[m:]
+
+
+def _next_tree(levels: list[int]) -> list[int]:
+    """levels if it is the canonical rooting of a free tree, else the next
+    candidate (Wright, Richmond, Odlyzko and McKay 1986)."""
+    left, rest = _split_tree(levels)
+    left_height, rest_height = max(left), max(rest)
+    valid = rest_height > left_height or (
+        rest_height == left_height and (len(left), left) <= (len(rest), rest)
+    )
+    if valid:
+        return levels
+    p = len(left)
+    out = _next_rooted_tree(levels, p)
+    if levels[p] > 2:
+        new_left_height = max(_split_tree(out)[0])
+        out[-(new_left_height + 1):] = range(1, new_left_height + 2)
+    return out
+
+
 def _free_trees(v: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Edge lists of all free trees on v vertices, one per isomorphism class."""
-    if v == 2:
-        yield ((0, 1),)
-        return
+    """Edge lists of all free trees on v vertices, one per isomorphism class.
+
+    Level sequences run from the path rooted at its centre; each vertex is
+    joined to the nearest earlier vertex one level up.
+    """
     if v == 3:
+        # the path labelled along its length, not from its centre
         yield ((0, 1), (1, 2))
         return
-    for g in nx.nonisomorphic_trees(v):
-        yield tuple(tuple(sorted(e)) for e in g.edges())
+    levels: list[int] | None = list(range(v // 2 + 1)) + list(range(1, (v + 1) // 2))
+    while levels is not None:
+        levels = _next_tree(levels)
+        edges = []
+        stack: list[int] = []
+        for i, h in enumerate(levels):
+            while stack and levels[stack[-1]] >= h:
+                stack.pop()
+            if stack:
+                edges.append((stack[-1], i))
+            stack.append(i)
+        yield tuple(edges)
+        levels = _next_rooted_tree(levels)
 
 
 def enumerate_decorated_trees(K: int) -> list[DecoratedTree]:
@@ -277,15 +332,42 @@ class TreeContribution:
             raise ValueError("contribution has the wrong pi power")
 
 
+def _local_terms(t: DecoratedTree) -> dict[tuple[int, ...], int]:
+    """Product over all vertices of F_{m_v,n_v} in the edge width variables,
+    as integer coefficients keyed by exponent tuples of full length k."""
+    incident: list[list[int]] = [[] for _ in range(t.vertices)]
+    for i, (a, b) in enumerate(t.edges):
+        incident[a].append(i)
+        incident[b].append(i)
+    terms: dict[tuple[int, ...], int] = {(0,) * t.k: 1}
+    for v in range(t.vertices):
+        sig = t.layer(v)
+        factor = []
+        for exps, coeff in layers.f_closed(sig).items():
+            if coeff.denominator != 1:
+                raise ValueError(f"F_{{{sig.m},{sig.n}}} has the non-integer coefficient {coeff}")
+            factor.append((tuple(zip(incident[v], exps)), coeff.numerator))
+        product: dict[tuple[int, ...], int] = {}
+        for key, c in terms.items():
+            for placed, d in factor:
+                out = list(key)
+                for i, e in placed:
+                    out[i] += e
+                out_key = tuple(out)
+                product[out_key] = product.get(out_key, 0) + c * d
+        terms = product
+    return terms
+
+
 def local_product(t: DecoratedTree) -> Polynomial:
     """Product over all vertices of F_{m_v,n_v}, each written in the width
     variables of the edges incident to the vertex."""
-    poly = Polynomial.one()
-    for v in range(t.vertices):
-        sig = t.layer(v)
-        incident = [i for i, e in enumerate(t.edges) if v in e]
-        poly = poly * layers.f_closed(sig).remap_variables(incident)
-    return poly
+    return Polynomial(_local_terms(t))
+
+
+@lru_cache(maxsize=None)
+def _zeta_value(exponents: tuple[int, ...], K: int) -> PiValue:
+    return zeta_operator(exponents, K)
 
 
 def tree_contribution(t: DecoratedTree, K: int) -> TreeContribution:
@@ -293,29 +375,27 @@ def tree_contribution(t: DecoratedTree, K: int) -> TreeContribution:
     if t.K != K:
         raise ValueError(f"tree belongs to K={t.K}, not K={K}")
     k = t.k
-    poly = Polynomial.monomial((1,) * k) * local_product(t)
-    if poly.homogeneous_degree() != 2 * K + 2 - k:
-        raise ValueError("homogeneity gate failed before applying the zeta operator")
+    # the w_1..w_k factor raises every exponent by one; the zeta operator and
+    # its rational prefactor depend only on the sorted exponents
+    classes: dict[tuple[int, ...], int] = {}
+    for exps, coeff in _local_terms(t).items():
+        key = tuple(sorted(e + 1 for e in exps))
+        classes[key] = classes.get(key, 0) + coeff
     aut = aut_order(t)
     ms = [t.layer(v).m for v in range(t.vertices)]
     ns = [t.layer(v).n for v in range(t.vertices)]
     c_factor = Fraction(multinomial(K, ms) * multinomial(K + 4, ns), aut)
     scale = 2**k * c_factor
     value = PiValue.zero()
-    zeta_acc: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in poly.items():
-        # the w_1..w_k factor guarantees every variable appears, so the
-        # stripped exponent key always has full length k
-        full = exps
-        term = zeta_operator(full, K)
-        value = value + scale * coeff * term
-        args = tuple(sorted(e + 1 for e in full))
-        pref = Fraction(2, factorial(sum(e - 1 for e in full) + 2 * k - 1))
-        for e in full:
-            pref *= factorial(e)
-        zeta_acc[args] = zeta_acc.get(args, Fraction(0)) + scale * coeff * pref
-    zeta_terms = tuple(sorted(zeta_acc.items()))
-    return TreeContribution(t, K, aut, c_factor, zeta_terms, value)
+    zeta_terms = []
+    for key in sorted(classes):
+        if sum(key) != 2 * K + 2 - k:
+            raise ValueError("homogeneity gate failed before applying the zeta operator")
+        coeff = scale * classes[key]
+        value = value + coeff * _zeta_value(key, K)
+        pref = Fraction(2 * prod(factorial(e) for e in key), factorial(sum(key) + k - 1))
+        zeta_terms.append((tuple(e + 1 for e in key), coeff * pref))
+    return TreeContribution(t, K, aut, c_factor, tuple(zeta_terms), value)
 
 
 def volume(K: int) -> PiValue:

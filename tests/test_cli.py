@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -48,6 +49,13 @@ def test_local_poly_invalid_signature_is_usage_error(runner):
     assert result.exit_code == 2
 
 
+def test_local_poly_refuses_oversized_signature(runner):
+    for method in ("closed", "recurrence"):
+        result = runner.invoke(main, ["local-poly", "--m", "40", "--n", "0", "--method", method])
+        assert result.exit_code == 2
+        assert "131282408400 terms" in result.output
+
+
 def test_volume_text_golden(runner):
     result = runner.invoke(main, ["volume", "--K", "1", "--format", "text"])
     assert result.exit_code == 0
@@ -85,6 +93,15 @@ def test_volume_latex_table_subtotals(runner):
         "F_{2,2}(w_{1},w_{2})",
     ):
         assert fragment in out
+
+
+def test_volume_latex_table_bytes_pinned(runner):
+    # sha256 of the K=5 table, frozen before the per-tree assembly grouped
+    # its terms by sorted exponents
+    result = runner.invoke(main, ["--no-meta", "volume", "--K", "5", "--per-tree", "--format", "latex-table"])
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == "b05ab5a1ddc83b96951f62f51a9606f40a8b4ae6fc21df1a4698e995715ea05d"
 
 
 def test_volume_latex_meta_toggle(runner):

@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pillowcount.layers import (
+    MAX_LOCAL_TERMS,
     LayerSignature,
+    _term_count,
     f_closed,
     f_kontsevich_base,
     f_recurrence,
@@ -83,6 +85,25 @@ def test_base_case_rejects_bad_m():
         f_kontsevich_base(3)
     with pytest.raises(ValueError):
         f_kontsevich_base(0)
+
+
+def test_term_count_matches_closed_form():
+    for mn in valid_signatures(10):
+        sig = LayerSignature(*mn)
+        assert _term_count(sig) == len(f_closed(sig).items())
+
+
+def test_routes_refuse_oversized_signature():
+    # F_{20,0} has 167960 terms and stays allowed
+    assert _term_count(LayerSignature(20, 0)) == 167960 <= MAX_LOCAL_TERMS
+    for build, count in (
+        (lambda: f_closed(LayerSignature(22, 0)), 646646),
+        (lambda: f_kontsevich_base(22), 646646),
+        (lambda: f_recurrence(LayerSignature(22, 0)), 646646),
+        (lambda: f_recurrence(LayerSignature(22, 2)), 705432),
+    ):
+        with pytest.raises(ValueError, match=f"{count} terms, more than the limit"):
+            build()
 
 
 @pytest.mark.parametrize("mn", valid_signatures(8))

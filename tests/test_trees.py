@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import bisect
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from pillowcount.rationals import PiValue, factorial, zeta_even
+from pillowcount import layers
+from pillowcount.polynomials import Polynomial
+from pillowcount.rationals import PiValue, factorial, multinomial, zeta_even
 from pillowcount.trees import (
     DecoratedTree,
+    _free_trees,
     aut_order,
     canonical_key,
     enumerate_decorated_trees,
@@ -35,6 +40,8 @@ def test_decorated_tree_validation():
         DecoratedTree(2, ((0, 1),), (0,))  # wrong decoration length
     with pytest.raises(ValueError):
         DecoratedTree(2, ((0, 0),), (0, 0))  # loop
+    with pytest.raises(ValueError, match="not connected"):
+        DecoratedTree(5, ((0, 1), (1, 2), (0, 2), (3, 4)), (0, 0, 0, 0, 0))  # cycle plus an edge
     # valence-4 vertex needs decoration >= 1
     star_edges = ((0, 1), (0, 2), (0, 3), (0, 4))
     with pytest.raises(ValueError):
@@ -217,6 +224,64 @@ def test_tree_contribution_rejects_wrong_K():
     t = enumerate_decorated_trees(1)[0]
     with pytest.raises(ValueError):
         tree_contribution(t, 2)
+
+
+def per_monomial_contribution(t: DecoratedTree, K: int) -> tuple:
+    """(local product, aut, c, zeta terms, value) by multiplying Fraction
+    polynomials and applying the zeta operator to every monomial."""
+    k = t.k
+    local = Polynomial.one()
+    for v in range(t.vertices):
+        incident = [i for i, e in enumerate(t.edges) if v in e]
+        local = local * layers.f_closed(t.layer(v)).remap_variables(incident)
+    poly = Polynomial.monomial((1,) * k) * local
+    assert poly.homogeneous_degree() == 2 * K + 2 - k
+    aut = aut_order(t)
+    ms = [t.layer(v).m for v in range(t.vertices)]
+    ns = [t.layer(v).n for v in range(t.vertices)]
+    c_factor = Fraction(multinomial(K, ms) * multinomial(K + 4, ns), aut)
+    scale = 2**k * c_factor
+    value = PiValue.zero()
+    zeta_acc: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in poly.items():
+        value = value + scale * coeff * zeta_operator(exps, K)
+        args = tuple(sorted(e + 1 for e in exps))
+        pref = Fraction(2, factorial(sum(e - 1 for e in exps) + 2 * k - 1))
+        for e in exps:
+            pref *= factorial(e)
+        zeta_acc[args] = zeta_acc.get(args, Fraction(0)) + scale * coeff * pref
+    return local, aut, c_factor, tuple(sorted(zeta_acc.items())), value
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6])
+def test_contributions_match_per_monomial_route(K: int):
+    for t in enumerate_decorated_trees(K):
+        local, aut, c_factor, zeta_terms, value = per_monomial_contribution(t, K)
+        got = tree_contribution(t, K)
+        assert local_product(t) == local
+        assert (got.aut, got.multinomial_factor, got.zeta_terms, got.value) == (
+            aut,
+            c_factor,
+            zeta_terms,
+            value,
+        )
+
+
+def test_assembly_refuses_non_integer_local_coefficients(monkeypatch):
+    t = DecoratedTree(2, ((0, 1),), (1, 0))
+    monkeypatch.setattr(layers, "f_closed", lambda sig: Polynomial({(2,): Fraction(1, 2)}))
+    with pytest.raises(ValueError, match="non-integer coefficient 1/2"):
+        tree_contribution(t, 1)
+
+
+def test_free_tree_counts_and_labelling():
+    counts = [sum(1 for _ in _free_trees(v)) for v in range(2, 13)]
+    assert counts == [1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+    # sha256 of every edge list in order, frozen from the networkx generator
+    # that this port replaced; the labels fix the w_i of the latex table
+    trees = [[sorted(e) for e in sorted(edges)] for v in range(2, 13) for edges in _free_trees(v)]
+    blob = json.dumps(trees, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == "88977ff755324c7b2bf7425c3bf9595f7481ff896d5c1f29491751aafee5fe3c"
 
 
 def test_local_product_example():
