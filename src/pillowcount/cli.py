@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import datetime
 import json
-import multiprocessing
 from fractions import Fraction
 
 import click
@@ -19,12 +18,11 @@ from .verify import run_verification
 
 
 @click.group()
-@click.option("--jobs", type=int, default=None, help="Worker processes for per-tree volume assembly (default: sequential).")
 @click.option("--no-meta", is_flag=True, help="Suppress the timestamp comment in latex-table output.")
 @click.pass_context
-def main(ctx: click.Context, jobs: int | None, no_meta: bool) -> None:
+def main(ctx: click.Context, no_meta: bool) -> None:
     """Exact counts of lattice pillowcase covers and stratum volumes."""
-    ctx.obj = {"jobs": jobs, "no_meta": no_meta}
+    ctx.obj = {"no_meta": no_meta}
 
 
 def _polynomial_json(p: Polynomial, arity: int | None = None) -> str:
@@ -71,7 +69,7 @@ def _graph_id(m: int, n: int, index: int) -> str:
 @click.option("--full-labels", is_flag=True, help="Label trivalent vertices and their dart triples too.")
 def ribbon_enumerate(m: int, n: int, full_labels: bool) -> None:
     """List the genus-zero ribbon graphs with m trivalent and n univalent vertices."""
-    sig = _signature(m, n)
+    _signature(m, n)
     mode = "full" if full_labels else "faces-only"
     try:
         graphs = enumerate_graphs(m, n, label_mode=mode)
@@ -82,7 +80,6 @@ def ribbon_enumerate(m: int, n: int, full_labels: bool) -> None:
         record = {"id": _graph_id(m, n, index)}
         record.update(g.to_json_dict())
         records.append(record)
-    del sig
     click.echo(json.dumps(records, separators=(",", ":")))
 
 
@@ -132,20 +129,6 @@ def _pi_value_json(value: PiValue) -> dict:
         "num": str(value.coefficient.numerator),
         "den": str(value.coefficient.denominator),
     }
-
-
-def _tree_worker(payload: tuple) -> TreeContribution:
-    tree, big_k = payload
-    return tree_contribution(tree, big_k)
-
-
-def _contributions(big_k: int, jobs: int | None) -> list[TreeContribution]:
-    trees = enumerate_decorated_trees(big_k)
-    payloads = [(t, big_k) for t in trees]
-    if jobs is not None and jobs > 1 and len(payloads) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            return pool.map(_tree_worker, payloads)
-    return [_tree_worker(p) for p in payloads]
 
 
 _LATEX_HEADER = (
@@ -257,7 +240,7 @@ def volume_cmd(ctx: click.Context, big_k: int, per_tree: bool, fmt: str) -> None
     """Masur-Veech volume of Q(1^K, -1^(K+4)) assembled over decorated trees."""
     if big_k < 1:
         raise click.UsageError("--K must be a positive integer")
-    contributions = _contributions(big_k, ctx.obj.get("jobs"))
+    contributions = [tree_contribution(t, big_k) for t in enumerate_decorated_trees(big_k)]
     total = PiValue(Fraction(0), 2 * big_k + 2)
     for c in contributions:
         total = total + c.value

@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
-
 from .polynomials import Polynomial, apply_D
-from .rationals import binomial, factorial, multinomial
+from .rationals import binomial, compositions, factorial, multinomial
 
 __all__ = [
     "MAX_LOCAL_TERMS",
@@ -73,20 +71,6 @@ def _refuse_oversized(sig: LayerSignature) -> None:
         )
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def _f_closed(m: int, n: int) -> Polynomial:
     sig = LayerSignature(m, n)
@@ -94,7 +78,7 @@ def _f_closed(m: int, n: int) -> Polynomial:
     a, l = sig.half_degree, sig.faces
     lead = Fraction(factorial(m), factorial(a))
     terms = {}
-    for b in _compositions(a, l):
+    for b in compositions(a, l):
         terms[tuple(2 * e for e in b)] = lead * multinomial(a, b) ** 2
     return Polynomial(terms)
 
@@ -112,7 +96,7 @@ def _f_kontsevich_base(m: int) -> Polynomial:
     k = m // 2
     l = k + 2
     terms = {}
-    for ks in _compositions(k - 1, l):
+    for ks in compositions(k - 1, l):
         denom = 1
         for e in ks:
             denom *= factorial(e)

@@ -21,7 +21,6 @@ __all__ = [
     "laplace_of_polynomial",
     "rf_add",
     "rf_mul",
-    "rf_neg",
     "rf_scale",
     "rf_equal",
     "rf_partial",
@@ -165,14 +164,6 @@ class Polynomial:
         return out
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        out = Polynomial.one()
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -332,10 +323,6 @@ class RationalFunction:
         if self.den.is_zero():
             raise ValueError("rational function with identically zero denominator")
 
-    @staticmethod
-    def from_constant(c: Scalar) -> "RationalFunction":
-        return RationalFunction(Polynomial.constant(c), Polynomial.one())
-
     def __str__(self) -> str:
         return f"({self.num.to_text(var='l')}) / ({self.den.to_text(var='l')})"
 
@@ -346,10 +333,6 @@ def rf_add(f: RationalFunction, g: RationalFunction) -> RationalFunction:
 
 def rf_mul(f: RationalFunction, g: RationalFunction) -> RationalFunction:
     return RationalFunction(f.num * g.num, f.den * g.den)
-
-
-def rf_neg(f: RationalFunction) -> RationalFunction:
-    return RationalFunction(-f.num, f.den)
 
 
 def rf_scale(f: RationalFunction, c: Scalar) -> RationalFunction:

@@ -10,12 +10,13 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 __all__ = [
     "factorial",
     "binomial",
     "multinomial",
+    "compositions",
     "bernoulli",
     "zeta_even",
     "PiValue",
@@ -54,6 +55,21 @@ def multinomial(n: int, parts: Iterable[int]) -> int:
     for p in parts:
         out //= factorial(p)
     return out
+
+
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of `parts` nonnegative integers summing to `total`, in
+    ascending lexicographic order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 # Bernoulli numbers, convention B_1 = -1/2. The cache only ever grows; the

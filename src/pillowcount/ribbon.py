@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from .layers import LayerSignature
 from .polynomials import Polynomial, RationalFunction, rf_add, rf_equal, rf_mul, rf_partial, rf_scale
-from .rationals import binomial, factorial
+from .rationals import binomial, compositions, factorial
 
 # enumerate_graphs refuses signatures with more labelled pairings than this
 MAX_LABELLED_PAIRINGS = 1_000_000
@@ -334,55 +334,46 @@ def _edge_forms(g: RibbonGraph) -> list[tuple[int, ...]]:
     return forms
 
 
-def _factored_transform(g: RibbonGraph) -> tuple[Fraction, dict[tuple[int, ...], int]]:
+def _factored_transform(g: RibbonGraph) -> tuple[Fraction, Counter[tuple[int, ...]]]:
     """Transform as coefficient / product of primitive linear forms."""
     coeff = Fraction(2 ** (g.m + g.n - 1))
-    denom: dict[tuple[int, ...], int] = {}
+    denom: Counter[tuple[int, ...]] = Counter()
     for vec in _edge_forms(g):
-        content = gcd(*vec) if len(vec) > 1 else vec[0]
-        prim = tuple(v // content for v in vec)
-        coeff /= content
-        denom[prim] = denom.get(prim, 0) + 1
+        prim = _primitive(vec)
+        coeff /= sum(vec) // sum(prim)  # the content of vec
+        denom[prim] += 1
     return coeff, denom
 
 
-def _linear_poly(vec: tuple[int, ...]) -> Polynomial:
-    terms = {}
-    for i, c in enumerate(vec):
-        if c:
-            terms[(0,) * i + (1,)] = c
-    return Polynomial(terms)
+def _form_product(powers: dict[tuple[int, ...], int]) -> Polynomial:
+    out = Polynomial.one()
+    for vec, mult in powers.items():
+        linear = Polynomial({(0,) * i + (1,): c for i, c in enumerate(vec) if c})
+        for _ in range(mult):
+            out = out * linear
+    return out
+
+
+def _assemble(parts: list[tuple[Fraction, Counter[tuple[int, ...]]]]) -> RationalFunction:
+    """Sum of factored transforms over their least common denominator."""
+    common: Counter[tuple[int, ...]] = Counter()
+    for _, denom in parts:
+        common |= denom
+    num = Polynomial.zero()
+    for coeff, denom in parts:
+        num = num + coeff * _form_product(common - denom)
+    return RationalFunction(num, _form_product(common))
 
 
 def laplace_transform(g: RibbonGraph) -> RationalFunction:
     """2^{m+n-1} times the product over edges of 1/(sum of the two bordering
     face poles), a face bordering an edge twice counting twice."""
-    den = Polynomial.one()
-    for vec in _edge_forms(g):
-        den = den * _linear_poly(vec)
-    return RationalFunction(Polynomial.constant(2 ** (g.m + g.n - 1)), den)
+    return _assemble([_factored_transform(g)])
 
 
 def hat_F(m: int, n: int) -> RationalFunction:
     """Sum of the transforms over the fully labelled enumeration."""
-    graphs = enumerate_graphs(m, n, "full")
-    parts = [_factored_transform(g) for g in graphs]
-    common: dict[tuple[int, ...], int] = {}
-    for _, denom in parts:
-        for form, mult in denom.items():
-            common[form] = max(common.get(form, 0), mult)
-    num = Polynomial.zero()
-    for coeff, denom in parts:
-        term = Polynomial.constant(coeff)
-        for form, mult in common.items():
-            for _ in range(mult - denom.get(form, 0)):
-                term = term * _linear_poly(form)
-        num = num + term
-    den = Polynomial.one()
-    for form, mult in common.items():
-        for _ in range(mult):
-            den = den * _linear_poly(form)
-    return RationalFunction(num, den)
+    return _assemble([_factored_transform(g) for g in enumerate_graphs(m, n, "full")])
 
 
 def verify_pole_recurrence(m: int, n: int) -> bool:
@@ -451,19 +442,10 @@ def _directions(l: int, radius: int) -> Iterator[tuple[int, ...]]:
     """Positive primitive integer directions with entries <= radius,
     graded by coordinate sum."""
     for total in range(l, l * radius + 1):
-        for u in _bounded_compositions(total, l, radius):
-            if gcd(*u) == 1:
+        for c in compositions(total - l, l):
+            u = tuple(x + 1 for x in c)
+            if max(u) <= radius and gcd(*u) == 1:
                 yield u
-
-
-def _bounded_compositions(total: int, parts: int, radius: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        if 1 <= total <= radius:
-            yield (total,)
-        return
-    for first in range(1, min(radius, total - parts + 1) + 1):
-        for rest in _bounded_compositions(total - first, parts - 1, radius):
-            yield (first,) + rest
 
 
 def _lagrange_leading(points: list[tuple[int, int]]) -> Fraction:
@@ -527,7 +509,7 @@ def leading_part_fit(m: int, n: int, sample_radius: int = 4) -> Polynomial:
                     return _lagrange_leading(pts)
         raise ValueError(f"could not stabilize ray interpolation along {u}")
 
-    basis = [tuple(2 * b for b in comp) for comp in _comps(a, l)]
+    basis = [tuple(2 * b for b in comp) for comp in compositions(a, l)]
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     needed = len(basis) + 2
@@ -542,15 +524,6 @@ def leading_part_fit(m: int, n: int, sample_radius: int = 4) -> Polynomial:
         raise ValueError("insufficient off-wall sample directions; raise sample_radius")
     coeffs = _solve_exact(rows, rhs, len(basis))
     return Polynomial({exps: c for exps, c in zip(basis, coeffs) if c})
-
-
-def _comps(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _comps(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _eval_mono(exps: tuple[int, ...], point: tuple[int, ...]) -> int:

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from . import layers
 from .polynomials import Polynomial
-from .rationals import PiValue, bernoulli, binomial, factorial, multinomial, zeta_even
+from .rationals import PiValue, bernoulli, binomial, compositions, factorial, multinomial, zeta_even
 
 __all__ = [
     "DecoratedTree",
@@ -42,6 +42,7 @@ class DecoratedTree:
     edges: tuple[tuple[int, int], ...]
     decorations: tuple[int, ...]
     _layers: tuple[layers.LayerSignature, ...] = field(init=False, repr=False, compare=False)
+    _canon: tuple[tuple, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v = self.vertices
@@ -73,6 +74,7 @@ class DecoratedTree:
                 raise ValueError(f"decoration {a} too small at vertex {u}")
             sigs.append(layers.LayerSignature(a + l - 1, a - l + 3))
         object.__setattr__(self, "_layers", tuple(sigs))
+        object.__setattr__(self, "_canon", _canon_and_aut(self, adj))
 
     def valence(self, v: int) -> int:
         # the layer at a vertex has one boundary face per incident cylinder
@@ -163,8 +165,7 @@ def _rooted_canon(
     return (t.decorations[root], tuple(canons)), aut
 
 
-def _canon_and_aut(t: DecoratedTree) -> tuple[tuple, int]:
-    adj = t.adjacency()
+def _canon_and_aut(t: DecoratedTree, adj: dict[int, list[int]]) -> tuple[tuple, int]:
     centers = _centers(t.vertices, adj)
     if len(centers) == 1:
         canon, aut = _rooted_canon(t, adj, centers[0], None)
@@ -179,21 +180,12 @@ def _canon_and_aut(t: DecoratedTree) -> tuple[tuple, int]:
 
 def canonical_key(t: DecoratedTree) -> tuple:
     """Hashable invariant identifying the isomorphism class of (tree, decoration)."""
-    return _canon_and_aut(t)[0]
+    return t._canon[0]
 
 
 def aut_order(t: DecoratedTree) -> int:
     """Order of the automorphism group preserving adjacency and decoration."""
-    return _canon_and_aut(t)[1]
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    return t._canon[1]
 
 
 def _next_rooted_tree(levels: list[int], p: int | None = None) -> list[int] | None:
@@ -279,7 +271,7 @@ def enumerate_decorated_trees(K: int) -> list[DecoratedTree]:
             spare = budget - sum(minima)
             if spare < 0:
                 continue
-            for extra in _compositions(spare, v):
+            for extra in compositions(spare, v):
                 decorations = tuple(m + e for m, e in zip(minima, extra))
                 t = DecoratedTree(v, edges, decorations)
                 key = canonical_key(t)

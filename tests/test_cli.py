@@ -113,13 +113,6 @@ def test_volume_latex_meta_toggle(runner):
     assert without.output == again.output
 
 
-def test_volume_jobs_deterministic(runner):
-    plain = runner.invoke(main, ["volume", "--K", "2", "--per-tree", "--format", "json"])
-    one = runner.invoke(main, ["--jobs", "1", "volume", "--K", "2", "--per-tree", "--format", "json"])
-    two = runner.invoke(main, ["--jobs", "2", "volume", "--K", "2", "--per-tree", "--format", "json"])
-    assert plain.output == one.output == two.output
-
-
 def test_volume_rejects_bad_K(runner):
     assert runner.invoke(main, ["volume", "--K", "0"]).exit_code == 2
 

@@ -48,10 +48,10 @@ def test_negative_exponents_rejected():
 def test_basic_ring_operations():
     w1 = Polynomial.variable(0)
     w2 = Polynomial.variable(1)
-    p = (w1 + w2) ** 2
+    p = (w1 + w2) * (w1 + w2)
     assert p == Polynomial({(2, 0): 1, (1, 1): 2, (0, 2): 1})
     assert p - p == Polynomial.zero()
-    assert (w1 - w2) * (w1 + w2) == w1**2 - w2**2
+    assert (w1 - w2) * (w1 + w2) == w1 * w1 - w2 * w2
     assert 2 * w1 == w1 + w1
 
 

@@ -12,6 +12,7 @@ from pillowcount.rationals import (
     PiValue,
     bernoulli,
     binomial,
+    compositions,
     factorial,
     multinomial,
     zeta_even,
@@ -42,6 +43,17 @@ def test_multinomial_values_and_errors():
         multinomial(4, (2, 1))
     with pytest.raises(ValueError):
         multinomial(4, (5, -1))
+
+
+def test_compositions_count_and_order():
+    for total in range(8):
+        for parts in range(1, 6):
+            comps = list(compositions(total, parts))
+            assert len(comps) == binomial(total + parts - 1, parts - 1)
+            assert all(a < b for a, b in zip(comps, comps[1:]))
+            assert all(len(c) == parts and min(c) >= 0 and sum(c) == total for c in comps)
+    assert list(compositions(0, 0)) == [()]
+    assert list(compositions(3, 0)) == []
 
 
 def test_bernoulli_table():

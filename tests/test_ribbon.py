@@ -10,10 +10,11 @@ from itertools import product
 import pytest
 
 from pillowcount.layers import LayerSignature, f_closed
-from pillowcount.polynomials import Polynomial, RationalFunction, rf_equal
+from pillowcount.polynomials import Polynomial, RationalFunction, laplace_of_polynomial, rf_equal
 from pillowcount.ribbon import (
     MAX_LABELLED_PAIRINGS,
     RibbonGraph,
+    _directions,
     _labelled_pairings,
     enumerate_graphs,
     exact_lattice_count,
@@ -42,6 +43,21 @@ ENUMERATION_DIGESTS = {
     (3, 1, "full"): "ebfdf2881d844288",
     (3, 3, "full"): "c953b23bf2c75e51",
     (2, 4, "faces-only"): "19f70dc6d7f10786",
+}
+
+# sha256 prefixes of repr(list(_directions(l, radius))), frozen while each
+# module still had its own compositions generator; the fit takes its sample
+# rays in this order
+DIRECTION_DIGESTS = {
+    (2, 4): "9be8c2d3168cbee5",
+    (2, 5): "aa2cc689a216ae4c",
+    (2, 6): "444ac2e6c549aa94",
+    (3, 4): "9da51d07cbaa398e",
+    (3, 5): "173cf93a30005d3b",
+    (3, 6): "1c37ec40b917d4a4",
+    (4, 4): "fd049ff8a551e340",
+    (4, 5): "5a3b9cbc71e6dcbc",
+    (4, 6): "08b1c71c45c21488",
 }
 
 
@@ -248,6 +264,21 @@ def test_hat_F_transform_consistency():
 @pytest.mark.parametrize("mn", [(0, 2), (1, 1)])
 def test_pole_recurrence_small(mn: tuple[int, int]):
     assert verify_pole_recurrence(*mn)
+
+
+@pytest.mark.parametrize("mn", [(0, 2), (1, 1), (2, 0), (1, 3), (2, 2), (3, 1)])
+def test_transform_of_local_polynomial_is_hat_F(mn: tuple[int, int]):
+    # Kontsevich's identity: the Laplace transform of F_{m,n} is the sum of
+    # the graph transforms over the fully labelled enumeration
+    sig = LayerSignature(*mn)
+    assert rf_equal(laplace_of_polynomial(f_closed(sig), sig.faces), hat_F(*mn))
+
+
+@pytest.mark.parametrize("key", sorted(DIRECTION_DIGESTS))
+def test_sample_directions_pinned(key: tuple[int, int]):
+    directions = list(_directions(*key))
+    assert hashlib.sha256(repr(directions).encode()).hexdigest()[:16] == DIRECTION_DIGESTS[key]
+    assert all(0 < x <= key[1] for u in directions for x in u)
 
 
 @pytest.mark.parametrize("mn", [(0, 2), (1, 1), (1, 3)])
