@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
 from .polynomials import Polynomial, apply_D
 from .rationals import binomial, compositions, factorial, multinomial
 
