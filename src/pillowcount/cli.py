@@ -13,7 +13,14 @@ from .layers import LayerSignature, f_closed, f_recurrence
 from .polynomials import Polynomial
 from .rationals import PiValue
 from .ribbon import enumerate_graphs, exact_lattice_count, leading_part_fit
-from .trees import TreeContribution, enumerate_decorated_trees, local_product, tree_contribution
+from .trees import (
+    TreeContribution,
+    check_per_tree_size,
+    enumerate_decorated_trees,
+    local_product,
+    tree_contribution,
+    volume,
+)
 from .verify import run_verification
 
 
@@ -237,13 +244,24 @@ def _volume_latex(big_k: int, contributions: list[TreeContribution], no_meta: bo
 @click.option("--format", "fmt", type=click.Choice(["json", "text", "latex-table"]), default="text", show_default=True)
 @click.pass_context
 def volume_cmd(ctx: click.Context, big_k: int, per_tree: bool, fmt: str) -> None:
-    """Masur-Veech volume of Q(1^K, -1^(K+4)) assembled over decorated trees."""
+    """Masur-Veech volume of Q(1^K, -1^(K+4)) assembled over decorated trees.
+
+    The total alone comes from the labelled-tree series; --per-tree and
+    latex-table enumerate every decorated tree.
+    """
     if big_k < 1:
         raise click.UsageError("--K must be a positive integer")
-    contributions = [tree_contribution(t, big_k) for t in enumerate_decorated_trees(big_k)]
-    total = PiValue(Fraction(0), 2 * big_k + 2)
-    for c in contributions:
-        total = total + c.value
+    if per_tree or fmt == "latex-table":
+        try:
+            check_per_tree_size(big_k)
+        except ValueError as exc:
+            raise click.UsageError(f"{exc}; without --per-tree and latex-table the total comes from the series")
+        contributions = [tree_contribution(t, big_k) for t in enumerate_decorated_trees(big_k)]
+        total = PiValue(Fraction(0), 2 * big_k + 2)
+        for c in contributions:
+            total = total + c.value
+    else:
+        total = volume(big_k)
     if fmt == "latex-table":
         click.echo(_volume_latex(big_k, contributions, ctx.obj.get("no_meta", False)))
         return
@@ -335,12 +353,16 @@ def covers_ratio(big_k: int, degrees: str) -> None:
 
 
 @main.command("verify")
-@click.option("--K-max", "k_max", type=int, default=2, show_default=True)
-@click.option("--mn-max", "mn_max", type=int, default=8, show_default=True)
-@click.option("--cover-N-max", "cover_n_max", type=int, default=NAIVE_MAX_DEGREE, show_default=True)
+@click.option("--K-max", "k_max", type=click.IntRange(min=0), default=2, show_default=True)
+@click.option("--mn-max", "mn_max", type=click.IntRange(min=0), default=8, show_default=True)
+@click.option("--cover-N-max", "cover_n_max", type=click.IntRange(min=0), default=NAIVE_MAX_DEGREE, show_default=True)
 @click.pass_context
 def verify_cmd(ctx: click.Context, k_max: int, mn_max: int, cover_n_max: int) -> None:
     """Recompute everything both ways; exit 0 only if all routes agree."""
+    try:
+        check_per_tree_size(k_max)
+    except ValueError as exc:
+        raise click.UsageError(f"--K-max {k_max}: {exc}")
     if cover_n_max > NAIVE_MAX_DEGREE:
         click.echo(
             f"note: --cover-N-max {cover_n_max} is capped at {NAIVE_MAX_DEGREE}, the largest degree "

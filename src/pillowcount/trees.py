@@ -4,7 +4,9 @@ A decorated tree carries a nonnegative integer a_v at each vertex; with
 valence l_v this fixes a layer signature (m_v, n_v) = (a_v + l_v - 1,
 a_v - l_v + 3) at every vertex. Trees with k edges describe k-cylinder
 surfaces; summing the contribution of every isomorphism class of decorated
-trees for a given K yields the volume pi^{2K+2}/2^{K-1}.
+trees for a given K yields the volume pi^{2K+2}/2^{K-1}. `volume` computes
+the same sum as a labelled-tree series, in time polynomial in K, and the
+enumeration stays as the per-tree route and its oracle.
 """
 from __future__ import annotations
 
@@ -23,10 +25,14 @@ __all__ = [
     "TreeContribution",
     "canonical_key",
     "aut_order",
+    "PER_TREE_MAX_K",
+    "check_per_tree_size",
     "enumerate_decorated_trees",
     "zeta_operator",
     "local_product",
     "tree_contribution",
+    "tree_subtotals",
+    "volume_series",
     "volume",
     "zeta_lemma_sum_k1",
     "zeta_lemma_sum_k2",
@@ -74,7 +80,7 @@ class DecoratedTree:
                 raise ValueError(f"decoration {a} too small at vertex {u}")
             sigs.append(layers.LayerSignature(a + l - 1, a - l + 3))
         object.__setattr__(self, "_layers", tuple(sigs))
-        object.__setattr__(self, "_canon", _canon_and_aut(self, adj))
+        object.__setattr__(self, "_canon", _canon_and_aut(self.decorations, adj, _centers(v, adj)))
 
     def valence(self, v: int) -> int:
         # the layer at a vertex has one boundary face per incident cylinder
@@ -142,14 +148,14 @@ def _centers(n: int, adj: dict[int, list[int]]) -> list[int]:
 
 
 def _rooted_canon(
-    t: DecoratedTree, adj: dict[int, list[int]], root: int, parent: int | None
+    decorations: Sequence[int], adj: dict[int, list[int]], root: int, parent: int | None
 ) -> tuple[tuple, int]:
     """Canonical form and automorphism count of the subtree at root."""
     children = [c for c in adj[root] if c != parent]
     canons = []
     aut = 1
     for c in children:
-        cc, ca = _rooted_canon(t, adj, c, root)
+        cc, ca = _rooted_canon(decorations, adj, c, root)
         canons.append(cc)
         aut *= ca
     canons.sort()
@@ -162,17 +168,18 @@ def _rooted_canon(
             run = 1
     if canons:
         aut *= factorial(run)
-    return (t.decorations[root], tuple(canons)), aut
+    return (decorations[root], tuple(canons)), aut
 
 
-def _canon_and_aut(t: DecoratedTree, adj: dict[int, list[int]]) -> tuple[tuple, int]:
-    centers = _centers(t.vertices, adj)
+def _canon_and_aut(
+    decorations: Sequence[int], adj: dict[int, list[int]], centers: list[int]
+) -> tuple[tuple, int]:
     if len(centers) == 1:
-        canon, aut = _rooted_canon(t, adj, centers[0], None)
+        canon, aut = _rooted_canon(decorations, adj, centers[0], None)
         return ("c", canon), aut
     u, v = centers
-    cu, au = _rooted_canon(t, adj, u, v)
-    cv, av = _rooted_canon(t, adj, v, u)
+    cu, au = _rooted_canon(decorations, adj, u, v)
+    cv, av = _rooted_canon(decorations, adj, v, u)
     aut = au * av * (2 if cu == cv else 1)
     first, second = sorted([cu, cv])
     return ("b", (first, second)), aut
@@ -255,28 +262,45 @@ def _free_trees(v: int) -> Iterator[tuple[tuple[int, int], ...]]:
         levels = _next_rooted_tree(levels)
 
 
+# the per-tree route enumerates every decorated tree: at K = 11 that takes
+# about 13 s and 240 MiB on a 2-CPU VM, and the time grows about 3x per K
+PER_TREE_MAX_K = 11
+
+
+def check_per_tree_size(K: int) -> None:
+    """Refuse a per-tree request that would not finish in reasonable time."""
+    if K > PER_TREE_MAX_K:
+        seconds = 13 * 3 ** (K - PER_TREE_MAX_K)
+        raise ValueError(
+            f"the per-tree route handles K <= {PER_TREE_MAX_K}; enumerating every "
+            f"decorated tree for K={K} would take about {seconds} s"
+        )
+
+
 def enumerate_decorated_trees(K: int) -> list[DecoratedTree]:
     """All isomorphism classes of decorated trees for the stratum parameter K."""
     if K < 1:
         raise ValueError("K must be at least 1")
+    check_per_tree_size(K)
     found: dict[tuple, DecoratedTree] = {}
     for v in range(2, K + 3):
         budget = K + 2 - v
         for edges in _free_trees(v):
-            degree = [0] * v
+            adj: dict[int, list[int]] = {u: [] for u in range(v)}
             for a, b in edges:
-                degree[a] += 1
-                degree[b] += 1
-            minima = [max(0, d - 3) for d in degree]
+                adj[a].append(b)
+                adj[b].append(a)
+            minima = [max(0, len(adj[u]) - 3) for u in range(v)]
             spare = budget - sum(minima)
             if spare < 0:
                 continue
+            centers = _centers(v, adj)
             for extra in compositions(spare, v):
                 decorations = tuple(m + e for m, e in zip(minima, extra))
-                t = DecoratedTree(v, edges, decorations)
-                key = canonical_key(t)
+                # key the candidate first; only the first of each class is built
+                key = _canon_and_aut(decorations, adj, centers)[0]
                 if key not in found:
-                    found[key] = t
+                    found[key] = DecoratedTree(v, edges, decorations)
     return [found[k] for k in sorted(found)]
 
 
@@ -390,12 +414,125 @@ def tree_contribution(t: DecoratedTree, K: int) -> TreeContribution:
     return TreeContribution(t, K, aut, c_factor, tuple(zeta_terms), value)
 
 
-def volume(K: int) -> PiValue:
-    """Exact volume of the stratum with K simple zeros and K+4 simple poles."""
-    total = PiValue(Fraction(0), 2 * K + 2)
+def tree_subtotals(K: int) -> dict[int, Fraction]:
+    """Per-tree route: the volume's coefficient of pi^{2K+2}, summed over
+    the enumerated k-cylinder trees for each k."""
+    out: dict[int, Fraction] = {}
     for t in enumerate_decorated_trees(K):
-        total = total + tree_contribution(t, K).value
-    return total
+        out[t.k] = out.get(t.k, Fraction(0)) + tree_contribution(t, K).value.coefficient
+    return out
+
+
+# -- the tree sum as a labelled-tree series ------------------------------
+#
+# With F_{m,n} = m! a! sum_{b_1+..+b_l=a} prod_i w_i^{2b_i}/(b_i!)^2 and
+# c(T,a) = K!(K+4)!/prod_v m_v! n_v!, the summand 2^k c(T,a) Z(..)/aut of a
+# tree factorises: a!/n! per vertex, 1/(b!)^2 per half-edge,
+# 2 (2beta+1)! zeta(2beta+2) per edge with beta = b + b', and the global
+# 2 K!(K+4)!/(2K+1)!. Summing 1/aut over unlabelled trees is summing 1/v!
+# over labelled ones, so the tree sum is a weighted labelled-tree species.
+# A formal variable z marks a_v + 1 at each vertex; the trees of K have
+# z-degree K + 2. A planted subtree hangs from the half-edge at its root
+# that points to its parent. Rooting a tree at a vertex counts it v times
+# and at an edge v - 1 times, so the tree sum is vertex-rooted minus
+# edge-rooted (the dissymmetry theorem of Bergeron, Labelle and Leroux).
+
+
+def _tree_series(K: int, t: int) -> Fraction:
+    """The tree sum of the volume, each k-cylinder tree weighted t^k, as
+    a coefficient of pi^{2K+2}."""
+    top = K + 2
+    edge = [2 * factorial(2 * beta + 1) * zeta_even(2 * beta + 2).coefficient for beta in range(2 * top)]
+    half = [Fraction(1, factorial(b) ** 2) for b in range(top)]
+    zero = Fraction(0)
+    # planted[b][d]: planted subtrees of z-degree d whose root half-edge
+    # carries b, with that half-edge's weight
+    planted = [[zero] * (top + 1) for _ in range(top)]
+    # child[b][d]: the same seen across the edge from the parent's half-edge
+    # b, with the edge, t and the parent half-edge's weight
+    child = [[zero] * (top + 1) for _ in range(top)]
+    # sets[c][s][d]: sets of c children whose parent half-edges sum to s,
+    # of z-degree d, i.e. [u^s z^d] child(u, z)^c / c!
+    sets = [[[zero] * (top + 1) for _ in range(top)] for _ in range(top + 1)]
+    sets[0][0][0] = Fraction(1)
+
+    def vertex(a: int, spare: int, c: int) -> Fraction:
+        # a!/n! at a vertex with c children: n = a - c + spare
+        return Fraction(factorial(a), factorial(a - c + spare))
+
+    # every vertex adds at least one to the z-degree, so degree d of the
+    # planted subtrees needs only sets of degree below d
+    for d in range(1, top + 1):
+        for b in range(d):
+            total = zero
+            for s in range(d - b):
+                a = b + s
+                rest = d - a - 1
+                for c in range(min(rest, a + 2) + 1):
+                    total += sets[c][s][rest] * vertex(a, 2, c)
+            planted[b][d] = half[b] * total
+        # a child of degree d under half-edge b leaves degree top - d - 1
+        # for the rest of the tree, so b < top - d
+        for b in range(top - d):
+            child[b][d] = t * half[b] * sum(edge[b + b2] * planted[b2][d] for b2 in range(d))
+        for c in range(1, d + 1):
+            fewer = sets[c - 1]
+            for s in range(top - d):
+                total = sum(
+                    child[s1][j] * fewer[s - s1][d - j]
+                    for j in range(1, d - c + 2)
+                    for s1 in range(s + 1)
+                )
+                sets[c][s][d] = total / c
+    vertex_rooted = sum(
+        sets[c][a][top - a - 1] * vertex(a, 3, c)
+        for a in range(top)
+        for c in range(1, min(top - a - 1, a + 3) + 1)
+    )
+    # an unordered pair of planted subtrees joined by an edge
+    edge_rooted = sum(
+        planted[b][d] * child[b][top - d] * factorial(b) ** 2
+        for b in range(top)
+        for d in range(b + 1, top)
+    ) / 2
+    scale = Fraction(2 * factorial(K) * factorial(K + 4), factorial(2 * K + 1))
+    return scale * (vertex_rooted - edge_rooted)
+
+
+def volume_series(K: int) -> tuple[Fraction, dict[int, Fraction]]:
+    """The volume's coefficient of pi^{2K+2} by the labelled-tree series:
+    the total and the subtotal of the k-cylinder trees for each k.
+
+    The tree sum weighted t^k is a polynomial in t of degree K + 1 without
+    constant term; its coefficients are interpolated from its values at
+    t = 1..K+1, the first of which is the total.
+    """
+    if K < 1:
+        raise ValueError("K must be at least 1")
+    points = range(1, K + 2)
+    values = [_tree_series(K, t) for t in points]
+    # Newton divided differences of values/t on the points 1..K+1
+    newton = [v / t for v, t in zip(values, points)]
+    for j in range(1, len(newton)):
+        for i in range(len(newton) - 1, j - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) / j
+    # Horner in Newton form: coefficients of values/t by ascending power
+    coeffs: list[Fraction] = []
+    for i in reversed(range(len(newton))):
+        shifted = [Fraction(0)] + coeffs
+        for p, c in enumerate(coeffs):
+            shifted[p] -= points[i] * c
+        shifted[0] += newton[i]
+        coeffs = shifted
+    return values[0], {k + 1: c for k, c in enumerate(coeffs)}
+
+
+def volume(K: int) -> PiValue:
+    """Exact volume of the stratum with K simple zeros and K+4 simple poles,
+    by the labelled-tree series."""
+    if K < 1:
+        raise ValueError("K must be at least 1")
+    return PiValue(_tree_series(K, 1), 2 * K + 2)
 
 
 # -- finite checks for the height-width summation lemma ----------------

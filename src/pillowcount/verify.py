@@ -16,7 +16,7 @@ from .covers import (
 from .layers import LayerSignature, f_closed, f_kontsevich_base, f_recurrence
 from .rationals import PiValue
 from .ribbon import leading_part_fit
-from .trees import volume
+from .trees import tree_subtotals, volume, volume_series
 
 FIT_SIGNATURES = ((0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1))
 
@@ -49,7 +49,9 @@ def run_verification(
     Checks: f_closed = f_recurrence on all valid signatures with
     m + n <= mn_max, f_closed(m, 0) = f_kontsevich_base(m), the leading-term
     fit from raw lattice counts on its supported signatures, volume(K)
-    against the closed form for K <= k_max, and the character-sum cover
+    against the closed form and the labelled-tree series against the sum
+    over enumerated trees, in total and per cylinder count, for
+    K <= k_max, and the character-sum cover
     counts against direct enumeration for degrees up to
     min(cover_n_max, NAIVE_MAX_DEGREE).
     """
@@ -102,6 +104,18 @@ def run_verification(
                 passed=computed == expected,
                 lhs=str(computed),
                 rhs=str(expected),
+            )
+        )
+
+    for k in range(1, k_max + 1):
+        total, series = volume_series(k)
+        enumerated = tree_subtotals(k)
+        results.append(
+            CheckResult(
+                name=f"volume({k}) series = tree sum, in total and per cylinder count",
+                passed=series == enumerated and total == sum(enumerated.values()),
+                lhs=str(series),
+                rhs=str(enumerated),
             )
         )
 

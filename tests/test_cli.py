@@ -117,6 +117,39 @@ def test_volume_rejects_bad_K(runner):
     assert runner.invoke(main, ["volume", "--K", "0"]).exit_code == 2
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_volume_series_total_equals_per_tree_total(runner, k):
+    series = runner.invoke(main, ["volume", "--K", str(k), "--format", "json"])
+    per_tree = runner.invoke(main, ["volume", "--K", str(k), "--per-tree", "--format", "json"])
+    assert series.exit_code == per_tree.exit_code == 0
+    payload = json.loads(per_tree.output)
+    del payload["trees"]
+    assert json.loads(series.output) == payload
+
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("work started before the request was refused")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--per-tree"], ["--format", "latex-table"], ["--per-tree", "--format", "json"]],
+)
+def test_volume_refuses_per_tree_above_limit(runner, monkeypatch, args):
+    monkeypatch.setattr(cli_mod, "enumerate_decorated_trees", _refuse_work)
+    result = runner.invoke(main, ["volume", "--K", "12", *args])
+    assert result.exit_code == 2
+    assert "K <= 11" in result.output
+    assert "about 39 s" in result.output
+
+
+def test_volume_series_has_no_per_tree_limit(runner, monkeypatch):
+    monkeypatch.setattr(cli_mod, "enumerate_decorated_trees", _refuse_work)
+    result = runner.invoke(main, ["volume", "--K", "20"])
+    assert result.exit_code == 0
+    assert result.output == "pi^42 * 1/524288\n"
+
+
 def test_ribbon_enumerate(runner):
     result = runner.invoke(main, ["ribbon", "enumerate", "--m", "1", "--n", "1"])
     assert result.exit_code == 0
@@ -236,6 +269,23 @@ def test_verify_passes(runner):
     lines = result.output.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+@pytest.mark.parametrize("option", ["--K-max", "--mn-max", "--cover-N-max"])
+def test_verify_rejects_negative_bounds(runner, monkeypatch, option):
+    monkeypatch.setattr(cli_mod, "run_verification", _refuse_work)
+    result = runner.invoke(main, ["verify", option, "-3"])
+    assert result.exit_code == 2
+    assert "-3 is not in the range x>=0" in result.output
+
+
+def test_verify_refuses_K_max_above_per_tree_limit(runner, monkeypatch):
+    monkeypatch.setattr(cli_mod, "run_verification", _refuse_work)
+    result = runner.invoke(main, ["verify", "--K-max", "13"])
+    assert result.exit_code == 2
+    assert "--K-max 13" in result.output
+    assert "K <= 11" in result.output
+    assert "about 117 s" in result.output
 
 
 def test_verify_fails_when_no_checks_run(runner):

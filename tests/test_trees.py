@@ -14,14 +14,18 @@ from pillowcount import layers
 from pillowcount.polynomials import Polynomial
 from pillowcount.rationals import PiValue, factorial, multinomial, zeta_even
 from pillowcount.trees import (
+    PER_TREE_MAX_K,
     DecoratedTree,
     _free_trees,
     aut_order,
     canonical_key,
+    check_per_tree_size,
     enumerate_decorated_trees,
     local_product,
     tree_contribution,
+    tree_subtotals,
     volume,
+    volume_series,
     zeta_lemma_ratio,
     zeta_lemma_sum_k1,
     zeta_lemma_sum_k2,
@@ -295,9 +299,44 @@ def test_local_product_example():
         pytest.fail("chain tree not found")
 
 
-@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("K", range(1, 16))
 def test_volume_closed_form(K: int):
     assert volume(K) == PiValue(Fraction(1, 2 ** (K - 1)), 2 * K + 2)
+
+
+@pytest.mark.parametrize("K", range(1, 10))
+def test_series_matches_enumerated_trees(K: int):
+    total, by_k = volume_series(K)
+    enumerated = tree_subtotals(K)
+    assert sorted(enumerated) == list(range(1, K + 2))
+    assert by_k == enumerated
+    assert total == sum(enumerated.values()) == Fraction(1, 2 ** (K - 1))
+
+
+def test_series_rejects_bad_K():
+    with pytest.raises(ValueError):
+        volume_series(0)
+    with pytest.raises(ValueError):
+        volume(0)
+
+
+def test_enumeration_builds_only_kept_trees(monkeypatch):
+    built = []
+    real = DecoratedTree.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(DecoratedTree, "__post_init__", counting)
+    trees = enumerate_decorated_trees(6)
+    assert len(built) == len(trees)
+
+
+def test_enumeration_refused_above_limit():
+    check_per_tree_size(PER_TREE_MAX_K)
+    with pytest.raises(ValueError, match=f"K <= {PER_TREE_MAX_K}"):
+        enumerate_decorated_trees(PER_TREE_MAX_K + 1)
 
 
 def test_zeta_lemma_sums_against_brute_force():

@@ -44,3 +44,19 @@ def test_cover_check_reports_failure_details(monkeypatch):
     cover = [r for r in results if "direct enumeration" in r.name]
     assert cover and not cover[0].passed
     assert "7" in cover[0].rhs
+
+
+def test_detects_series_disagreeing_with_tree_sum(monkeypatch):
+    real = verify_mod.volume_series
+
+    def shifted(K):
+        total, by_k = real(K)
+        # move weight between cylinder counts, keeping the total
+        by_k = {**by_k, 1: by_k[1] + 1, 2: by_k[2] - 1}
+        return total, by_k
+
+    monkeypatch.setattr(verify_mod, "volume_series", shifted)
+    results = run_verification(k_max=1, mn_max=0, cover_n_max=0)
+    assert [r.name for r in results if not r.passed] == [
+        "volume(1) series = tree sum, in total and per cylinder count"
+    ]
