@@ -16,6 +16,7 @@ from .ribbon import enumerate_graphs, exact_lattice_count, leading_part_fit
 from .trees import (
     TreeContribution,
     check_per_tree_size,
+    check_series_size,
     enumerate_decorated_trees,
     local_product,
     tree_contribution,
@@ -261,6 +262,10 @@ def volume_cmd(ctx: click.Context, big_k: int, per_tree: bool, fmt: str) -> None
         for c in contributions:
             total = total + c.value
     else:
+        try:
+            check_series_size(big_k)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
         total = volume(big_k)
     if fmt == "latex-table":
         click.echo(_volume_latex(big_k, contributions, ctx.obj.get("no_meta", False)))

@@ -10,6 +10,11 @@ corner points.  The weighted number of such tuples (each counted with factor
 
 over the irreducible characters of S_N, with the gi constrained to conjugacy
 classes C1..C4.  Character values come from the Murnaghan-Nakayama rule.
+The cover counts build the values on a class 3^a 2^c 1^b all at once, as
+the Schur expansion of the power-sum product p_3^a p_2^c p_1^b: shapes are
+bead masks, each factor p_r adds every r-border strip, and a class of
+degree N + 2 is one p_2 step from its class of degree N.  `character`
+removes strips from a single shape top-down and is the reference route.
 
 A cycle of length c in a corner monodromy sits over that corner as a point
 where the induced quadratic differential has order c - 2: fixed points are
@@ -140,38 +145,28 @@ def _strip_border(shape: Partition, length: int) -> Iterator[tuple[int, Partitio
         yield sign, new_shape
 
 
-_MN_MEMO: dict[tuple[Partition, Partition], int] = {}
-_MN_MEMO_LIMIT = 400_000
-
-
+# bounded, so that a call far past the small degrees it serves cannot grow
+# the cache without limit
+@lru_cache(maxsize=1 << 16)
 def _mn_value(shape: Partition, parts: Partition) -> int:
     if not parts:
         return 1
     if parts[0] == 1:
         # remaining cycles are all fixed points
         return dimension(shape)
-    key = (shape, parts)
-    hit = _MN_MEMO.get(key)
-    if hit is not None:
-        return hit
     length, rest = parts[0], parts[1:]
-    total = 0
-    for sign, smaller in _strip_border(shape, length):
-        total += sign * _mn_value(smaller, rest)
-    _MN_MEMO[key] = total
-    return total
+    return sum(sign * _mn_value(smaller, rest) for sign, smaller in _strip_border(shape, length))
 
 
 def character(irrep: Partition, cls: Partition) -> int:
     """Character value of the irreducible representation labelled by irrep on
     the class of cycle type cls, by Murnaghan-Nakayama recursion (largest
-    cycle consumed first)."""
+    cycle consumed first).  The reference route: the cover counts build
+    whole character columns with _character_columns instead."""
     irrep = tuple(sorted(irrep, reverse=True))
     cls = tuple(sorted(cls, reverse=True))
     if sum(irrep) != sum(cls):
         raise ValueError("irrep and class label different symmetric groups")
-    if len(_MN_MEMO) > _MN_MEMO_LIMIT:
-        _MN_MEMO.clear()
     return _mn_value(irrep, cls)
 
 
@@ -258,45 +253,121 @@ def _ordered_arrangements(multiset: tuple[Partition, ...]) -> int:
     return count
 
 
-def _multiset_values(n: int, max_threes: int, max_ones: int) -> dict[tuple[Partition, ...], Fraction]:
-    """Frobenius counts of degree n, indexed by the (sorted) multiset of the
-    four corner classes.  The character sum is symmetric in the classes, so
-    evaluating once per multiset saves the bulk of the work."""
-    types = corner_types(n, max_threes, max_ones)
-    if not types:
-        return {}
-    shapes = list(partitions(n))
-    hooks2 = [hook_product(s) ** 2 for s in shapes]
-    vectors = {t: [character(s, t) for s in shapes] for t in types}
-    sizes = {t: class_size(t) for t in types}
-    nfact4 = math.factorial(n) ** 4
-    out: dict[tuple[Partition, ...], Fraction] = {}
-    for combo in itertools.combinations_with_replacement(types, 4):
-        threes = sum(_threes_and_ones(c)[0] for c in combo)
-        ones = sum(_threes_and_ones(c)[1] for c in combo)
-        if threes > max_threes or ones > max_ones:
-            continue
-        v1, v2, v3, v4 = (vectors[c] for c in combo)
-        total = 0
-        for i in range(len(shapes)):
-            a = v1[i]
-            if not a:
+def _add_strips(column: dict[int, int], r: int) -> dict[int, int]:
+    """The character column times the power sum p_r: by the
+    Murnaghan-Nakayama rule, every r-border strip added to every shape,
+    signed by its height.  Zero entries are dropped."""
+    out: dict[int, int] = {}
+    # positions x + 1 .. x + r - 1 for the bead x = 0
+    jumped = (1 << r) - 2
+    for mask, value in column.items():
+        # a strip moves a bead x to the empty position x + r
+        movable = mask & ~(mask >> r)
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            grown = mask ^ low ^ (low << r)
+            # the strip's height is the number of beads it jumps over
+            if (mask & low * jumped).bit_count() & 1:
+                out[grown] = out.get(grown, 0) - value
+            else:
+                out[grown] = out.get(grown, 0) + value
+    return {mask: value for mask, value in out.items() if value}
+
+
+def _character_columns(
+    max_degree: int, max_threes: int, max_ones: int
+) -> Iterator[tuple[int, dict[Partition, dict[int, int]]]]:
+    """Yield (n, columns) for n = 1..max_degree, where columns maps every
+    corner type 3^a 2^c 1^b of corner_types(n, max_threes, max_ones) to its
+    character column: the Schur expansion of p_3^a p_2^c p_1^b, as a map
+    from shape to the nonzero chi^shape(3^a 2^c 1^b).
+
+    A shape is keyed by its bead mask, the bit set of its beta-numbers
+    with max_degree beads; a shape of degree n has at most n rows, so every
+    shape of the request fits.  Each column is one power-sum step from a
+    column of lower degree: p_2 from degree n - 2 while c > 0, else p_1
+    from degree n - 1 while b > 0, else p_3 from degree n - 3.  Only the
+    last three degrees are kept.
+    """
+    by_degree = {0: {(0, 0): {(1 << max_degree) - 1: 1}}}
+    for n in range(1, max_degree + 1):
+        chains: dict[tuple[int, int], dict[int, int]] = {}
+        columns: dict[Partition, dict[int, int]] = {}
+        for cls in corner_types(n, max_threes, max_ones):
+            a, b = _threes_and_ones(cls)
+            if 3 * a + b < n:
+                column = _add_strips(by_degree[n - 2][a, b], 2)
+            elif b:
+                column = _add_strips(by_degree[n - 1][a, b - 1], 1)
+            else:
+                column = _add_strips(by_degree[n - 3][a - 1, 0], 3)
+            chains[a, b] = columns[cls] = column
+        by_degree[n] = chains
+        by_degree.pop(n - 3, None)
+        yield n, columns
+
+
+def _mask_hook_product(mask: int) -> int:
+    """Product of the hook lengths of the shape with the given bead mask.
+    Each cell pairs a bead x with an empty position y < x, and its hook
+    length is x - y."""
+    # beads below the first empty position stand for empty rows
+    low = (mask ^ (mask + 1)).bit_length() - 1
+    mask >>= low
+    prod = 1
+    gaps: list[int] = []
+    x = 0
+    while mask:
+        if mask & 1:
+            for y in gaps:
+                prod *= x - y
+        else:
+            gaps.append(x)
+        mask >>= 1
+        x += 1
+    return prod
+
+
+def _multiset_values(
+    max_degree: int, max_threes: int, max_ones: int
+) -> Iterator[tuple[int, dict[tuple[Partition, ...], Fraction]]]:
+    """Yield (n, values) for n = 1..max_degree: the Frobenius counts of
+    degree n, indexed by the (sorted) multiset of the four corner classes.
+    The character sum is symmetric in the classes, so evaluating once per
+    multiset saves the bulk of the work."""
+    for n, columns in _character_columns(max_degree, max_threes, max_ones):
+        sizes = {t: class_size(t) for t in columns}
+        hooks2: dict[int, int] = {}
+        nfact4 = math.factorial(n) ** 4
+        out: dict[tuple[Partition, ...], Fraction] = {}
+        for combo in itertools.combinations_with_replacement(columns, 4):
+            threes = sum(_threes_and_ones(c)[0] for c in combo)
+            ones = sum(_threes_and_ones(c)[1] for c in combo)
+            if threes > max_threes or ones > max_ones:
                 continue
-            b = v2[i]
-            if not b:
+            v1, v2, v3, v4 = (columns[c] for c in combo)
+            total = 0
+            # a shape outside the support of one column adds nothing
+            for mask, a in v1.items():
+                b = v2.get(mask)
+                if not b:
+                    continue
+                c = v3.get(mask)
+                if not c:
+                    continue
+                d = v4.get(mask)
+                if not d:
+                    continue
+                h = hooks2.get(mask)
+                if h is None:
+                    h = hooks2[mask] = _mask_hook_product(mask) ** 2
+                total += a * b * c * d * h
+            if not total:
                 continue
-            c = v3[i]
-            if not c:
-                continue
-            d = v4[i]
-            if not d:
-                continue
-            total += a * b * c * d * hooks2[i]
-        if not total:
-            continue
-        size = sizes[combo[0]] * sizes[combo[1]] * sizes[combo[2]] * sizes[combo[3]]
-        out[combo] = Fraction(size * total, nfact4)
-    return out
+            size = sizes[combo[0]] * sizes[combo[1]] * sizes[combo[2]] * sizes[combo[3]]
+            out[combo] = Fraction(size * total, nfact4)
+        yield n, out
 
 
 def _graded_log(
@@ -345,8 +416,8 @@ def connected_counts(k: int, max_degree: int) -> dict[tuple[int, int, int], Frac
     """
     max_ones = k + 4
     all_counts: dict[tuple[int, int, int], Fraction] = {}
-    for n in range(1, max_degree + 1):
-        for combo, value in _multiset_values(n, k, max_ones).items():
+    for n, values in _multiset_values(max_degree, k, max_ones):
+        for combo, value in values.items():
             threes = sum(_threes_and_ones(c)[0] for c in combo)
             ones = sum(_threes_and_ones(c)[1] for c in combo)
             key = (n, threes, ones)
@@ -376,8 +447,8 @@ def profile_connected_counts(max_degree: int) -> dict[Profile, Fraction]:
     that graded algebra as well.
     """
     all_counts: dict[Profile, Fraction] = {}
-    for n in range(1, max_degree + 1):
-        for combo, value in _multiset_values(n, max_degree, 4 * max_degree).items():
+    for _, values in _multiset_values(max_degree, max_degree, 4 * max_degree):
+        for combo, value in values.items():
             for profile in set(itertools.permutations(combo)):
                 all_counts[profile] = value  # type: ignore[index]
     return _graded_log(all_counts, lambda profile: sum(profile[0]), max_degree, _merge_profile)

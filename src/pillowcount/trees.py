@@ -27,6 +27,8 @@ __all__ = [
     "aut_order",
     "PER_TREE_MAX_K",
     "check_per_tree_size",
+    "SERIES_MAX_K",
+    "check_series_size",
     "enumerate_decorated_trees",
     "zeta_operator",
     "local_product",
@@ -42,13 +44,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DecoratedTree:
-    """A tree on vertices 0..vertices-1 with a decoration a_v per vertex."""
+    """A tree on vertices 0..vertices-1 with a decoration a_v per vertex.
+
+    _canon, the canonical form and automorphism count, is computed unless
+    the caller has just computed it for the same tree.
+    """
 
     vertices: int
     edges: tuple[tuple[int, int], ...]
     decorations: tuple[int, ...]
     _layers: tuple[layers.LayerSignature, ...] = field(init=False, repr=False, compare=False)
-    _canon: tuple[tuple, int] = field(init=False, repr=False, compare=False)
+    _canon: tuple[tuple, int] | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v = self.vertices
@@ -80,7 +86,8 @@ class DecoratedTree:
                 raise ValueError(f"decoration {a} too small at vertex {u}")
             sigs.append(layers.LayerSignature(a + l - 1, a - l + 3))
         object.__setattr__(self, "_layers", tuple(sigs))
-        object.__setattr__(self, "_canon", _canon_and_aut(self.decorations, adj, _centers(v, adj)))
+        if self._canon is None:
+            object.__setattr__(self, "_canon", _canon_and_aut(self.decorations, adj, _centers(v, adj)))
 
     def valence(self, v: int) -> int:
         # the layer at a vertex has one boundary face per incident cylinder
@@ -298,9 +305,9 @@ def enumerate_decorated_trees(K: int) -> list[DecoratedTree]:
             for extra in compositions(spare, v):
                 decorations = tuple(m + e for m, e in zip(minima, extra))
                 # key the candidate first; only the first of each class is built
-                key = _canon_and_aut(decorations, adj, centers)[0]
-                if key not in found:
-                    found[key] = DecoratedTree(v, edges, decorations)
+                canon = _canon_and_aut(decorations, adj, centers)
+                if canon[0] not in found:
+                    found[canon[0]] = DecoratedTree(v, edges, decorations, _canon=canon)
     return [found[k] for k in sorted(found)]
 
 
@@ -527,11 +534,27 @@ def volume_series(K: int) -> tuple[Fraction, dict[int, Fraction]]:
     return values[0], {k + 1: c for k, c in enumerate(coeffs)}
 
 
+# the series takes about 12 s at K = 40 on a 2-CPU VM, and its time grows
+# like about K^4.5
+SERIES_MAX_K = 40
+
+
+def check_series_size(K: int) -> None:
+    """Refuse a series request that would not finish in reasonable time."""
+    if K > SERIES_MAX_K:
+        seconds = round(12 * (K / SERIES_MAX_K) ** 4.5)
+        raise ValueError(
+            f"the series route handles K <= {SERIES_MAX_K}; the tree series "
+            f"for K={K} would take about {seconds} s"
+        )
+
+
 def volume(K: int) -> PiValue:
     """Exact volume of the stratum with K simple zeros and K+4 simple poles,
     by the labelled-tree series."""
     if K < 1:
         raise ValueError("K must be at least 1")
+    check_series_size(K)
     return PiValue(_tree_series(K, 1), 2 * K + 2)
 
 

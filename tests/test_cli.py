@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -143,6 +144,14 @@ def test_volume_refuses_per_tree_above_limit(runner, monkeypatch, args):
     assert "about 39 s" in result.output
 
 
+def test_volume_refuses_series_above_limit(runner, monkeypatch):
+    monkeypatch.setattr(cli_mod, "volume", _refuse_work)
+    result = runner.invoke(main, ["volume", "--K", "41"])
+    assert result.exit_code == 2
+    assert "K <= 40" in result.output
+    assert "about 13 s" in result.output
+
+
 def test_volume_series_has_no_per_tree_limit(runner, monkeypatch):
     monkeypatch.setattr(cli_mod, "enumerate_decorated_trees", _refuse_work)
     result = runner.invoke(main, ["volume", "--K", "20"])
@@ -223,6 +232,22 @@ def test_covers_count_methods_agree(runner):
     assert payload["sq_count"] == {"num": "360", "den": "1"}
     rows = {(r["degree"], r["zeros"], r["poles"]): r["num"] for r in payload["connected"]}
     assert rows[(3, 1, 5)] == "12"
+
+
+GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens"
+
+
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (["count", "--K", "1", "--max-degree", "30"], "covers_count_K1_maxdeg30.json"),
+        (["ratio", "--K", "2", "--degrees", "10,20,24"], "covers_ratio_K2_deg10_20_24.txt"),
+    ],
+)
+def test_covers_output_matches_benchmark_golden(runner, args, golden):
+    result = runner.invoke(main, ["covers", *args])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (GOLDENS / golden).read_bytes()
 
 
 def test_covers_count_ignores_old_character_cache(runner, tmp_path, monkeypatch):

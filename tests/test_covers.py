@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pillowcount.covers import (
     CoverProfile,
+    _character_columns,
     character,
     class_size,
     connected_counts,
@@ -233,3 +234,24 @@ def test_naive_enumerate_guards():
         naive_enumerate([(2,), (2,), (2,)])
     with pytest.raises(ValueError):
         naive_enumerate([(2,), (3,), (2,), (2,)])
+
+
+def test_character_columns_match_reference():
+    """Every column the power-sum builder yields, for every class with parts
+    in {1, 2, 3} up to degree 12, equals character on every shape."""
+    max_degree = 12
+
+    def bead_mask(shape):
+        rows = shape + (0,) * (max_degree - len(shape))
+        return sum(1 << (part + max_degree - 1 - i) for i, part in enumerate(rows))
+
+    classes = 0
+    for n, columns in _character_columns(max_degree, max_degree // 3, max_degree):
+        assert sorted(columns) == sorted(partitions(n, 3))
+        shapes = {bead_mask(shape): shape for shape in partitions(n)}
+        for cls, column in columns.items():
+            assert set(column) <= set(shapes)
+            for mask, shape in shapes.items():
+                assert column.get(mask, 0) == character(shape, cls)
+            classes += 1
+    assert classes == sum(len(list(partitions(n, 3))) for n in range(1, max_degree + 1))

@@ -13,13 +13,16 @@ import pytest
 from pillowcount import layers
 from pillowcount.polynomials import Polynomial
 from pillowcount.rationals import PiValue, factorial, multinomial, zeta_even
+import pillowcount.trees as trees_mod
 from pillowcount.trees import (
     PER_TREE_MAX_K,
+    SERIES_MAX_K,
     DecoratedTree,
     _free_trees,
     aut_order,
     canonical_key,
     check_per_tree_size,
+    check_series_size,
     enumerate_decorated_trees,
     local_product,
     tree_contribution,
@@ -331,6 +334,42 @@ def test_enumeration_builds_only_kept_trees(monkeypatch):
     monkeypatch.setattr(DecoratedTree, "__post_init__", counting)
     trees = enumerate_decorated_trees(6)
     assert len(built) == len(trees)
+
+
+def test_enumeration_passes_canonical_forms(monkeypatch):
+    """Enumerated trees reuse the canonical form computed to key them, and it
+    equals the one a tree built from outside computes."""
+    in_init = []
+    recomputed = []
+    real_init = DecoratedTree.__post_init__
+    real_canon = trees_mod._canon_and_aut
+
+    def init(self):
+        in_init.append(self)
+        try:
+            real_init(self)
+        finally:
+            in_init.pop()
+
+    def canon(*args):
+        if in_init:
+            recomputed.append(args)
+        return real_canon(*args)
+
+    monkeypatch.setattr(DecoratedTree, "__post_init__", init)
+    monkeypatch.setattr(trees_mod, "_canon_and_aut", canon)
+    trees = enumerate_decorated_trees(6)
+    assert not recomputed
+    for t in trees:
+        rebuilt = DecoratedTree(t.vertices, t.edges, t.decorations)
+        assert (canonical_key(rebuilt), aut_order(rebuilt)) == (canonical_key(t), aut_order(t))
+    assert len(recomputed) == len(trees)
+
+
+def test_series_refused_above_limit():
+    check_series_size(SERIES_MAX_K)
+    with pytest.raises(ValueError, match=f"K <= {SERIES_MAX_K}.*about 13 s"):
+        volume(SERIES_MAX_K + 1)
 
 
 def test_enumeration_refused_above_limit():
