@@ -47,7 +47,7 @@ def _signature(m: int, n: int) -> LayerSignature:
 @main.command("local-poly")
 @click.option("--m", "m", type=int, required=True, help="Number of simple zeros on the layer.")
 @click.option("--n", "n", type=int, required=True, help="Number of simple poles on the layer.")
-@click.option("--method", type=click.Choice(["closed", "recurrence", "auto"]), default="auto", show_default=True)
+@click.option("--method", type=click.Choice(["closed", "recurrence"]), default="closed", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json", show_default=True)
 def local_poly(m: int, n: int, method: str, fmt: str) -> None:
     """Print the local polynomial F_{m,n}."""
@@ -388,42 +388,6 @@ def verify_cmd(ctx: click.Context, k_max: int, mn_max: int, cover_n_max: int) ->
         click.echo(f"  lhs = {first.lhs}")
         click.echo(f"  rhs = {first.rhs}")
         ctx.exit(1)
-
-
-@main.command("render")
-@click.argument("spec", nargs=-1)
-@click.pass_context
-def render(ctx: click.Context, spec: tuple[str, ...]) -> None:
-    """Render a computed entity: ENTITY ARGS... FORMAT.
-
-    Examples: `render local-poly 2 2 json`, `render volume 1 text`,
-    `render volume 2 latex-table`.
-    """
-    if len(spec) < 2:
-        raise click.UsageError("usage: render ENTITY ARGS... FORMAT")
-    entity, *args, fmt = spec
-    if entity == "local-poly":
-        if len(args) != 2:
-            raise click.UsageError("render local-poly takes M N FORMAT")
-        if fmt not in ("json", "text"):
-            raise click.UsageError(f"unknown local-poly format {fmt!r}")
-        ctx.invoke(local_poly, m=_int_arg(args[0]), n=_int_arg(args[1]), method="auto", fmt=fmt)
-        return
-    if entity == "volume":
-        if len(args) != 1:
-            raise click.UsageError("render volume takes K FORMAT")
-        if fmt not in ("json", "text", "latex-table"):
-            raise click.UsageError(f"unknown volume format {fmt!r}")
-        ctx.invoke(volume_cmd, big_k=_int_arg(args[0]), per_tree=False, fmt=fmt)
-        return
-    raise click.UsageError(f"unknown entity {entity!r}")
-
-
-def _int_arg(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise click.UsageError(f"expected an integer, got {text!r}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """Exact rational arithmetic helpers: Bernoulli numbers, zeta values at even
-integers, and rational multiples of powers of pi.
+integers, rational multiples of powers of pi, and polynomial interpolation.
 
 Everything here is exact. Floating point never appears; decimal rendering is
 left to callers that need it for display.
@@ -10,13 +10,14 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "factorial",
     "binomial",
     "multinomial",
     "compositions",
+    "interpolate",
     "bernoulli",
     "zeta_even",
     "PiValue",
@@ -70,6 +71,27 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> list[Fraction]:
+    """Coefficients, by ascending power, of the polynomial of degree below
+    len(xs) through the points (x, y), the xs distinct: Newton divided
+    differences, then Horner's rule in Newton form."""
+    if len(xs) != len(ys) or len(set(xs)) != len(xs):
+        raise ValueError("interpolation needs one value per point at distinct points")
+    newton = [Fraction(y) for y in ys]
+    for j in range(1, len(newton)):
+        for i in range(len(newton) - 1, j - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) / (xs[i] - xs[i - j])
+    coeffs: list[Fraction] = []
+    for x, c in zip(reversed(xs), reversed(newton)):
+        # coeffs * (t - x) + c
+        shifted = [Fraction(0)] + coeffs
+        for p, a in enumerate(coeffs):
+            shifted[p] -= x * a
+        shifted[0] += c
+        coeffs = shifted
+    return coeffs
 
 
 # Bernoulli numbers, convention B_1 = -1/2. The cache only ever grows; the

@@ -11,7 +11,8 @@ Two labelled graphs are isomorphic when a dart relabelling preserving sigma
 carries one to the other. With vertex labels kept (full mode) the relabelling
 can only rotate each trivalent triple; dropping vertex labels (faces-only
 mode) additionally permutes trivalent triples among themselves and univalent
-darts among themselves. Face labels are preserved in both modes.
+darts among themselves. Face labels are preserved in both modes. Each class
+is represented by its least member, comparing alpha and then the face labels.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Iterator, Sequence
 
 from .layers import LayerSignature
 from .polynomials import Polynomial, RationalFunction, rf_add, rf_equal, rf_mul, rf_partial, rf_scale
-from .rationals import binomial, compositions, factorial
+from .rationals import binomial, compositions, factorial, interpolate
 
 # enumerate_graphs refuses signatures with more labelled pairings than this
 MAX_LABELLED_PAIRINGS = 1_000_000
@@ -121,53 +122,6 @@ def _face_partition(m: int, n: int, alpha: Sequence[int]) -> list[list[int]]:
     return cycles
 
 
-def _gauge_maps(m: int, n: int, full_labels: bool) -> list[tuple[int, ...]]:
-    """Dart relabellings that preserve sigma and the chosen vertex labels."""
-    rotations: list[list[tuple[int, int, int]]] = []
-    for i in range(m):
-        base = (3 * i, 3 * i + 1, 3 * i + 2)
-        rotations.append([base, (base[1], base[2], base[0]), (base[2], base[0], base[1])])
-    block_perms = [tuple(range(m))] if full_labels else list(permutations(range(m)))
-    uni_perms = [tuple(range(n))] if full_labels else list(permutations(range(n)))
-    maps = []
-    d = 3 * m + n
-
-    def build(block_perm, rots, uni_perm) -> tuple[int, ...]:
-        tau = [0] * d
-        for i in range(m):
-            target = block_perm[i]
-            images = rots[i]
-            for off in range(3):
-                tau[3 * i + off] = 3 * target + (images[off] - 3 * i)
-        for j in range(n):
-            tau[3 * m + j] = 3 * m + uni_perm[j]
-        return tuple(tau)
-
-    def rot_choices(i: int):
-        if i == m:
-            yield []
-            return
-        for r in rotations[i]:
-            for rest in rot_choices(i + 1):
-                yield [r] + rest
-
-    for block_perm in block_perms:
-        for rots in rot_choices(0):
-            for uni_perm in uni_perms:
-                maps.append(build(block_perm, rots, uni_perm))
-    return maps
-
-
-def _apply_gauge(tau: Sequence[int], alpha: Sequence[int], labels: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    d = len(alpha)
-    new_alpha = [0] * d
-    new_labels = [0] * d
-    for x in range(d):
-        new_alpha[tau[x]] = tau[alpha[x]]
-        new_labels[tau[x]] = labels[x]
-    return tuple(new_alpha), tuple(new_labels)
-
-
 def _walk(sigma: Sequence[int], alpha: Sequence[int], root: int) -> list[int]:
     """Darts in the order a breadth-first walk along sigma and alpha meets them."""
     order, seen = [root], {root}
@@ -191,9 +145,9 @@ def enumerate_graphs(m: int, n: int, label_mode: str = "faces-only") -> list[Rib
 
     Each labelled pairing is keyed by its rooted code (Weinberg's canonical
     form): darts renumbered along a breadth-first walk from a root, taking the
-    least code over a root set the gauge group maps to itself, so equal codes
-    mean isomorphic graphs.  Each class is printed as the least gauge image of
-    one of its members.
+    least code over a root set the mode's relabellings map to itself, so
+    equal codes mean isomorphic graphs.  Each class is printed as its least
+    member (alpha, then face labels), the first one met.
     """
     if label_mode not in ("faces-only", "full"):
         raise ValueError(f"unknown label mode {label_mode!r}")
@@ -242,9 +196,10 @@ def enumerate_graphs(m: int, n: int, label_mode: str = "faces-only") -> list[Rib
         for perm in permutations(range(l)):
             labels = tuple(perm[c] for c in cycle_of)
             key = min((shape, tuple(labels[x] for x in order)) for shape, order in codes)
+            # pairings and labellings come in ascending order, so the first
+            # member met is the least in its class
             classes.setdefault(key, (alpha, labels))
-    gauge = _gauge_maps(m, n, full)
-    found = sorted(min(_apply_gauge(tau, alpha, labels) for tau in gauge) for alpha, labels in classes.values())
+    found = sorted(classes.values())
     return [RibbonGraph(m, n, a, f) for a, f in found]
 
 
@@ -448,29 +403,6 @@ def _directions(l: int, radius: int) -> Iterator[tuple[int, ...]]:
                 yield u
 
 
-def _lagrange_leading(points: list[tuple[int, int]]) -> Fraction:
-    """Leading coefficient of the interpolating polynomial through the points."""
-    lead = Fraction(0)
-    for i, (xi, yi) in enumerate(points):
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if i != j:
-                denom *= xi - xj
-        lead += Fraction(yi, denom)
-    return lead
-
-
-def _interpolate_value(points: list[tuple[int, int]], x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for i, (xi, yi) in enumerate(points):
-        term = Fraction(yi)
-        for j, (xj, _) in enumerate(points):
-            if i != j:
-                term *= Fraction(x - xj, xi - xj)
-        total += term
-    return total
-
-
 def leading_part_fit(m: int, n: int, sample_radius: int = 4) -> Polynomial:
     """Recover the top homogeneous part of the labelled lattice count.
 
@@ -500,13 +432,13 @@ def leading_part_fit(m: int, n: int, sample_radius: int = 4) -> Polynomial:
             for t0 in (base_t0, base_t0 + 1, base_t0 + 5):
                 ts = [t0 + stride * i for i in range(npoints + 2)]
                 vals = [total_count(tuple(t * ui for ui in u)) for t in ts]
-                pts = list(zip(ts[:npoints], vals[:npoints]))
+                coeffs = interpolate(ts[:npoints], vals[:npoints])
                 ok = all(
-                    _interpolate_value(pts, Fraction(t)) == v
+                    sum(c * t**p for p, c in enumerate(coeffs)) == v
                     for t, v in zip(ts[npoints:], vals[npoints:])
                 )
                 if ok:
-                    return _lagrange_leading(pts)
+                    return coeffs[-1]
         raise ValueError(f"could not stabilize ray interpolation along {u}")
 
     basis = [tuple(2 * b for b in comp) for comp in compositions(a, l)]

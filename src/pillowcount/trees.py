@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 from . import layers
 from .polynomials import Polynomial
-from .rationals import PiValue, bernoulli, binomial, compositions, factorial, multinomial, zeta_even
+from .rationals import PiValue, bernoulli, binomial, compositions, factorial, interpolate, multinomial, zeta_even
 
 __all__ = [
     "DecoratedTree",
@@ -512,40 +512,32 @@ def volume_series(K: int) -> tuple[Fraction, dict[int, Fraction]]:
 
     The tree sum weighted t^k is a polynomial in t of degree K + 1 without
     constant term; its coefficients are interpolated from its values at
-    t = 1..K+1, the first of which is the total.
+    t = 1..K+1, the first of which is the total. K is refused when those
+    K + 1 evaluations would take longer than one at K = SERIES_MAX_K.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
+    check_series_size(K, evaluations=K + 1)
     points = range(1, K + 2)
     values = [_tree_series(K, t) for t in points]
-    # Newton divided differences of values/t on the points 1..K+1
-    newton = [v / t for v, t in zip(values, points)]
-    for j in range(1, len(newton)):
-        for i in range(len(newton) - 1, j - 1, -1):
-            newton[i] = (newton[i] - newton[i - 1]) / j
-    # Horner in Newton form: coefficients of values/t by ascending power
-    coeffs: list[Fraction] = []
-    for i in reversed(range(len(newton))):
-        shifted = [Fraction(0)] + coeffs
-        for p, c in enumerate(coeffs):
-            shifted[p] -= points[i] * c
-        shifted[0] += newton[i]
-        coeffs = shifted
+    coeffs = interpolate(points, [v / t for v, t in zip(values, points)])
     return values[0], {k + 1: c for k, c in enumerate(coeffs)}
 
 
-# the series takes about 12 s at K = 40 on a 2-CPU VM, and its time grows
-# like about K^4.5
+# one evaluation of the series takes about 12 s at K = 40 on a 2-CPU VM, and
+# its time grows like about K^4.5
 SERIES_MAX_K = 40
 
 
-def check_series_size(K: int) -> None:
-    """Refuse a series request that would not finish in reasonable time."""
-    if K > SERIES_MAX_K:
-        seconds = round(12 * (K / SERIES_MAX_K) ** 4.5)
+def check_series_size(K: int, evaluations: int = 1) -> None:
+    """Refuse evaluating the tree series of K that many times when it would
+    take longer than one evaluation at K = SERIES_MAX_K."""
+    seconds = 12 * evaluations * (K / SERIES_MAX_K) ** 4.5
+    if seconds > 12:
+        per, times = ("", "") if evaluations == 1 else (" in one evaluation", f" evaluated {evaluations} times")
         raise ValueError(
-            f"the series route handles K <= {SERIES_MAX_K}; the tree series "
-            f"for K={K} would take about {seconds} s"
+            f"the series route handles K <= {SERIES_MAX_K}{per}; the tree series "
+            f"for K={K}{times} would take about {round(seconds)} s"
         )
 
 

@@ -33,9 +33,10 @@ def _valid_signatures(mn_max: int) -> list[LayerSignature]:
     out = []
     for m in range(mn_max + 1):
         for n in range(mn_max + 1 - m):
-            if (m, n) == (0, 0) or (m - n) % 2 or m - n < -2:
-                continue
-            out.append(LayerSignature(m, n))
+            try:
+                out.append(LayerSignature(m, n))
+            except ValueError:
+                pass
     return out
 
 

@@ -43,6 +43,14 @@ def test_local_poly_text_and_methods(runner):
     assert closed.output == recurred.output
 
 
+def test_local_poly_method_defaults_to_closed(runner):
+    default = runner.invoke(main, ["local-poly", "--m", "3", "--n", "1"])
+    closed = runner.invoke(main, ["local-poly", "--m", "3", "--n", "1", "--method", "closed"])
+    assert default.exit_code == closed.exit_code == 0
+    assert default.output == closed.output
+    assert runner.invoke(main, ["local-poly", "--m", "3", "--n", "1", "--method", "auto"]).exit_code == 2
+
+
 def test_local_poly_invalid_signature_is_usage_error(runner):
     result = runner.invoke(main, ["local-poly", "--m", "1", "--n", "2"])
     assert result.exit_code == 2
@@ -349,19 +357,3 @@ def test_verify_fails_on_corruption(runner, monkeypatch):
     assert result.exit_code == 1
     assert "FAIL" in result.output
     assert "first failure:" in result.output
-
-
-def test_render_matches_direct_commands(runner):
-    via_render = runner.invoke(main, ["render", "local-poly", "2", "2", "json"])
-    direct = runner.invoke(main, ["local-poly", "--m", "2", "--n", "2"])
-    assert via_render.output == direct.output
-    vol = runner.invoke(main, ["render", "volume", "1", "text"])
-    assert vol.output == "pi^4 * 1/1\n"
-
-
-def test_render_usage_errors(runner):
-    assert runner.invoke(main, ["render", "volume"]).exit_code == 2
-    assert runner.invoke(main, ["render", "widget", "1", "text"]).exit_code == 2
-    assert runner.invoke(main, ["render", "local-poly", "2", "json"]).exit_code == 2
-    assert runner.invoke(main, ["render", "volume", "x", "text"]).exit_code == 2
-    assert runner.invoke(main, ["render", "volume", "1", "yaml"]).exit_code == 2

@@ -14,9 +14,29 @@ from pillowcount.rationals import (
     binomial,
     compositions,
     factorial,
+    interpolate,
     multinomial,
     zeta_even,
 )
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=8), st.data())
+def test_interpolate_recovers_integer_polynomials(coeffs, data):
+    xs = data.draw(st.lists(st.integers(-40, 40), min_size=len(coeffs), max_size=len(coeffs), unique=True))
+    ys = [sum(c * x**p for p, c in enumerate(coeffs)) for x in xs]
+    assert interpolate(xs, ys) == coeffs
+
+
+def test_interpolate_spaced_points_and_degree_zero():
+    # 3 - 2t + t^3 through unevenly spaced points, listed out of order
+    xs = [11, -3, 2, 0, 7]
+    ys = [3 - 2 * x + x**3 for x in xs]
+    assert interpolate(xs, ys) == [3, -2, 0, 1, 0]
+    assert interpolate([5], [Fraction(7, 3)]) == [Fraction(7, 3)]
+    with pytest.raises(ValueError):
+        interpolate([1, 1], [2, 3])
+    with pytest.raises(ValueError):
+        interpolate([1, 2], [2])
 
 
 def test_factorial_small_values():

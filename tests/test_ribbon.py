@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -74,6 +74,39 @@ def test_enumeration_bytes_pinned(key: tuple[int, int, str]):
     graphs = enumerate_graphs(m, n, label_mode=mode)
     blob = json.dumps([[list(g.alpha), list(g.face_of_dart)] for g in graphs], separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == ENUMERATION_DIGESTS[key]
+
+
+def gauge_images(g: RibbonGraph, full: bool):
+    """Every (alpha, face labels) a sigma-preserving dart relabelling carries
+    g to: each trivalent triple rotated, and in faces-only mode the triples
+    and the univalent darts permuted among themselves."""
+    m, n, d = g.m, g.n, g.darts
+    blocks = [tuple(range(m))] if full else permutations(range(m))
+    unis = [tuple(range(n))] if full else permutations(range(n))
+    for block, rots, uni in product(blocks, product(range(3), repeat=m), unis):
+        tau = [3 * block[i] + (off + rots[i]) % 3 for i in range(m) for off in range(3)]
+        tau += [3 * m + j for j in uni]
+        alpha, labels = [0] * d, [0] * d
+        for x in range(d):
+            alpha[tau[x]] = tau[g.alpha[x]]
+            labels[tau[x]] = g.face_of_dart[x]
+        yield tuple(alpha), tuple(labels)
+
+
+# every valid signature with m + n <= 4
+ORBIT_SIGNATURES = [(0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (4, 0)]
+
+
+@pytest.mark.parametrize("mode", ["faces-only", "full"])
+@pytest.mark.parametrize("mn", ORBIT_SIGNATURES)
+def test_each_printed_graph_is_least_in_its_orbit(mn: tuple[int, int], mode: str):
+    graphs = enumerate_graphs(*mn, label_mode=mode)
+    printed = [(g.alpha, g.face_of_dart) for g in graphs]
+    # each is the least of its orbit and no two are equal, so no two
+    # printed graphs share an orbit
+    assert printed == sorted(set(printed))
+    for g, own in zip(graphs, printed):
+        assert min(gauge_images(g, mode == "full")) == own
 
 
 def test_enumerate_refuses_oversized_signature():

@@ -372,6 +372,16 @@ def test_series_refused_above_limit():
         volume(SERIES_MAX_K + 1)
 
 
+def test_series_subtotals_refused_above_limit(monkeypatch):
+    # K + 1 evaluations at K = 20 cost about what one costs at K = 40
+    check_series_size(20, evaluations=21)
+    evaluated = []
+    monkeypatch.setattr(trees_mod, "_tree_series", lambda K, t: evaluated.append(t))
+    with pytest.raises(ValueError, match=f"K <= {SERIES_MAX_K} in one evaluation.*K=21 evaluated 22 times"):
+        volume_series(21)
+    assert not evaluated
+
+
 def test_enumeration_refused_above_limit():
     check_per_tree_size(PER_TREE_MAX_K)
     with pytest.raises(ValueError, match=f"K <= {PER_TREE_MAX_K}"):
