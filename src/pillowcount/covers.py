@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -41,41 +41,6 @@ Key = TypeVar("Key")
 
 # largest degree at which naive_enumerate walks all monodromy tuples
 NAIVE_MAX_DEGREE = 5
-
-
-@dataclass(frozen=True)
-class CoverProfile:
-    """Cycle types of the four corner monodromies of a pillowcase cover.
-
-    All parts are 1, 2, or 3: fixed points sit over a corner as simple
-    poles, 2-cycles as regular points, 3-cycles as simple zeros.
-    """
-
-    corner_types: Profile
-
-    def __post_init__(self) -> None:
-        if len(self.corner_types) != 4:
-            raise ValueError("a cover profile has exactly four corners")
-        sizes = {sum(cls) for cls in self.corner_types}
-        if len(sizes) != 1:
-            raise ValueError("corner classes label different symmetric groups")
-        for cls in self.corner_types:
-            if any(part not in (1, 2, 3) for part in cls):
-                raise ValueError("corner cycle types must have parts in {1, 2, 3}")
-            if tuple(sorted(cls, reverse=True)) != tuple(cls):
-                raise ValueError("corner cycle types must be sorted decreasingly")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.corner_types[0])
-
-    @property
-    def zeros(self) -> int:
-        return sum(1 for cls in self.corner_types for part in cls if part == 3)
-
-    @property
-    def poles(self) -> int:
-        return sum(1 for cls in self.corner_types for part in cls if part == 1)
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -94,14 +59,10 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
 def class_size(cycle_type: Partition) -> int:
     """Number of permutations of the given cycle type, |C| = N!/z."""
-    n = sum(cycle_type)
     z = 1
-    mult: dict[int, int] = {}
-    for part in cycle_type:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
+    for part, m in Counter(cycle_type).items():
         z *= part**m * math.factorial(m)
-    return math.factorial(n) // z
+    return math.factorial(sum(cycle_type)) // z
 
 
 @lru_cache(maxsize=None)
@@ -214,22 +175,21 @@ def corner_types(n: int, max_threes: int, max_ones: int) -> list[Partition]:
     return out
 
 
-def _threes_and_ones(cls: Partition) -> tuple[int, int]:
-    threes = sum(1 for p in cls if p == 3)
-    ones = sum(1 for p in cls if p == 1)
-    return threes, ones
+def zeros_and_poles(classes: Sequence[Partition]) -> tuple[int, int]:
+    """(simple zeros, simple poles) over the given corner classes: their
+    3-cycles and their fixed points."""
+    return sum(cls.count(3) for cls in classes), sum(cls.count(1) for cls in classes)
 
 
-def cover_profiles(n: int, max_threes: int, max_ones: int) -> Iterator[CoverProfile]:
+def cover_profiles(n: int, max_threes: int, max_ones: int) -> Iterator[Profile]:
     """Ordered assignments of corner classes for degree n with the total
     number of 3-cycles bounded by max_threes and of fixed points by
     max_ones."""
     types = corner_types(n, max_threes, max_ones)
     for profile in itertools.product(types, repeat=4):
-        threes = sum(_threes_and_ones(c)[0] for c in profile)
-        ones = sum(_threes_and_ones(c)[1] for c in profile)
+        threes, ones = zeros_and_poles(profile)
         if threes <= max_threes and ones <= max_ones:
-            yield CoverProfile(profile)  # type: ignore[arg-type]
+            yield profile  # type: ignore[misc]
 
 
 def genus(classes: Sequence[Partition]) -> int:
@@ -244,11 +204,8 @@ def genus(classes: Sequence[Partition]) -> int:
 
 
 def _ordered_arrangements(multiset: tuple[Partition, ...]) -> int:
-    mult: dict[Partition, int] = {}
-    for item in multiset:
-        mult[item] = mult.get(item, 0) + 1
     count = math.factorial(len(multiset))
-    for m in mult.values():
+    for m in Counter(multiset).values():
         count //= math.factorial(m)
     return count
 
@@ -295,7 +252,7 @@ def _character_columns(
         chains: dict[tuple[int, int], dict[int, int]] = {}
         columns: dict[Partition, dict[int, int]] = {}
         for cls in corner_types(n, max_threes, max_ones):
-            a, b = _threes_and_ones(cls)
+            a, b = zeros_and_poles((cls,))
             if 3 * a + b < n:
                 column = _add_strips(by_degree[n - 2][a, b], 2)
             elif b:
@@ -342,8 +299,7 @@ def _multiset_values(
         nfact4 = math.factorial(n) ** 4
         out: dict[tuple[Partition, ...], Fraction] = {}
         for combo in itertools.combinations_with_replacement(columns, 4):
-            threes = sum(_threes_and_ones(c)[0] for c in combo)
-            ones = sum(_threes_and_ones(c)[1] for c in combo)
+            threes, ones = zeros_and_poles(combo)
             if threes > max_threes or ones > max_ones:
                 continue
             v1, v2, v3, v4 = (columns[c] for c in combo)
@@ -418,9 +374,7 @@ def connected_counts(k: int, max_degree: int) -> dict[tuple[int, int, int], Frac
     all_counts: dict[tuple[int, int, int], Fraction] = {}
     for n, values in _multiset_values(max_degree, k, max_ones):
         for combo, value in values.items():
-            threes = sum(_threes_and_ones(c)[0] for c in combo)
-            ones = sum(_threes_and_ones(c)[1] for c in combo)
-            key = (n, threes, ones)
+            key = (n, *zeros_and_poles(combo))
             weighted = _ordered_arrangements(combo) * value
             all_counts[key] = all_counts.get(key, Fraction(0)) + weighted
 
@@ -511,16 +465,20 @@ def _cycle_types(n: int) -> dict[tuple[int, ...], Partition]:
     return types
 
 
-def naive_enumerate(classes: Sequence[Partition], connected_only: bool = False) -> Fraction:
+def naive_enumerate(classes: Sequence[Partition]) -> tuple[Fraction, Fraction]:
     """Directly count tuples with product 1 and gi in the prescribed classes,
-    weighted by 1/N!.  Exponential in N; an independent oracle for
+    weighted by 1/N!: (all tuples, transitive tuples), the latter counting
+    connected covers.  Exponential in N; an independent oracle for
     N <= NAIVE_MAX_DEGREE.
 
     The first factor is pinned to a single representative and reweighted by
     |C1|, which is valid because conjugation acts on the solution set.
+    g4 = (g1 g2 g3)^-1 is never built: it has the cycle type of g1 g2 g3,
+    and it lies in the group g1, g2, g3 generate, so transitivity is an
+    orbit walk over those three.
     """
     if not classes:
-        return Fraction(0)
+        return Fraction(0), Fraction(0)
     n = sum(classes[0])
     if n > NAIVE_MAX_DEGREE:
         raise ValueError("degree too large for direct enumeration")
@@ -545,43 +503,28 @@ def naive_enumerate(classes: Sequence[Partition], connected_only: bool = False) 
         # (p q)(x) = p(q(x))
         return tuple(p[q[x]] for x in range(n))
 
-    def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-        inv = [0] * n
-        for i, v in enumerate(p):
-            inv[v] = i
-        return tuple(inv)
-
-    def transitive(perms: Sequence[tuple[int, ...]]) -> bool:
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p in perms:
-            for i in range(n):
-                ri, rj = find(i), find(p[i])
-                if ri != rj:
-                    parent[ri] = rj
-        return len({find(i) for i in range(n)}) == 1
+    def transitive(*perms: tuple[int, ...]) -> bool:
+        orbit = [0]
+        for x in orbit:
+            for p in perms:
+                if p[x] not in orbit:
+                    orbit.append(p[x])
+        return len(orbit) == n
 
     in_class = {cls: [p for p, t in types.items() if t == cls] for cls in set(normalized)}
     g1 = rep_of_type(normalized[0])
-    weight = class_size(normalized[0])
     target = normalized[3]
-    count = 0
+    count = connected = 0
     for g2 in in_class[normalized[1]]:
         h = compose(g1, g2)
         for g3 in in_class[normalized[2]]:
-            g4 = inverse(compose(h, g3))
-            if types[g4] != target:
-                continue
-            if connected_only and not transitive((g1, g2, g3, g4)):
+            if types[compose(h, g3)] != target:
                 continue
             count += 1
-    return Fraction(weight * count, math.factorial(n))
+            if transitive(g1, g2, g3):
+                connected += 1
+    weight = Fraction(class_size(normalized[0]), math.factorial(n))
+    return weight * count, weight * connected
 
 
 def naive_connected_counts(k: int, max_degree: int) -> dict[tuple[int, int, int], Fraction]:
@@ -591,8 +534,8 @@ def naive_connected_counts(k: int, max_degree: int) -> dict[tuple[int, int, int]
     table: dict[tuple[int, int, int], Fraction] = {}
     for n in range(1, max_degree + 1):
         for profile in cover_profiles(n, k, k + 4):
-            value = naive_enumerate(profile.corner_types, connected_only=True)
+            value = naive_enumerate(profile)[1]
             if value != 0:
-                key = (n, profile.zeros, profile.poles)
+                key = (n, *zeros_and_poles(profile))
                 table[key] = table.get(key, Fraction(0)) + value
     return table

@@ -29,6 +29,8 @@ from .rationals import binomial, compositions, factorial, interpolate
 
 # enumerate_graphs refuses signatures with more labelled pairings than this
 MAX_LABELLED_PAIRINGS = 1_000_000
+# leading_part_fit samples directions with coordinates up to this value
+SAMPLE_RADIUS = 4
 
 __all__ = [
     "RibbonGraph",
@@ -77,9 +79,6 @@ class RibbonGraph:
     def vertex_of_dart(self, d: int) -> int:
         """Trivalent darts map to 0..m-1, univalent darts to m..m+n-1."""
         return d // 3 if d < 3 * self.m else self.m + (d - 3 * self.m)
-
-    def face_cycles(self) -> list[list[int]]:
-        return _face_partition(self.m, self.n, self.alpha)
 
     def to_json_dict(self) -> dict:
         return {
@@ -193,9 +192,12 @@ def enumerate_graphs(m: int, n: int, label_mode: str = "faces-only") -> list[Rib
                 tuple(x - x % 3 if x < 3 * m else x for x in order) if full else (),
             )
             codes.append((shape, order))
+        # a root whose label-free shape is not least cannot give the least key
+        least = min(shape for shape, _ in codes)
+        least_orders = [order for shape, order in codes if shape == least]
         for perm in permutations(range(l)):
             labels = tuple(perm[c] for c in cycle_of)
-            key = min((shape, tuple(labels[x] for x in order)) for shape, order in codes)
+            key = (least, min(tuple(labels[x] for x in order) for order in least_orders))
             # pairings and labellings come in ascending order, so the first
             # member met is the least in its class
             classes.setdefault(key, (alpha, labels))
@@ -403,7 +405,7 @@ def _directions(l: int, radius: int) -> Iterator[tuple[int, ...]]:
                 yield u
 
 
-def leading_part_fit(m: int, n: int, sample_radius: int = 4) -> Polynomial:
+def leading_part_fit(m: int, n: int) -> Polynomial:
     """Recover the top homogeneous part of the labelled lattice count.
 
     Sampling runs along rays t*u for off-wall positive directions u; on a ray
@@ -445,7 +447,7 @@ def leading_part_fit(m: int, n: int, sample_radius: int = 4) -> Polynomial:
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     needed = len(basis) + 2
-    for u in _directions(l, sample_radius):
+    for u in _directions(l, SAMPLE_RADIUS):
         if any(sum(ui * vi for ui, vi in zip(u, nu)) == 0 for nu in walls):
             continue
         rows.append([Fraction(_eval_mono(exps, u)) for exps in basis])
@@ -453,7 +455,7 @@ def leading_part_fit(m: int, n: int, sample_radius: int = 4) -> Polynomial:
         if len(rows) >= needed:
             break
     if len(rows) < len(basis):
-        raise ValueError("insufficient off-wall sample directions; raise sample_radius")
+        raise ValueError(f"insufficient off-wall sample directions within radius {SAMPLE_RADIUS}")
     coeffs = _solve_exact(rows, rhs, len(basis))
     return Polynomial({exps: c for exps, c in zip(basis, coeffs) if c})
 

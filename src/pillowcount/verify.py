@@ -125,15 +125,13 @@ def run_verification(
     for n in range(1, n_cap + 1):
         all_ok = True
         lhs = rhs = f"all profile counts at degree {n}"
-        for profile in cover_profiles(n, max_threes=2, max_ones=6):
-            classes = profile.corner_types
+        for classes in cover_profiles(n, max_threes=2, max_ones=6):
             frob = frobenius_count(classes)
-            naive_all = naive_enumerate(classes)
+            naive_all, naive_conn = naive_enumerate(classes)
             if frob != naive_all:
                 all_ok, lhs, rhs = False, f"{classes}: {frob}", f"{classes}: {naive_all}"
                 break
             conn = connected.get(classes, Fraction(0))
-            naive_conn = naive_enumerate(classes, connected_only=True)
             if conn != naive_conn:
                 all_ok, lhs, rhs = False, f"{classes}: {conn}", f"{classes}: {naive_conn}"
                 break

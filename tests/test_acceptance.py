@@ -210,12 +210,12 @@ def test_criterion_7_cover_counts_match_enumeration():
     checked = 0
     bad: list[tuple] = []
     for n in range(1, 6):
-        for profile in cover_profiles(n, max_threes=2, max_ones=6):
-            classes = profile.corner_types
-            if frobenius_count(classes) != naive_enumerate(classes):
+        for classes in cover_profiles(n, max_threes=2, max_ones=6):
+            naive_all, naive_conn = naive_enumerate(classes)
+            if frobenius_count(classes) != naive_all:
                 bad.append(("disconnected", classes))
             got = connected.get(classes, Fraction(0))
-            if got != naive_enumerate(classes, connected_only=True):
+            if got != naive_conn:
                 bad.append(("connected", classes))
             checked += 1
     passed = not bad

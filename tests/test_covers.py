@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pillowcount.covers import (
-    CoverProfile,
     _character_columns,
     character,
     class_size,
@@ -26,6 +26,7 @@ from pillowcount.covers import (
     partitions,
     profile_connected_counts,
     sq_count,
+    zeros_and_poles,
 )
 
 
@@ -120,7 +121,7 @@ def test_frobenius_matches_naive_at_degree_4():
         ((2, 2), (2, 2), (2, 2), (2, 2)),
         ((3, 1), (3, 1), (2, 1, 1), (2, 1, 1)),
     ]:
-        assert frobenius_count(classes) == naive_enumerate(classes)
+        assert frobenius_count(classes) == naive_enumerate(classes)[0]
 
 
 def test_corner_types_enumeration():
@@ -130,28 +131,18 @@ def test_corner_types_enumeration():
     assert corner_types(2, 2, 0) == [(2,)]
 
 
-def test_cover_profile_validation():
-    good = CoverProfile(((3,), (2, 1), (2, 1), (1, 1, 1)))
-    assert good.degree == 3
-    assert good.zeros == 1
-    assert good.poles == 5
-    with pytest.raises(ValueError):
-        CoverProfile(((3,), (2, 1), (2, 1)))
-    with pytest.raises(ValueError):
-        CoverProfile(((3,), (2, 1), (2, 1), (1, 1)))
-    with pytest.raises(ValueError):
-        CoverProfile(((4,), (2, 1, 1), (2, 1, 1), (1, 1, 1, 1)))
-    with pytest.raises(ValueError):
-        CoverProfile(((1, 2), (2, 1), (2, 1), (1, 1, 1)))
+def test_zeros_and_poles():
+    assert zeros_and_poles(((3,), (2, 1), (2, 1), (1, 1, 1))) == (1, 5)
 
 
 def test_cover_profiles_respect_bounds():
     profiles = list(cover_profiles(3, 1, 5))
     assert profiles
     for p in profiles:
-        assert p.zeros <= 1
-        assert p.poles <= 5
-        assert p.degree == 3
+        zeros, poles = zeros_and_poles(p)
+        assert zeros <= 1
+        assert poles <= 5
+        assert all(sum(cls) == 3 for cls in p)
 
 
 def test_genus_formula():
@@ -166,8 +157,9 @@ def test_target_profiles_have_genus_zero():
     """z = K and p = K+4 over the four corners forces genus 0."""
     for n in (3, 4, 5):
         for profile in cover_profiles(n, 2, 6):
-            if profile.zeros - profile.poles == -4:
-                assert genus(profile.corner_types) == 0
+            zeros, poles = zeros_and_poles(profile)
+            if zeros - poles == -4:
+                assert genus(profile) == 0
 
 
 def test_connected_counts_pinned_values():
@@ -192,20 +184,24 @@ def test_feasibility_vanishing():
 
 
 def test_connected_counts_against_naive_per_profile():
-    """Profile-resolved inversion equals naive transitive enumeration."""
-    connected = profile_connected_counts(4)
-    for n in (2, 3, 4):
-        for profile in cover_profiles(n, 1, 5):
-            classes = profile.corner_types
-            expected = naive_enumerate(classes, connected_only=True)
-            assert connected.get(classes, Fraction(0)) == expected
+    """The direct enumeration's (all, transitive) tuples equal the character
+    sum and the profile-resolved inversion, for all 979 profiles with parts
+    in {1, 2, 3} and degree at most 5."""
+    connected = profile_connected_counts(5)
+    checked = 0
+    for n in range(1, 6):
+        for profile in itertools.product(partitions(n, 3), repeat=4):
+            expected = (frobenius_count(profile), connected.get(profile, 0))
+            assert naive_enumerate(profile) == expected
+            checked += 1
+    assert checked == 979
 
 
-def test_disconnected_total_equals_frobenius():
-    for n in (2, 3):
-        for profile in cover_profiles(n, 1, 5):
-            classes = profile.corner_types
-            assert frobenius_count(classes) == naive_enumerate(classes)
+def test_naive_enumerate_pinned_values():
+    # two sheets with trivial monodromy: one tuple over 2!, not transitive
+    assert naive_enumerate(((1, 1),) * 4) == (Fraction(1, 2), 0)
+    # the torus double cover: one transitive tuple over 2!
+    assert naive_enumerate(((2,),) * 4) == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_sq_count_values():
@@ -227,7 +223,7 @@ def test_cover_ratios_normalization():
 
 
 def test_naive_enumerate_guards():
-    assert naive_enumerate([]) == 0
+    assert naive_enumerate([]) == (0, 0)
     with pytest.raises(ValueError):
         naive_enumerate([(6,), (6,), (6,), (6,)])
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from pillowcount.ribbon import (
     MAX_LABELLED_PAIRINGS,
     RibbonGraph,
     _directions,
+    _face_partition,
     _labelled_pairings,
     enumerate_graphs,
     exact_lattice_count,
@@ -132,7 +133,7 @@ def test_graph_structural_invariants(mn: tuple[int, int]):
         assert d == 3 * m + n
         # alpha is a fixed-point-free involution
         assert all(g.alpha[g.alpha[x]] == x and g.alpha[x] != x for x in range(d))
-        cycles = g.face_cycles()
+        cycles = _face_partition(g.m, g.n, g.alpha)
         assert len(cycles) == l
         # face labels are a bijection onto 0..l-1 and constant on cycles
         assert sorted({g.face_of_dart[c[0]] for c in cycles}) == list(range(l))
