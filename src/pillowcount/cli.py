@@ -321,7 +321,10 @@ def covers_count(big_k: int, max_degree: int, method: str) -> None:
             raise click.UsageError(f"--method naive handles degrees up to {NAIVE_MAX_DEGREE} only")
         table = naive_connected_counts(big_k, max_degree)
     else:
-        table = connected_counts(big_k, max_degree)
+        try:
+            table = connected_counts(big_k, max_degree)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
     sq = sq_count(table, big_k, max_degree)
     rows = [
         {"degree": n, "zeros": z, "poles": p, "num": str(v.numerator), "den": str(v.denominator)}

@@ -362,6 +362,22 @@ def _graded_log(
     return {key: value for key, value in result.items() if value != 0}
 
 
+# the cover counts for K = 1 to degree 40 take about 7 s on a 2-CPU VM, and
+# K = 8 to degree 24 about 15 s; the time grows about like K^2 N p(N), and
+# N p(N) like exp(pi sqrt(2N/3))
+COVERS_MAX_SECONDS = 15
+
+
+def check_cover_size(k: int, max_degree: int) -> None:
+    """Refuse a cover count that would not finish in reasonable time."""
+    seconds = 6.2e-7 * k**2 * math.exp(math.pi * math.sqrt(2 * max_degree / 3))
+    if seconds > COVERS_MAX_SECONDS:
+        raise ValueError(
+            f"the character route handles requests of up to about {COVERS_MAX_SECONDS} s; "
+            f"the cover counts for K={k} to degree {max_degree} would take about {round(seconds)} s"
+        )
+
+
 def connected_counts(k: int, max_degree: int) -> dict[tuple[int, int, int], Fraction]:
     """Connected cover counts graded by (degree, 3-cycles, fixed points).
 
@@ -369,7 +385,9 @@ def connected_counts(k: int, max_degree: int) -> dict[tuple[int, int, int], Frac
     whose corner monodromies contain z three-cycles and p fixed points in
     total, truncated to z <= k and p <= k + 4.  The truncation commutes with
     the logarithm because components contribute both gradings additively.
+    Requests estimated above COVERS_MAX_SECONDS are refused before any work.
     """
+    check_cover_size(k, max_degree)
     max_ones = k + 4
     all_counts: dict[tuple[int, int, int], Fraction] = {}
     for n, values in _multiset_values(max_degree, k, max_ones):

@@ -73,24 +73,19 @@ def _refuse_oversized(sig: LayerSignature) -> None:
 
 
 @lru_cache(maxsize=None)
-def _f_closed(m: int, n: int) -> Polynomial:
-    sig = LayerSignature(m, n)
+def f_closed(sig: LayerSignature) -> Polynomial:
+    """Closed form: (m!/a!) sum over b_1+..+b_l = a of multinomial(a;b)^2 prod w_i^{2b_i}."""
     _refuse_oversized(sig)
     a, l = sig.half_degree, sig.faces
-    lead = Fraction(factorial(m), factorial(a))
+    lead = Fraction(factorial(sig.m), factorial(a))
     terms = {}
     for b in compositions(a, l):
         terms[tuple(2 * e for e in b)] = lead * multinomial(a, b) ** 2
     return Polynomial(terms)
 
 
-def f_closed(sig: LayerSignature) -> Polynomial:
-    """Closed form: (m!/a!) sum over b_1+..+b_l = a of multinomial(a;b)^2 prod w_i^{2b_i}."""
-    return _f_closed(sig.m, sig.n)
-
-
-@lru_cache(maxsize=None)
-def _f_kontsevich_base(m: int) -> Polynomial:
+def f_kontsevich_base(m: int) -> Polynomial:
+    """No-pole base case: F_{m,0} = m! sum multinomial(k-1;k_i) prod w_i^{2k_i}/k_i!."""
     if m <= 0 or m % 2 != 0:
         raise ValueError(f"base case needs positive even m, got {m}")
     _refuse_oversized(LayerSignature(m, 0))
@@ -106,20 +101,19 @@ def _f_kontsevich_base(m: int) -> Polynomial:
     return Polynomial(terms)
 
 
-def f_kontsevich_base(m: int) -> Polynomial:
-    """No-pole base case: F_{m,0} = m! sum multinomial(k-1;k_i) prod w_i^{2k_i}/k_i!."""
-    return _f_kontsevich_base(m)
+def f_recurrence(sig: LayerSignature) -> Polynomial:
+    """Recurrence route: F_{m+1,n+1} = 2(m+1) D(F_{m,n}) from the nearest base case.
 
-
-@lru_cache(maxsize=None)
-def _f_recurrence(m: int, n: int) -> Polynomial:
-    sig = LayerSignature(m, n)
+    The base case is F_{m-n,0} for m > n, F_{1,1} = 1 on the diagonal, and
+    F_{0,2} = 1 on the lowest diagonal. D always runs over all l variables;
+    l never changes along the recurrence.
+    """
     _refuse_oversized(sig)
-    l = sig.faces
+    m, n, l = sig.m, sig.n, sig.faces
     if n == 0:
-        return _f_kontsevich_base(m)
+        return f_kontsevich_base(m)
     if m > n:
-        poly = _f_kontsevich_base(m - n)
+        poly = f_kontsevich_base(m - n)
         cur_m, steps = m - n, n
     elif m == n:
         poly = Polynomial.one()  # F_{1,1}
@@ -131,16 +125,6 @@ def _f_recurrence(m: int, n: int) -> Polynomial:
         poly = 2 * (cur_m + 1) * apply_D(poly, range(l))
         cur_m += 1
     return poly
-
-
-def f_recurrence(sig: LayerSignature) -> Polynomial:
-    """Recurrence route: F_{m+1,n+1} = 2(m+1) D(F_{m,n}) from the nearest base case.
-
-    The base case is F_{m-n,0} for m > n, F_{1,1} = 1 on the diagonal, and
-    F_{0,2} = 1 on the lowest diagonal. D always runs over all l variables;
-    l never changes along the recurrence.
-    """
-    return _f_recurrence(sig.m, sig.n)
 
 
 def f_special_diagonal(m: int, n: int) -> Polynomial:

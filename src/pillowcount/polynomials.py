@@ -46,19 +46,16 @@ class Polynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping[Exponents, Scalar], Iterable[tuple[Exponents, Scalar]]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: Mapping[Exponents, Scalar] = {}):
+        # every ring operation accumulates into a dict and ends here, so
+        # like terms are merged and zero coefficients dropped in one place
         acc: dict[Exponents, Fraction] = {}
-        for exps, coeff in items:
+        for exps, coeff in terms.items():
             key = _strip(exps)
             if any(e < 0 for e in key):
                 raise ValueError(f"negative exponent in {exps}")
-            c = acc.get(key, Fraction(0)) + Fraction(coeff)
-            if c:
-                acc[key] = c
-            else:
-                acc.pop(key, None)
-        self._terms = acc
+            acc[key] = acc.get(key, 0) + Fraction(coeff)
+        self._terms = {k: c for k, c in acc.items() if c}
 
     # -- constructors -------------------------------------------------
 
@@ -118,21 +115,13 @@ class Polynomial:
             return NotImplemented
         acc = dict(self._terms)
         for k, c in other._terms.items():
-            s = acc.get(k, Fraction(0)) + c
-            if s:
-                acc[k] = s
-            else:
-                acc.pop(k, None)
-        out = Polynomial()
-        out._terms = acc
-        return out
+            acc[k] = acc.get(k, 0) + c
+        return Polynomial(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial()
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+        return Polynomial({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -141,27 +130,16 @@ class Polynomial:
 
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Polynomial.zero()
-            out = Polynomial()
-            out._terms = {k: v * c for k, v in self._terms.items()}
-            return out
+            return Polynomial({k: v * other for k, v in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         acc: dict[Exponents, Fraction] = {}
         for ka, ca in self._terms.items():
             for kb, cb in other._terms.items():
                 w = max(len(ka), len(kb))
-                key = _strip(tuple(x + y for x, y in zip(_pad(ka, w), _pad(kb, w))))
-                s = acc.get(key, Fraction(0)) + ca * cb
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        out = Polynomial()
-        out._terms = acc
-        return out
+                key = tuple(x + y for x, y in zip(_pad(ka, w), _pad(kb, w)))
+                acc[key] = acc.get(key, 0) + ca * cb
+        return Polynomial(acc)
 
     __rmul__ = __mul__
 
@@ -215,15 +193,9 @@ class Polynomial:
             if var >= len(exps) or exps[var] == 0:
                 continue
             e = exps[var]
-            key = _strip(exps[:var] + (e - 1,) + exps[var + 1:])
-            s = acc.get(key, Fraction(0)) + coeff * e
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-        out = Polynomial()
-        out._terms = acc
-        return out
+            key = exps[:var] + (e - 1,) + exps[var + 1:]
+            acc[key] = acc.get(key, 0) + coeff * e
+        return Polynomial(acc)
 
     def remap_variables(self, mapping: Sequence[int]) -> "Polynomial":
         """Send variable i to variable mapping[i]; targets must be distinct."""
@@ -237,11 +209,9 @@ class Polynomial:
             out = [0] * width
             for i, e in enumerate(exps):
                 out[mapping[i]] = e
-            key = _strip(tuple(out))
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-        out_p = Polynomial()
-        out_p._terms = {k: c for k, c in acc.items() if c}
-        return out_p
+            key = tuple(out)
+            acc[key] = acc.get(key, 0) + coeff
+        return Polynomial(acc)
 
     # -- rendering ----------------------------------------------------
 
@@ -303,12 +273,7 @@ def apply_D(p: Polynomial, variables: Iterable[int]) -> Polynomial:
             padded = _pad(exps, width)
             n = padded[i]
             key = padded[:i] + (n + 2,) + padded[i + 1:]
-            c = coeff / (n + 2)
-            s = acc.get(key, Fraction(0)) + c
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
+            acc[key] = acc.get(key, 0) + coeff / (n + 2)
     return Polynomial(acc)
 
 

@@ -89,10 +89,6 @@ class DecoratedTree:
         if self._canon is None:
             object.__setattr__(self, "_canon", _canon_and_aut(self.decorations, adj, _centers(v, adj)))
 
-    def valence(self, v: int) -> int:
-        # the layer at a vertex has one boundary face per incident cylinder
-        return self._layers[v].faces
-
     def layer(self, v: int) -> layers.LayerSignature:
         return self._layers[v]
 

@@ -58,67 +58,44 @@ def run_verification(
     """
     results: list[CheckResult] = []
 
+    def same(name: str, lhs: object, rhs: object) -> None:
+        results.append(CheckResult(name, lhs == rhs, str(lhs), str(rhs)))
+
     for sig in _valid_signatures(mn_max):
-        closed = f_closed(sig)
-        recurred = f_recurrence(sig)
-        results.append(
-            CheckResult(
-                name=f"local-poly closed = recurrence at (m,n)=({sig.m},{sig.n})",
-                passed=closed == recurred,
-                lhs=str(closed),
-                rhs=str(recurred),
-            )
+        same(
+            f"local-poly closed = recurrence at (m,n)=({sig.m},{sig.n})",
+            f_closed(sig),
+            f_recurrence(sig),
         )
 
     for m in range(2, min(mn_max, 10) + 1, 2):
-        closed = f_closed(LayerSignature(m, 0))
-        base = f_kontsevich_base(m)
-        results.append(
-            CheckResult(
-                name=f"local-poly closed = cylinder base at (m,n)=({m},0)",
-                passed=closed == base,
-                lhs=str(closed),
-                rhs=str(base),
-            )
+        same(
+            f"local-poly closed = cylinder base at (m,n)=({m},0)",
+            f_closed(LayerSignature(m, 0)),
+            f_kontsevich_base(m),
         )
 
     for m, n in FIT_SIGNATURES:
-        if m + n > mn_max:
-            continue
-        closed = f_closed(LayerSignature(m, n))
-        fitted = leading_part_fit(m, n)
-        results.append(
-            CheckResult(
-                name=f"leading-term fit = closed form at (m,n)=({m},{n})",
-                passed=fitted == closed,
-                lhs=str(fitted),
-                rhs=str(closed),
+        if m + n <= mn_max:
+            same(
+                f"leading-term fit = closed form at (m,n)=({m},{n})",
+                leading_part_fit(m, n),
+                f_closed(LayerSignature(m, n)),
             )
-        )
 
     for k in range(1, k_max + 1):
-        computed = volume(k)
-        expected = PiValue(Fraction(1, 2 ** (k - 1)), 2 * k + 2)
-        results.append(
-            CheckResult(
-                name=f"volume({k}) = pi^{2 * k + 2}/2^{k - 1}",
-                passed=computed == expected,
-                lhs=str(computed),
-                rhs=str(expected),
-            )
+        same(
+            f"volume({k}) = pi^{2 * k + 2}/2^{k - 1}",
+            volume(k),
+            PiValue(Fraction(1, 2 ** (k - 1)), 2 * k + 2),
         )
 
     for k in range(1, k_max + 1):
         total, series = volume_series(k)
         enumerated = tree_subtotals(k)
-        results.append(
-            CheckResult(
-                name=f"volume({k}) series = tree sum, in total and per cylinder count",
-                passed=series == enumerated and total == sum(enumerated.values()),
-                lhs=str(series),
-                rhs=str(enumerated),
-            )
-        )
+        passed = series == enumerated and total == sum(enumerated.values())
+        name = f"volume({k}) series = tree sum, in total and per cylinder count"
+        results.append(CheckResult(name, passed, str(series), str(enumerated)))
 
     n_cap = min(cover_n_max, NAIVE_MAX_DEGREE)
     connected = profile_connected_counts(n_cap) if n_cap >= 1 else {}
@@ -135,13 +112,7 @@ def run_verification(
             if conn != naive_conn:
                 all_ok, lhs, rhs = False, f"{classes}: {conn}", f"{classes}: {naive_conn}"
                 break
-        results.append(
-            CheckResult(
-                name=f"cover counts character sum = direct enumeration, degree {n}",
-                passed=all_ok,
-                lhs=lhs,
-                rhs=rhs,
-            )
-        )
+        name = f"cover counts character sum = direct enumeration, degree {n}"
+        results.append(CheckResult(name, all_ok, lhs, rhs))
 
     return results

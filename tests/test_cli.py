@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import pillowcount.cli as cli_mod
+import pillowcount.covers as covers_mod
 import pillowcount.verify as verify_mod
 from pillowcount.cli import main
 from pillowcount.polynomials import Polynomial
@@ -272,6 +273,25 @@ def test_covers_count_naive_degree_limit(runner):
         main, ["covers", "count", "--K", "1", "--max-degree", "6", "--method", "naive"]
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, estimate",
+    [
+        (["count", "--K", "20", "--max-degree", "24"], "K=20 to degree 24 would take about 71 s"),
+        (["ratio", "--K", "1", "--degrees", "10,60"], "K=1 to degree 60 would take about 264 s"),
+    ],
+)
+def test_covers_refuse_requests_above_limit(runner, monkeypatch, args, estimate):
+    monkeypatch.setattr(covers_mod, "_multiset_values", _refuse_work)
+    result = runner.invoke(main, ["covers", *args])
+    assert result.exit_code == 2
+    assert estimate in result.output
+
+
+@pytest.mark.parametrize("big_k, max_degree", [(1, 30), (2, 24), (1, 40)])
+def test_covers_limit_allows_benchmark_and_readme_requests(big_k, max_degree):
+    covers_mod.check_cover_size(big_k, max_degree)
 
 
 def test_covers_ratio(runner):

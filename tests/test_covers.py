@@ -115,15 +115,6 @@ def test_frobenius_input_validation():
         frobenius_count([(2,), (3,), (2,), (2,)])
 
 
-def test_frobenius_matches_naive_at_degree_4():
-    for classes in [
-        ((3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)),
-        ((2, 2), (2, 2), (2, 2), (2, 2)),
-        ((3, 1), (3, 1), (2, 1, 1), (2, 1, 1)),
-    ]:
-        assert frobenius_count(classes) == naive_enumerate(classes)[0]
-
-
 def test_corner_types_enumeration():
     assert corner_types(3, 1, 3) == [(2, 1), (1, 1, 1), (3,)]
     assert corner_types(3, 0, 3) == [(2, 1), (1, 1, 1)]

@@ -55,6 +55,17 @@ def test_basic_ring_operations():
     assert 2 * w1 == w1 + w1
 
 
+def test_cancelled_terms_are_not_stored():
+    w1 = Polynomial.variable(0)
+    w2 = Polynomial.variable(1)
+    p = (w1 + w2) * (w1 - w2)
+    assert sorted(p.items()) == [((0, 2), -1), ((2,), 1)]
+    assert not list((p - p).items())
+    assert not list((0 * p).items())
+    integrated = apply_D(w2 * w2 - w1 * w1, [0, 1])
+    assert sorted(integrated.items()) == [((0, 4), Fraction(1, 4)), ((4,), Fraction(-1, 4))]
+
+
 def test_scalar_coercion():
     w = Polynomial.variable(0)
     assert w + 1 == Polynomial({(1,): 1, (): 1})
