@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import datetime
 import json
+import sys
 from fractions import Fraction
-
-import click
+from typing import NoReturn
 
 from .covers import NAIVE_MAX_DEGREE, connected_counts, cover_ratios, naive_connected_counts, sq_count
 from .layers import LayerSignature, f_closed, f_recurrence
@@ -25,118 +26,67 @@ from .trees import (
 from .verify import run_verification
 
 
-@click.group()
-@click.option("--no-meta", is_flag=True, help="Suppress the timestamp comment in latex-table output.")
-@click.pass_context
-def main(ctx: click.Context, no_meta: bool) -> None:
-    """Exact counts of lattice pillowcase covers and stratum volumes."""
-    ctx.obj = {"no_meta": no_meta}
+class UsageError(Exception):
+    """A request refused before any work; reported with the usage line and exit status 2."""
 
 
-def _polynomial_json(p: Polynomial, arity: int | None = None) -> str:
-    return json.dumps(p.to_records(arity), separators=(",", ":"))
-
-
-def _signature(m: int, n: int) -> LayerSignature:
+def _or_usage(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError reported as a usage error."""
     try:
-        return LayerSignature(m, n)
+        return fn(*args, **kwargs)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc)) from None
 
 
-@main.command("local-poly")
-@click.option("--m", "m", type=int, required=True, help="Number of simple zeros on the layer.")
-@click.option("--n", "n", type=int, required=True, help="Number of simple poles on the layer.")
-@click.option("--method", type=click.Choice(["closed", "recurrence"]), default="closed", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json", show_default=True)
-def local_poly(m: int, n: int, method: str, fmt: str) -> None:
+def _json(record) -> str:
+    return json.dumps(record, separators=(",", ":"))
+
+
+def local_poly(opts: argparse.Namespace) -> None:
     """Print the local polynomial F_{m,n}."""
-    sig = _signature(m, n)
-    try:
-        poly = f_recurrence(sig) if method == "recurrence" else f_closed(sig)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    if fmt == "json":
-        click.echo(_polynomial_json(poly, sig.faces))
-    else:
-        click.echo(poly.to_text(arity=sig.faces))
+    sig = _or_usage(LayerSignature, opts.m, opts.n)
+    poly = _or_usage(f_recurrence if opts.method == "recurrence" else f_closed, sig)
+    print(_json(poly.to_records(sig.faces)) if opts.fmt == "json" else poly.to_text(arity=sig.faces))
 
 
-@main.group()
-def ribbon() -> None:
-    """Ribbon-graph enumeration and raw lattice counts."""
-
-
-def _graph_id(m: int, n: int, index: int) -> str:
-    return f"{m}-{n}-{index}"
-
-
-@ribbon.command("enumerate")
-@click.option("--m", "m", type=int, required=True)
-@click.option("--n", "n", type=int, required=True)
-@click.option("--full-labels", is_flag=True, help="Label trivalent vertices and their dart triples too.")
-def ribbon_enumerate(m: int, n: int, full_labels: bool) -> None:
+def ribbon_enumerate(opts: argparse.Namespace) -> None:
     """List the genus-zero ribbon graphs with m trivalent and n univalent vertices."""
-    _signature(m, n)
-    mode = "full" if full_labels else "faces-only"
-    try:
-        graphs = enumerate_graphs(m, n, label_mode=mode)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    records = []
-    for index, g in enumerate(graphs):
-        record = {"id": _graph_id(m, n, index)}
-        record.update(g.to_json_dict())
-        records.append(record)
-    click.echo(json.dumps(records, separators=(",", ":")))
+    _or_usage(LayerSignature, opts.m, opts.n)
+    mode = "full" if opts.full_labels else "faces-only"
+    graphs = _or_usage(enumerate_graphs, opts.m, opts.n, label_mode=mode)
+    records = [{"id": f"{opts.m}-{opts.n}-{index}", **g.to_json_dict()} for index, g in enumerate(graphs)]
+    print(_json(records))
 
 
-@ribbon.command("count")
-@click.option("--graph-id", required=True, help="Graph id m-n-i as printed by `ribbon enumerate` (faces-only labelling).")
-@click.option("--widths", required=True, help="Comma-separated positive face widths, one per face.")
-def ribbon_count(graph_id: str, widths: str) -> None:
+def ribbon_count(opts: argparse.Namespace) -> None:
     """Count the lattice metrics of a ribbon graph with the given face widths."""
     try:
-        m_text, n_text, index_text = graph_id.split("-")
-        m, n, index = int(m_text), int(n_text), int(index_text)
+        m, n, index = map(int, opts.graph_id.split("-"))
     except ValueError:
-        raise click.UsageError(f"malformed graph id {graph_id!r}; expected m-n-i")
+        raise UsageError(f"malformed graph id {opts.graph_id!r}; expected m-n-i") from None
     try:
-        width_list = [int(w) for w in widths.split(",") if w]
+        width_list = [int(w) for w in opts.widths.split(",") if w]
     except ValueError:
-        raise click.UsageError(f"malformed width list {widths!r}")
-    _signature(m, n)
-    try:
-        graphs = enumerate_graphs(m, n, label_mode="faces-only")
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(f"malformed width list {opts.widths!r}") from None
+    _or_usage(LayerSignature, m, n)
+    graphs = _or_usage(enumerate_graphs, m, n, label_mode="faces-only")
     if not 0 <= index < len(graphs):
-        raise click.UsageError(f"graph id {graph_id!r} out of range; {len(graphs)} graphs exist")
-    try:
-        click.echo(str(exact_lattice_count(graphs[index], width_list)))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(f"graph id {opts.graph_id!r} out of range; {len(graphs)} graphs exist")
+    print(_or_usage(exact_lattice_count, graphs[index], width_list))
 
 
-@ribbon.command("fit")
-@click.option("--m", "m", type=int, required=True)
-@click.option("--n", "n", type=int, required=True)
-def ribbon_fit(m: int, n: int) -> None:
+def ribbon_fit(opts: argparse.Namespace) -> None:
     """Recover the leading term of F_{m,n} from raw lattice counts."""
-    sig = _signature(m, n)
-    try:
-        poly = leading_part_fit(m, n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    click.echo(_polynomial_json(poly, sig.faces))
+    sig = _or_usage(LayerSignature, opts.m, opts.n)
+    print(_json(_or_usage(leading_part_fit, opts.m, opts.n).to_records(sig.faces)))
+
+
+def _fraction_json(f: Fraction) -> dict:
+    return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
 def _pi_value_json(value: PiValue) -> dict:
-    return {
-        "pi_power": value.pi_power,
-        "num": str(value.coefficient.numerator),
-        "den": str(value.coefficient.denominator),
-    }
+    return {"pi_power": value.pi_power, **_fraction_json(value.coefficient)}
 
 
 _LATEX_HEADER = (
@@ -239,36 +189,27 @@ def _volume_latex(big_k: int, contributions: list[TreeContribution], no_meta: bo
     return "\n".join(lines)
 
 
-@main.command("volume")
-@click.option("--K", "big_k", type=int, required=True, help="Number of simple zeros of the stratum.")
-@click.option("--per-tree", is_flag=True, help="Include one row per decorated tree.")
-@click.option("--format", "fmt", type=click.Choice(["json", "text", "latex-table"]), default="text", show_default=True)
-@click.pass_context
-def volume_cmd(ctx: click.Context, big_k: int, per_tree: bool, fmt: str) -> None:
+def volume_cmd(opts: argparse.Namespace) -> None:
     """Masur-Veech volume of Q(1^K, -1^(K+4)) assembled over decorated trees.
 
     The total alone comes from the labelled-tree series; --per-tree and
     latex-table enumerate every decorated tree.
     """
+    big_k, per_tree, fmt = opts.big_k, opts.per_tree, opts.fmt
     if big_k < 1:
-        raise click.UsageError("--K must be a positive integer")
+        raise UsageError("--K must be a positive integer")
     if per_tree or fmt == "latex-table":
         try:
             check_per_tree_size(big_k)
         except ValueError as exc:
-            raise click.UsageError(f"{exc}; without --per-tree and latex-table the total comes from the series")
+            raise UsageError(f"{exc}; without --per-tree and latex-table the total comes from the series") from None
         contributions = [tree_contribution(t, big_k) for t in enumerate_decorated_trees(big_k)]
-        total = PiValue(Fraction(0), 2 * big_k + 2)
-        for c in contributions:
-            total = total + c.value
+        total = sum((c.value for c in contributions), PiValue(Fraction(0), 2 * big_k + 2))
     else:
-        try:
-            check_series_size(big_k)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        _or_usage(check_series_size, big_k)
         total = volume(big_k)
     if fmt == "latex-table":
-        click.echo(_volume_latex(big_k, contributions, ctx.obj.get("no_meta", False)))
+        print(_volume_latex(big_k, contributions, opts.no_meta))
         return
     if fmt == "json":
         payload: dict = {"K": big_k}
@@ -278,16 +219,13 @@ def volume_cmd(ctx: click.Context, big_k: int, per_tree: bool, fmt: str) -> None
                 {
                     "tree": c.tree.layer_text(),
                     "aut": c.aut,
-                    "c": {"num": str(c.multinomial_factor.numerator), "den": str(c.multinomial_factor.denominator)},
-                    "zeta_terms": [
-                        {"args": list(args), "num": str(coeff.numerator), "den": str(coeff.denominator)}
-                        for args, coeff in c.zeta_terms
-                    ],
+                    "c": _fraction_json(c.multinomial_factor),
+                    "zeta_terms": [{"args": list(args), **_fraction_json(coeff)} for args, coeff in c.zeta_terms],
                     "value": _pi_value_json(c.value),
                 }
                 for c in contributions
             ]
-        click.echo(json.dumps(payload, separators=(",", ":")))
+        print(_json(payload))
         return
     if per_tree:
         for c in contributions:
@@ -296,101 +234,163 @@ def volume_cmd(ctx: click.Context, big_k: int, per_tree: bool, fmt: str) -> None
                 for args, coeff in c.zeta_terms
                 if coeff != 0
             )
-            click.echo(
+            print(
                 f"tree {c.tree.layer_text()}  aut={c.aut}  c={c.multinomial_factor}  "
                 f"{zeta_text}  -> {c.value}"
             )
-    click.echo(str(total))
+    print(total)
 
 
-@main.group()
-def covers() -> None:
-    """Character-theoretic pillowcase cover counts."""
-
-
-@covers.command("count")
-@click.option("--K", "big_k", type=int, required=True, help="Number of simple zeros.")
-@click.option("--max-degree", type=int, required=True, help="Largest cover degree to include.")
-@click.option("--method", type=click.Choice(["frobenius", "naive"]), default="frobenius", show_default=True)
-def covers_count(big_k: int, max_degree: int, method: str) -> None:
+def covers_count(opts: argparse.Namespace) -> None:
     """Connected cover counts graded by degree, zeros, and poles."""
+    big_k, max_degree = opts.big_k, opts.max_degree
     if big_k < 1 or max_degree < 1:
-        raise click.UsageError("--K and --max-degree must be positive")
-    if method == "naive":
+        raise UsageError("--K and --max-degree must be positive")
+    if opts.method == "naive":
         if max_degree > NAIVE_MAX_DEGREE:
-            raise click.UsageError(f"--method naive handles degrees up to {NAIVE_MAX_DEGREE} only")
+            raise UsageError(f"--method naive handles degrees up to {NAIVE_MAX_DEGREE} only")
         table = naive_connected_counts(big_k, max_degree)
     else:
-        try:
-            table = connected_counts(big_k, max_degree)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        table = _or_usage(connected_counts, big_k, max_degree)
     sq = sq_count(table, big_k, max_degree)
-    rows = [
-        {"degree": n, "zeros": z, "poles": p, "num": str(v.numerator), "den": str(v.denominator)}
-        for (n, z, p), v in sorted(table.items())
-    ]
-    payload = {
-        "K": big_k,
-        "max_degree": max_degree,
-        "sq_count": {"num": str(sq.numerator), "den": str(sq.denominator)},
-        "connected": rows,
-    }
-    click.echo(json.dumps(payload, separators=(",", ":")))
+    rows = [{"degree": n, "zeros": z, "poles": p, **_fraction_json(v)} for (n, z, p), v in sorted(table.items())]
+    payload = {"K": big_k, "max_degree": max_degree, "sq_count": _fraction_json(sq), "connected": rows}
+    print(_json(payload))
 
 
-@covers.command("ratio")
-@click.option("--K", "big_k", type=int, required=True, help="Number of simple zeros.")
-@click.option("--degrees", required=True, help="Comma-separated degree bounds, e.g. 10,20,30.")
-def covers_ratio(big_k: int, degrees: str) -> None:
+def covers_ratio(opts: argparse.Namespace) -> None:
     """Cover counts normalized by the volume asymptotics (tends to 1)."""
-    if big_k < 1:
-        raise click.UsageError("--K must be a positive integer")
+    if opts.big_k < 1:
+        raise UsageError("--K must be a positive integer")
     try:
-        wanted = [int(x) for x in degrees.split(",") if x]
+        wanted = [int(x) for x in opts.degrees.split(",") if x]
     except ValueError:
-        raise click.UsageError(f"malformed degree list {degrees!r}")
+        raise UsageError(f"malformed degree list {opts.degrees!r}") from None
     if not wanted:
-        raise click.UsageError("no degrees given")
-    try:
-        ratios = cover_ratios(big_k, wanted)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError("no degrees given")
+    ratios = _or_usage(cover_ratios, opts.big_k, wanted)
     for n in sorted(ratios):
-        click.echo(f"r_{n} = {ratios[n]:.6f}")
+        print(f"r_{n} = {ratios[n]:.6f}")
 
 
-@main.command("verify")
-@click.option("--K-max", "k_max", type=click.IntRange(min=0), default=2, show_default=True)
-@click.option("--mn-max", "mn_max", type=click.IntRange(min=0), default=8, show_default=True)
-@click.option("--cover-N-max", "cover_n_max", type=click.IntRange(min=0), default=NAIVE_MAX_DEGREE, show_default=True)
-@click.pass_context
-def verify_cmd(ctx: click.Context, k_max: int, mn_max: int, cover_n_max: int) -> None:
+def verify_cmd(opts: argparse.Namespace) -> int:
     """Recompute everything both ways; exit 0 only if all routes agree."""
+    k_max, mn_max, cover_n_max = opts.k_max, opts.mn_max, opts.cover_n_max
     try:
         check_per_tree_size(k_max)
     except ValueError as exc:
-        raise click.UsageError(f"--K-max {k_max}: {exc}")
+        raise UsageError(f"--K-max {k_max}: {exc}") from None
     if cover_n_max > NAIVE_MAX_DEGREE:
-        click.echo(
+        print(
             f"note: --cover-N-max {cover_n_max} is capped at {NAIVE_MAX_DEGREE}, the largest degree "
             "direct enumeration handles",
-            err=True,
+            file=sys.stderr,
         )
     results = run_verification(k_max=k_max, mn_max=mn_max, cover_n_max=cover_n_max)
     if not results:
-        click.echo("Error: the bounds select no checks; raise --K-max, --mn-max or --cover-N-max", err=True)
-        ctx.exit(1)
+        print("Error: the bounds select no checks; raise --K-max, --mn-max or --cover-N-max", file=sys.stderr)
+        return 1
     failed = [r for r in results if not r.passed]
     for r in results:
-        click.echo(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")
-    click.echo(f"{len(results) - len(failed)}/{len(results)} checks passed")
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")
+    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     if failed:
         first = failed[0]
-        click.echo(f"first failure: {first.name}")
-        click.echo(f"  lhs = {first.lhs}")
-        click.echo(f"  rhs = {first.rhs}")
-        ctx.exit(1)
+        print(f"first failure: {first.name}\n  lhs = {first.lhs}\n  rhs = {first.rhs}")
+        return 1
+    return 0
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help text under a capitalised ``Usage:`` line."""
+
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+# every parser: a capitalised `Usage:` line and no abbreviated options
+_STYLE = {"formatter_class": _Formatter, "allow_abbrev": False}
+
+
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=0")
+    return value
+
+
+def _command(subcommands, name: str, run=None, doc: str | None = None) -> argparse.ArgumentParser:
+    """A subcommand parser described by `doc` or by the docstring of `run(opts)`, which carries it out."""
+    doc = doc or run.__doc__
+    parser = subcommands.add_parser(name, help=doc.splitlines()[0], description=doc, **_STYLE)
+    parser.set_defaults(run=run, parser=parser)
+    return parser
+
+
+def _parser(prog: str | None) -> argparse.ArgumentParser:
+    root = argparse.ArgumentParser(
+        prog=prog, description="Exact counts of lattice pillowcase covers and stratum volumes.", **_STYLE
+    )
+    root.add_argument("--no-meta", action="store_true", help="Suppress the timestamp comment in latex-table output.")
+    commands = root.add_subparsers(dest="command", required=True)
+    default = "default: %(default)s"
+
+    cmd = _command(commands, "local-poly", local_poly)
+    cmd.add_argument("--m", type=int, required=True, help="Number of simple zeros on the layer.")
+    cmd.add_argument("--n", type=int, required=True, help="Number of simple poles on the layer.")
+    cmd.add_argument("--method", choices=["closed", "recurrence"], default="closed", help=default)
+    cmd.add_argument("--format", dest="fmt", choices=["json", "text"], default="json", help=default)
+
+    ribbon = _command(commands, "ribbon", doc="Ribbon-graph enumeration and raw lattice counts.")
+    ribbon = ribbon.add_subparsers(dest="command", required=True)
+    cmd = _command(ribbon, "enumerate", ribbon_enumerate)
+    cmd.add_argument("--m", type=int, required=True)
+    cmd.add_argument("--n", type=int, required=True)
+    cmd.add_argument("--full-labels", action="store_true", help="Label trivalent vertices and their dart triples too.")
+    cmd = _command(ribbon, "count", ribbon_count)
+    cmd.add_argument(
+        "--graph-id", required=True, help="Graph id m-n-i as printed by `ribbon enumerate` (faces-only labelling)."
+    )
+    cmd.add_argument("--widths", required=True, help="Comma-separated positive face widths, one per face.")
+    cmd = _command(ribbon, "fit", ribbon_fit)
+    cmd.add_argument("--m", type=int, required=True)
+    cmd.add_argument("--n", type=int, required=True)
+
+    cmd = _command(commands, "volume", volume_cmd)
+    cmd.add_argument(
+        "--K", dest="big_k", metavar="K", type=int, required=True, help="Number of simple zeros of the stratum."
+    )
+    cmd.add_argument("--per-tree", action="store_true", help="Include one row per decorated tree.")
+    cmd.add_argument("--format", dest="fmt", choices=["json", "text", "latex-table"], default="text", help=default)
+
+    covers = _command(commands, "covers", doc="Character-theoretic pillowcase cover counts.")
+    covers = covers.add_subparsers(dest="command", required=True)
+    cmd = _command(covers, "count", covers_count)
+    cmd.add_argument("--K", dest="big_k", metavar="K", type=int, required=True, help="Number of simple zeros.")
+    cmd.add_argument("--max-degree", type=int, required=True, help="Largest cover degree to include.")
+    cmd.add_argument("--method", choices=["frobenius", "naive"], default="frobenius", help=default)
+    cmd = _command(covers, "ratio", covers_ratio)
+    cmd.add_argument("--K", dest="big_k", metavar="K", type=int, required=True, help="Number of simple zeros.")
+    cmd.add_argument("--degrees", required=True, help="Comma-separated degree bounds, e.g. 10,20,30.")
+
+    cmd = _command(commands, "verify", verify_cmd)
+    cmd.add_argument("--K-max", dest="k_max", type=_non_negative, default=2, help=default)
+    cmd.add_argument("--mn-max", type=_non_negative, default=8, help=default)
+    cmd.add_argument("--cover-N-max", dest="cover_n_max", type=_non_negative, default=NAIVE_MAX_DEGREE, help=default)
+    return root
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
+    """Run one command and exit: 0 on success, 1 when verify fails, 2 on a usage error."""
+    opts = _parser(prog_name).parse_args(args)
+    try:
+        status = opts.run(opts)
+    except UsageError as exc:
+        opts.parser.error(str(exc))
+    sys.exit(status or 0)
 
 
 if __name__ == "__main__":

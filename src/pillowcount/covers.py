@@ -300,7 +300,8 @@ def _multiset_values(
         out: dict[tuple[Partition, ...], Fraction] = {}
         for combo in itertools.combinations_with_replacement(columns, 4):
             threes, ones = zeros_and_poles(combo)
-            if threes > max_threes or ones > max_ones:
+            # 3^a 2^c 1^b has sign (-1)^c and g1 g2 g3 g4 = 1, so an odd total of 2-cycles counts nothing
+            if threes > max_threes or ones > max_ones or sum(cls.count(2) for cls in combo) % 2:
                 continue
             v1, v2, v3, v4 = (columns[c] for c in combo)
             total = 0

@@ -590,17 +590,11 @@ def zeta_lemma_sum_k2(a1: int, a2: int, bound: int) -> int:
 def zeta_lemma_ratio(exponents: Sequence[int], bound: int) -> float:
     """Finite sum divided by its predicted asymptotic N^{b+2k}/(b+2k)! prod (a_i+1)! zeta(a_i+2)."""
     k = len(exponents)
-    if k == 1:
-        s = zeta_lemma_sum_k1(exponents[0], bound)
-    elif k == 2:
-        s = zeta_lemma_sum_k2(exponents[0], exponents[1], bound)
-    else:
+    if k not in (1, 2):
         raise ValueError("only k = 1 or 2 supported")
-    b = sum(exponents)
-    dim = b + 2 * k
-    predicted = Fraction(bound) ** dim / factorial(dim)
-    scale = 1.0
-    for a in exponents:
-        predicted *= factorial(a + 1)
-        scale *= zeta_even(a + 2).to_float()
+    # zeta_even refuses an odd exponent here, before the finite sum starts
+    scale = prod(zeta_even(a + 2).to_float() for a in exponents)
+    s = zeta_lemma_sum_k1(exponents[0], bound) if k == 1 else zeta_lemma_sum_k2(exponents[0], exponents[1], bound)
+    dim = sum(exponents) + 2 * k
+    predicted = Fraction(bound) ** dim / factorial(dim) * prod(factorial(a + 1) for a in exponents)
     return float(Fraction(s) / predicted) / scale

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 import pillowcount.cli as cli_mod
 import pillowcount.covers as covers_mod
@@ -18,7 +23,22 @@ from pillowcount.polynomials import Polynomial
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    """Run `main(args)` in process; `.output` is its stdout followed by its stderr."""
+
+    def invoke(cli, args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as done:
+            cli(args)
+        stdout, stderr = out.getvalue(), err.getvalue()
+        return SimpleNamespace(
+            exit_code=done.value.code or 0,
+            output=stdout + stderr,
+            stdout=stdout,
+            stdout_bytes=stdout.encode(),
+            stderr=stderr,
+        )
+
+    return SimpleNamespace(invoke=invoke)
 
 
 LOCAL_POLY_GOLDEN = (
@@ -377,3 +397,42 @@ def test_verify_fails_on_corruption(runner, monkeypatch):
     assert result.exit_code == 1
     assert "FAIL" in result.output
     assert "first failure:" in result.output
+
+
+def test_root_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("Usage:")
+    for command in ("local-poly", "ribbon", "volume", "covers", "verify"):
+        assert command in out
+
+
+def test_main_ends_in_system_exit_with_the_status(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as done:
+        main(args=["volume", "--K", "1"], prog_name="pillowcount")
+    assert done.value.code == 0
+    assert capsys.readouterr().out == "pi^4 * 1/1\n"
+    monkeypatch.setattr(cli_mod, "run_verification", lambda **bounds: [verify_mod.CheckResult("stub", False, "1", "2")])
+    with pytest.raises(SystemExit) as done:
+        main(args=["verify"], prog_name="pillowcount")
+    assert done.value.code == 1
+    assert "first failure: stub" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [["verify", "--K", "3"], ["volume", "--K", "2", "--per"]])
+def test_option_prefixes_are_usage_errors(runner, monkeypatch, args):
+    monkeypatch.setattr(cli_mod, "run_verification", _refuse_work)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+def test_cli_import_loads_no_click():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, pillowcount.cli; print('click' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)}
+    ).stdout
+    assert out == "False\n"

@@ -174,6 +174,18 @@ def test_feasibility_vanishing():
                 assert value > 0
 
 
+def test_odd_total_of_two_cycles_counts_nothing():
+    """A class 3^a 2^c 1^b has sign (-1)^c and g1 g2 g3 g4 = 1, so the
+    character sum skips profiles with an odd total of 2-cycles exactly."""
+    odd = 0
+    for n in range(1, 6):
+        for profile in cover_profiles(n, 2, 6):
+            if sum(cls.count(2) for cls in profile) % 2:
+                odd += 1
+                assert frobenius_count(profile) == 0
+    assert odd == 104
+
+
 def test_connected_counts_against_naive_per_profile():
     """The direct enumeration's (all, transitive) tuples equal the character
     sum and the profile-resolved inversion, for all 979 profiles with parts

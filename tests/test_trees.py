@@ -419,3 +419,14 @@ def test_zeta_lemma_ratio_converges():
     assert near < 0.001
     with pytest.raises(ValueError):
         zeta_lemma_ratio((1, 1, 1), 100)
+
+
+def test_zeta_lemma_ratio_refuses_odd_exponent_before_summing(monkeypatch):
+    def refuse_work(*args, **kwargs):
+        raise AssertionError("the finite sum started before the request was refused")
+
+    monkeypatch.setattr(trees_mod, "zeta_lemma_sum_k1", refuse_work)
+    monkeypatch.setattr(trees_mod, "zeta_lemma_sum_k2", refuse_work)
+    for exponents in [(1,), (1, 2), (2, 1)]:
+        with pytest.raises(ValueError, match="unsupported zeta argument 3"):
+            zeta_lemma_ratio(exponents, 10**9)
