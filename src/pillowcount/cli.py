@@ -23,7 +23,7 @@ from .trees import (
     tree_contribution,
     volume,
 )
-from .verify import run_verification
+from .verify import check_verification_size, run_verification
 
 
 class UsageError(Exception):
@@ -280,6 +280,10 @@ def verify_cmd(opts: argparse.Namespace) -> int:
         check_per_tree_size(k_max)
     except ValueError as exc:
         raise UsageError(f"--K-max {k_max}: {exc}") from None
+    try:
+        check_verification_size(mn_max)
+    except ValueError as exc:
+        raise UsageError(f"--mn-max {mn_max}: {exc}") from None
     if cover_n_max > NAIVE_MAX_DEGREE:
         print(
             f"note: --cover-N-max {cover_n_max} is capped at {NAIVE_MAX_DEGREE}, the largest degree "

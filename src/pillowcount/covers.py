@@ -33,11 +33,14 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
+
+from .rationals import multinomial
 
 Partition = tuple[int, ...]
 Profile = tuple[Partition, Partition, Partition, Partition]
-Key = TypeVar("Key")
+# a cell of the cover counts: (degree, 3-cycles, fixed points)
+Cell = tuple[int, int, int]
 
 # largest degree at which naive_enumerate walks all monodromy tuples
 NAIVE_MAX_DEGREE = 5
@@ -203,13 +206,6 @@ def genus(classes: Sequence[Partition]) -> int:
     return (2 - euler) // 2
 
 
-def _ordered_arrangements(multiset: tuple[Partition, ...]) -> int:
-    count = math.factorial(len(multiset))
-    for m in Counter(multiset).values():
-        count //= math.factorial(m)
-    return count
-
-
 def _add_strips(column: dict[int, int], r: int) -> dict[int, int]:
     """The character column times the power sum p_r: by the
     Murnaghan-Nakayama rule, every r-border strip added to every shape,
@@ -327,42 +323,6 @@ def _multiset_values(
         yield n, out
 
 
-def _graded_log(
-    series: dict[Key, Fraction],
-    degree: Callable[[Key], int],
-    max_degree: int,
-    merge: Callable[[Key, Key], Key | None],
-) -> dict[Key, Fraction]:
-    """Connected counts C = log(1 + A) = sum_j (-1)^(j+1) A^j / j from the
-    counts A of all covers, in an algebra graded by the keys of A and
-    truncated at degree max_degree.
-
-    A disjoint union of covers multiplies their terms: merge gives the key
-    of the union, or None when it falls outside a further truncation.  Such
-    a truncation must be additive over components so that it commutes with
-    the logarithm.
-    """
-    by_degree: dict[int, list[tuple[Key, Fraction]]] = {}
-    for key, value in series.items():
-        by_degree.setdefault(degree(key), []).append((key, value))
-    result: dict[Key, Fraction] = {}
-    power = series
-    j = 1
-    while power:
-        coeff = Fraction(1 if j % 2 else -1, j)
-        nxt: dict[Key, Fraction] = {}
-        for key, value in power.items():
-            result[key] = result.get(key, Fraction(0)) + coeff * value
-            for n2 in range(1, max_degree - degree(key) + 1):
-                for key2, value2 in by_degree.get(n2, ()):
-                    merged = merge(key, key2)
-                    if merged is not None:
-                        nxt[merged] = nxt.get(merged, Fraction(0)) + value * value2
-        power = nxt
-        j += 1
-    return {key: value for key, value in result.items() if value != 0}
-
-
 # the cover counts for K = 1 to degree 40 take about 7 s on a 2-CPU VM, and
 # K = 8 to degree 24 about 15 s; the time grows about like K^2 N p(N), and
 # N p(N) like exp(pi sqrt(2N/3))
@@ -379,7 +339,7 @@ def check_cover_size(k: int, max_degree: int) -> None:
         )
 
 
-def connected_counts(k: int, max_degree: int) -> dict[tuple[int, int, int], Fraction]:
+def connected_counts(k: int, max_degree: int) -> dict[Cell, Fraction]:
     """Connected cover counts graded by (degree, 3-cycles, fixed points).
 
     Maps (N, z, p) to the weighted count of connected covers of degree N
@@ -390,44 +350,37 @@ def connected_counts(k: int, max_degree: int) -> dict[tuple[int, int, int], Frac
     """
     check_cover_size(k, max_degree)
     max_ones = k + 4
-    all_counts: dict[tuple[int, int, int], Fraction] = {}
+    all_counts: dict[Cell, Fraction] = {}
     for n, values in _multiset_values(max_degree, k, max_ones):
         for combo, value in values.items():
             key = (n, *zeros_and_poles(combo))
-            weighted = _ordered_arrangements(combo) * value
+            weighted = multinomial(4, Counter(combo).values()) * value
             all_counts[key] = all_counts.get(key, Fraction(0)) + weighted
 
-    def merge(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int] | None:
-        z, p = a[1] + b[1], a[2] + b[2]
-        return (a[0] + b[0], z, p) if z <= k and p <= max_ones else None
-
-    return _graded_log(all_counts, lambda key: key[0], max_degree, merge)
-
-
-def _merge_profile(p1: Profile, p2: Profile) -> Profile:
-    return tuple(
-        tuple(sorted(a + b, reverse=True)) for a, b in zip(p1, p2)
-    )  # type: ignore[return-value]
-
-
-def profile_connected_counts(max_degree: int) -> dict[Profile, Fraction]:
-    """Connected cover counts for every individual branching profile (with
-    corner parts in {1, 2, 3}) up to max_degree.
-
-    The disconnected counts A are inverted profile by profile: with the
-    series graded by the full 4-tuple of corner cycle types, a disjoint
-    union merges the profiles corner by corner, so C = log(1 + A) holds in
-    that graded algebra as well.
-    """
-    all_counts: dict[Profile, Fraction] = {}
-    for _, values in _multiset_values(max_degree, max_degree, 4 * max_degree):
-        for combo, value in values.items():
-            for profile in set(itertools.permutations(combo)):
-                all_counts[profile] = value  # type: ignore[index]
-    return _graded_log(all_counts, lambda profile: sum(profile[0]), max_degree, _merge_profile)
+    # C = log(1 + A) = sum_j (-1)^(j+1) A^j / j, where a disjoint union of
+    # covers multiplies their terms and adds their gradings
+    by_degree: dict[int, list[tuple[Cell, Fraction]]] = {}
+    for key, value in all_counts.items():
+        by_degree.setdefault(key[0], []).append((key, value))
+    result: dict[Cell, Fraction] = {}
+    power = all_counts
+    j = 1
+    while power:
+        coeff = Fraction(1 if j % 2 else -1, j)
+        nxt: dict[Cell, Fraction] = {}
+        for (n, z, p), value in power.items():
+            result[n, z, p] = result.get((n, z, p), Fraction(0)) + coeff * value
+            for n2 in range(1, max_degree - n + 1):
+                for (_, z2, p2), value2 in by_degree.get(n2, ()):
+                    if z + z2 <= k and p + p2 <= max_ones:
+                        merged = (n + n2, z + z2, p + p2)
+                        nxt[merged] = nxt.get(merged, Fraction(0)) + value * value2
+        power = nxt
+        j += 1
+    return {key: value for key, value in result.items() if value != 0}
 
 
-def sq_count(counts: dict[tuple[int, int, int], Fraction], k: int, n_max: int) -> Fraction:
+def sq_count(counts: dict[Cell, Fraction], k: int, n_max: int) -> Fraction:
     """Weighted number of lattice surfaces of degree at most n_max in the
     stratum with k labelled simple zeros and k + 4 labelled simple poles,
     read from a table of connected counts graded by (degree, z, p) that
@@ -546,11 +499,11 @@ def naive_enumerate(classes: Sequence[Partition]) -> tuple[Fraction, Fraction]:
     return weight * count, weight * connected
 
 
-def naive_connected_counts(k: int, max_degree: int) -> dict[tuple[int, int, int], Fraction]:
+def naive_connected_counts(k: int, max_degree: int) -> dict[Cell, Fraction]:
     """connected_counts(k, max_degree) by direct enumeration of the
     transitive monodromy tuples of every profile, for max_degree <=
     NAIVE_MAX_DEGREE."""
-    table: dict[tuple[int, int, int], Fraction] = {}
+    table: dict[Cell, Fraction] = {}
     for n in range(1, max_degree + 1):
         for profile in cover_profiles(n, k, k + 4):
             value = naive_enumerate(profile)[1]

@@ -19,6 +19,7 @@ from .rationals import binomial, compositions, factorial, multinomial
 __all__ = [
     "MAX_LOCAL_TERMS",
     "LayerSignature",
+    "check_local_size",
     "f_closed",
     "f_kontsevich_base",
     "f_recurrence",
@@ -64,7 +65,8 @@ def _term_count(sig: LayerSignature) -> int:
     return binomial(sig.half_degree + sig.faces - 1, sig.faces - 1)
 
 
-def _refuse_oversized(sig: LayerSignature) -> None:
+def check_local_size(sig: LayerSignature) -> None:
+    """Refuse a local polynomial with more than MAX_LOCAL_TERMS monomials."""
     count = _term_count(sig)
     if count > MAX_LOCAL_TERMS:
         raise ValueError(
@@ -75,7 +77,7 @@ def _refuse_oversized(sig: LayerSignature) -> None:
 @lru_cache(maxsize=None)
 def f_closed(sig: LayerSignature) -> Polynomial:
     """Closed form: (m!/a!) sum over b_1+..+b_l = a of multinomial(a;b)^2 prod w_i^{2b_i}."""
-    _refuse_oversized(sig)
+    check_local_size(sig)
     a, l = sig.half_degree, sig.faces
     lead = Fraction(factorial(sig.m), factorial(a))
     terms = {}
@@ -88,7 +90,7 @@ def f_kontsevich_base(m: int) -> Polynomial:
     """No-pole base case: F_{m,0} = m! sum multinomial(k-1;k_i) prod w_i^{2k_i}/k_i!."""
     if m <= 0 or m % 2 != 0:
         raise ValueError(f"base case needs positive even m, got {m}")
-    _refuse_oversized(LayerSignature(m, 0))
+    check_local_size(LayerSignature(m, 0))
     k = m // 2
     l = k + 2
     terms = {}
@@ -108,7 +110,7 @@ def f_recurrence(sig: LayerSignature) -> Polynomial:
     F_{0,2} = 1 on the lowest diagonal. D always runs over all l variables;
     l never changes along the recurrence.
     """
-    _refuse_oversized(sig)
+    check_local_size(sig)
     m, n, l = sig.m, sig.n, sig.faces
     if n == 0:
         return f_kontsevich_base(m)

@@ -155,22 +155,6 @@ class Polynomial:
 
     # -- analysis -----------------------------------------------------
 
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at the point; the point must cover every variable."""
-        if len(point) < self.arity():
-            raise ValueError(
-                f"point of dimension {len(point)} for polynomial in {self.arity()} variables"
-            )
-        vals = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    term *= vals[i] ** e
-            total += term
-        return total
-
     def is_symmetric(self, l: int) -> bool:
         """Invariance under all permutations of the first l variables."""
         if l <= 1:

@@ -328,9 +328,23 @@ def laplace_transform(g: RibbonGraph) -> RationalFunction:
     return _assemble([_factored_transform(g)])
 
 
+def _column_classes(graphs: Sequence[RibbonGraph]) -> list[tuple[RibbonGraph, int]]:
+    """(first member, size) of each class of graphs with the same multiset of
+    edge columns, on which a graph's lattice count and transform depend."""
+    classes: dict[tuple[tuple[int, ...], ...], list] = {}
+    for g in graphs:
+        classes.setdefault(tuple(sorted(_edge_forms(g))), [g, 0])[1] += 1
+    return [(g, size) for g, size in classes.values()]
+
+
 def hat_F(m: int, n: int) -> RationalFunction:
-    """Sum of the transforms over the fully labelled enumeration."""
-    return _assemble([_factored_transform(g) for g in enumerate_graphs(m, n, "full")])
+    """Sum of the transforms over the fully labelled enumeration, once per
+    edge-column class times its size."""
+    parts = []
+    for g, size in _column_classes(enumerate_graphs(m, n, "full")):
+        coeff, denom = _factored_transform(g)
+        parts.append((size * coeff, denom))
+    return _assemble(parts)
 
 
 def verify_pole_recurrence(m: int, n: int) -> bool:
@@ -419,13 +433,10 @@ def leading_part_fit(m: int, n: int) -> Polynomial:
     if not graphs:
         raise ValueError(f"no graphs for signature ({m},{n})")
     walls = _wall_normals(graphs, l)
-    # graphs with the same edge columns have the same count
-    classes: dict[tuple[tuple[int, ...], ...], list] = {}
-    for g in graphs:
-        classes.setdefault(tuple(sorted(_edge_forms(g))), [g, 0])[1] += 1
+    classes = _column_classes(graphs)
 
     def total_count(widths: tuple[int, ...]) -> int:
-        return sum(size * exact_lattice_count(g, widths) for g, size in classes.values())
+        return sum(size * exact_lattice_count(g, widths) for g, size in classes)
 
     def leading_along(u: tuple[int, ...]) -> Fraction:
         npoints = 2 * a + 1

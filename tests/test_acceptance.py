@@ -13,11 +13,12 @@ import time
 from fractions import Fraction
 
 from pillowcount.covers import (
+    connected_counts,
     cover_profiles,
     cover_ratios,
     frobenius_count,
+    naive_connected_counts,
     naive_enumerate,
-    profile_connected_counts,
 )
 from pillowcount.layers import LayerSignature, f_closed, f_kontsevich_base, f_recurrence
 from pillowcount.polynomials import Polynomial, RationalFunction, rf_equal
@@ -206,24 +207,23 @@ def test_criterion_6_lattice_fit_recovers_polynomials():
 
 
 def test_criterion_7_cover_counts_match_enumeration():
-    connected = profile_connected_counts(5)
     checked = 0
     bad: list[tuple] = []
     for n in range(1, 6):
         for classes in cover_profiles(n, max_threes=2, max_ones=6):
-            naive_all, naive_conn = naive_enumerate(classes)
-            if frobenius_count(classes) != naive_all:
+            if frobenius_count(classes) != naive_enumerate(classes)[0]:
                 bad.append(("disconnected", classes))
-            got = connected.get(classes, Fraction(0))
-            if got != naive_conn:
-                bad.append(("connected", classes))
             checked += 1
+    shipped, enumerated = connected_counts(2, 5), naive_connected_counts(2, 5)
+    for cell in sorted(shipped.keys() | enumerated.keys()):
+        if shipped.get(cell) != enumerated.get(cell):
+            bad.append(("connected", cell))
     passed = not bad
     _report(
         7,
         passed,
-        f"character sums and connectivity inversion match direct enumeration "
-        f"for all {checked} profiles with degree <= 5"
+        f"character sums match direct enumeration for all {checked} profiles with degree <= 5, "
+        f"and the connectivity inversion for all {len(enumerated)} (degree, zeros, poles) cells"
         + (f" (first failure {bad[0]})" if bad else ""),
     )
     assert not bad

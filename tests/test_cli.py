@@ -361,6 +361,14 @@ def test_verify_refuses_K_max_above_per_tree_limit(runner, monkeypatch):
     assert "about 117 s" in result.output
 
 
+@pytest.mark.parametrize("bound", ["22", "1000000000000"])
+def test_verify_refuses_mn_max_above_local_term_limit(runner, monkeypatch, bound):
+    monkeypatch.setattr(verify_mod, "f_closed", _refuse_work)
+    result = runner.invoke(main, ["verify", "--mn-max", bound])
+    assert result.exit_code == 2
+    assert f"--mn-max {bound}: F_{{21,1}} has 352716 terms, more than the limit of 200000" in result.output
+
+
 def test_verify_fails_when_no_checks_run(runner):
     result = runner.invoke(
         main, ["verify", "--K-max", "0", "--mn-max", "0", "--cover-N-max", "0"]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pillowcount.covers import (
     _character_columns,
+    _multiset_values,
     character,
     class_size,
     connected_counts,
@@ -22,9 +23,9 @@ from pillowcount.covers import (
     frobenius_count,
     genus,
     hook_product,
+    naive_connected_counts,
     naive_enumerate,
     partitions,
-    profile_connected_counts,
     sq_count,
     zeros_and_poles,
 )
@@ -187,17 +188,31 @@ def test_odd_total_of_two_cycles_counts_nothing():
 
 
 def test_connected_counts_against_naive_per_profile():
-    """The direct enumeration's (all, transitive) tuples equal the character
-    sum and the profile-resolved inversion, for all 979 profiles with parts
-    in {1, 2, 3} and degree at most 5."""
-    connected = profile_connected_counts(5)
+    """The direct enumeration's tuples equal the character sum for all 979
+    profiles with parts in {1, 2, 3} and degree at most 5, and its
+    transitive tuples, summed by (degree, zeros, poles), equal the shipped
+    log-inversion.  The bounds z <= 16 and p <= 20 reach every profile."""
     checked = 0
     for n in range(1, 6):
         for profile in itertools.product(partitions(n, 3), repeat=4):
-            expected = (frobenius_count(profile), connected.get(profile, 0))
-            assert naive_enumerate(profile) == expected
+            assert naive_enumerate(profile)[0] == frobenius_count(profile)
             checked += 1
     assert checked == 979
+    assert sum(1 for n in range(1, 6) for _ in cover_profiles(n, 16, 20)) == 979
+    assert connected_counts(16, 5) == naive_connected_counts(16, 5)
+
+
+def test_multiset_values_match_frobenius():
+    """The four-way character sum, once per 4-multiset of corner classes of
+    degree at most 5, equals frobenius_count, and is absent exactly where
+    that count is 0."""
+    checked = 0
+    for n, values in _multiset_values(5, 5, 20):
+        by_multiset = {tuple(sorted(combo)): value for combo, value in values.items()}
+        for combo in itertools.combinations_with_replacement(partitions(n, 3), 4):
+            assert by_multiset.get(tuple(sorted(combo)), 0) == frobenius_count(combo)
+            checked += 1
+    assert checked == sum(math.comb(len(list(partitions(n, 3))) + 3, 4) for n in range(1, 6))
 
 
 def test_naive_enumerate_pinned_values():

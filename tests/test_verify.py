@@ -60,3 +60,21 @@ def test_detects_series_disagreeing_with_tree_sum(monkeypatch):
     assert [r.name for r in results if not r.passed] == [
         "volume(1) series = tree sum, in total and per cylinder count"
     ]
+
+
+def test_cover_check_compares_the_shipped_connected_counts(monkeypatch):
+    """verify's connected-cover check reads connected_counts, the table that
+    `covers count` prints: weight moved between two degree-3 cells fails
+    that degree alone, and the failure names both cells."""
+    real = verify_mod.connected_counts
+
+    def shifted(k, max_degree):
+        counts = real(k, max_degree)
+        return {**counts, (3, 1, 5): counts[3, 1, 5] + 1, (3, 2, 6): counts[3, 2, 6] - 1}
+
+    monkeypatch.setattr(verify_mod, "connected_counts", shifted)
+    results = run_verification(k_max=0, mn_max=0, cover_n_max=5)
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["cover counts character sum = direct enumeration, degree 3"]
+    assert failed[0].lhs == "(3, 1, 5): 13, (3, 2, 6): 1"
+    assert failed[0].rhs == "(3, 1, 5): 12, (3, 2, 6): 2"
