@@ -3,27 +3,17 @@
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import sys
 from fractions import Fraction
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-from .covers import NAIVE_MAX_DEGREE, connected_counts, cover_ratios, naive_connected_counts, sq_count
-from .layers import LayerSignature, f_closed, f_recurrence
-from .polynomials import Polynomial
-from .rationals import PiValue
-from .ribbon import enumerate_graphs, exact_lattice_count, leading_part_fit
-from .trees import (
-    TreeContribution,
-    check_per_tree_size,
-    check_series_size,
-    enumerate_decorated_trees,
-    local_product,
-    tree_contribution,
-    volume,
-)
-from .verify import check_verification_size, run_verification
+# each command imports the layers it runs inside its handler, so that a
+# process loads only those: `volume` never compiles covers, ribbon or verify
+if TYPE_CHECKING:
+    from .polynomials import Polynomial
+    from .rationals import PiValue
+    from .trees import TreeContribution
 
 
 class UsageError(Exception):
@@ -44,6 +34,8 @@ def _json(record) -> str:
 
 def local_poly(opts: argparse.Namespace) -> None:
     """Print the local polynomial F_{m,n}."""
+    from .layers import LayerSignature, f_closed, f_recurrence
+
     sig = _or_usage(LayerSignature, opts.m, opts.n)
     poly = _or_usage(f_recurrence if opts.method == "recurrence" else f_closed, sig)
     print(_json(poly.to_records(sig.faces)) if opts.fmt == "json" else poly.to_text(arity=sig.faces))
@@ -51,6 +43,9 @@ def local_poly(opts: argparse.Namespace) -> None:
 
 def ribbon_enumerate(opts: argparse.Namespace) -> None:
     """List the genus-zero ribbon graphs with m trivalent and n univalent vertices."""
+    from .layers import LayerSignature
+    from .ribbon import enumerate_graphs
+
     _or_usage(LayerSignature, opts.m, opts.n)
     mode = "full" if opts.full_labels else "faces-only"
     graphs = _or_usage(enumerate_graphs, opts.m, opts.n, label_mode=mode)
@@ -60,6 +55,9 @@ def ribbon_enumerate(opts: argparse.Namespace) -> None:
 
 def ribbon_count(opts: argparse.Namespace) -> None:
     """Count the lattice metrics of a ribbon graph with the given face widths."""
+    from .layers import LayerSignature
+    from .ribbon import enumerate_graphs, exact_lattice_count
+
     try:
         m, n, index = map(int, opts.graph_id.split("-"))
     except ValueError:
@@ -77,6 +75,9 @@ def ribbon_count(opts: argparse.Namespace) -> None:
 
 def ribbon_fit(opts: argparse.Namespace) -> None:
     """Recover the leading term of F_{m,n} from raw lattice counts."""
+    from .layers import LayerSignature
+    from .ribbon import leading_part_fit
+
     sig = _or_usage(LayerSignature, opts.m, opts.n)
     print(_json(_or_usage(leading_part_fit, opts.m, opts.n).to_records(sig.faces)))
 
@@ -146,6 +147,8 @@ def _zeta_latex(zeta_terms: tuple) -> str:
 
 
 def _factor_latex(contribution: TreeContribution) -> str:
+    from .trees import local_product
+
     tree = contribution.tree
     pieces = []
     for v in range(tree.vertices):
@@ -158,8 +161,12 @@ def _factor_latex(contribution: TreeContribution) -> str:
 
 
 def _volume_latex(big_k: int, contributions: list[TreeContribution], no_meta: bool) -> str:
+    from .rationals import PiValue
+
     lines = []
     if not no_meta:
+        import datetime
+
         stamp = datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         lines.append(f"% volume table for K={big_k}, generated {stamp}")
     lines.append(_LATEX_HEADER)
@@ -195,6 +202,9 @@ def volume_cmd(opts: argparse.Namespace) -> None:
     The total alone comes from the labelled-tree series; --per-tree and
     latex-table enumerate every decorated tree.
     """
+    from .rationals import PiValue
+    from .trees import check_per_tree_size, check_series_size, enumerate_decorated_trees, tree_contribution, volume
+
     big_k, per_tree, fmt = opts.big_k, opts.per_tree, opts.fmt
     if big_k < 1:
         raise UsageError("--K must be a positive integer")
@@ -243,6 +253,8 @@ def volume_cmd(opts: argparse.Namespace) -> None:
 
 def covers_count(opts: argparse.Namespace) -> None:
     """Connected cover counts graded by degree, zeros, and poles."""
+    from .covers import NAIVE_MAX_DEGREE, connected_counts, naive_connected_counts, sq_count
+
     big_k, max_degree = opts.big_k, opts.max_degree
     if big_k < 1 or max_degree < 1:
         raise UsageError("--K and --max-degree must be positive")
@@ -260,6 +272,8 @@ def covers_count(opts: argparse.Namespace) -> None:
 
 def covers_ratio(opts: argparse.Namespace) -> None:
     """Cover counts normalized by the volume asymptotics (tends to 1)."""
+    from .covers import cover_ratios
+
     if opts.big_k < 1:
         raise UsageError("--K must be a positive integer")
     try:
@@ -275,7 +289,13 @@ def covers_ratio(opts: argparse.Namespace) -> None:
 
 def verify_cmd(opts: argparse.Namespace) -> int:
     """Recompute everything both ways; exit 0 only if all routes agree."""
+    from .covers import NAIVE_MAX_DEGREE
+    from .trees import check_per_tree_size
+    from .verify import check_verification_size, run_verification
+
     k_max, mn_max, cover_n_max = opts.k_max, opts.mn_max, opts.cover_n_max
+    if cover_n_max is None:
+        cover_n_max = NAIVE_MAX_DEGREE
     try:
         check_per_tree_size(k_max)
     except ValueError as exc:
@@ -310,6 +330,15 @@ class _Formatter(argparse.HelpFormatter):
 
     def add_usage(self, usage, actions, groups, prefix=None):
         super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+    def _expand_help(self, action):
+        # --cover-N-max defaults to covers.NAIVE_MAX_DEGREE, read here so that
+        # building the parser imports no layer
+        if action.dest == "cover_n_max" and action.default is None:
+            from .covers import NAIVE_MAX_DEGREE
+
+            action.default = NAIVE_MAX_DEGREE
+        return super()._expand_help(action)
 
 
 # every parser: a capitalised `Usage:` line and no abbreviated options
@@ -383,7 +412,7 @@ def _parser(prog: str | None) -> argparse.ArgumentParser:
     cmd = _command(commands, "verify", verify_cmd)
     cmd.add_argument("--K-max", dest="k_max", type=_non_negative, default=2, help=default)
     cmd.add_argument("--mn-max", type=_non_negative, default=8, help=default)
-    cmd.add_argument("--cover-N-max", dest="cover_n_max", type=_non_negative, default=NAIVE_MAX_DEGREE, help=default)
+    cmd.add_argument("--cover-N-max", dest="cover_n_max", type=_non_negative, help=default)
     return root
 
 

@@ -331,11 +331,15 @@ COVERS_MAX_SECONDS = 15
 
 def check_cover_size(k: int, max_degree: int) -> None:
     """Refuse a cover count that would not finish in reasonable time."""
-    seconds = 6.2e-7 * k**2 * math.exp(math.pi * math.sqrt(2 * max_degree / 3))
+    try:
+        seconds = 6.2e-7 * k**2 * math.exp(math.pi * math.sqrt(2 * max_degree / 3))
+    except OverflowError:  # an estimate past the float range, from degree about 76,500 on
+        seconds = math.inf
     if seconds > COVERS_MAX_SECONDS:
+        estimate = f"about {round(seconds)} s" if seconds < math.inf else "more than 10^308 s"
         raise ValueError(
             f"the character route handles requests of up to about {COVERS_MAX_SECONDS} s; "
-            f"the cover counts for K={k} to degree {max_degree} would take about {round(seconds)} s"
+            f"the cover counts for K={k} to degree {max_degree} would take {estimate}"
         )
 
 

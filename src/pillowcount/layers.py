@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polynomials import Polynomial, apply_D
-from .rationals import binomial, compositions, factorial, multinomial
+from .rationals import binomial, capped_binomial, compositions, factorial, multinomial, size_text
 
 __all__ = [
     "MAX_LOCAL_TERMS",
@@ -61,8 +61,9 @@ MAX_LOCAL_TERMS = 200_000
 
 
 def _term_count(sig: LayerSignature) -> int:
-    """Number of monomials of F_{m,n}: the compositions of a into l parts."""
-    return binomial(sig.half_degree + sig.faces - 1, sig.faces - 1)
+    """Number of monomials of F_{m,n}, the compositions of a into l parts,
+    capped at SIZE_CAP + 1."""
+    return capped_binomial(sig.half_degree + sig.faces - 1, sig.faces - 1)
 
 
 def check_local_size(sig: LayerSignature) -> None:
@@ -70,7 +71,7 @@ def check_local_size(sig: LayerSignature) -> None:
     count = _term_count(sig)
     if count > MAX_LOCAL_TERMS:
         raise ValueError(
-            f"F_{{{sig.m},{sig.n}}} has {count} terms, more than the limit of {MAX_LOCAL_TERMS}"
+            f"F_{{{sig.m},{sig.n}}} has {size_text(count)} terms, more than the limit of {MAX_LOCAL_TERMS}"
         )
 
 

@@ -15,6 +15,10 @@ from typing import Iterable, Iterator, Sequence, Union
 __all__ = [
     "factorial",
     "binomial",
+    "SIZE_CAP",
+    "capped_binomial",
+    "capped_product",
+    "size_text",
     "multinomial",
     "compositions",
     "interpolate",
@@ -40,6 +44,41 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+# refusal messages print a size exactly up to this bound; a larger size is
+# built only until it passes the bound, so that a huge request is refused at once
+SIZE_CAP = 10**18
+
+
+def capped_binomial(n: int, k: int) -> int:
+    """min(C(n, k), SIZE_CAP + 1).  The partial values C(n-k+i, i) at least
+    double with each step i <= min(k, n-k), so about 60 steps decide it."""
+    if k < 0 or k > n:
+        return 0
+    k = min(k, n - k)
+    value = 1
+    for i in range(1, k + 1):
+        value = value * (n - k + i) // i
+        if value > SIZE_CAP:
+            return SIZE_CAP + 1
+    return value
+
+
+def capped_product(factors: Iterable[int]) -> int:
+    """min(product of the factors, SIZE_CAP + 1) for factors >= 1, read only
+    until the partial product passes SIZE_CAP."""
+    value = 1
+    for factor in factors:
+        value *= factor
+        if value > SIZE_CAP:
+            return SIZE_CAP + 1
+    return value
+
+
+def size_text(size: int) -> str:
+    """A size from capped_binomial or capped_product, as refusal messages print it."""
+    return str(size) if size <= SIZE_CAP else "over 10^18"
 
 
 def multinomial(n: int, parts: Iterable[int]) -> int:

@@ -19,13 +19,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from math import gcd, prod
+from itertools import chain, permutations
+from math import gcd
 from typing import Iterator, Sequence
 
 from .layers import LayerSignature
 from .polynomials import Polynomial, RationalFunction, rf_add, rf_equal, rf_mul, rf_partial, rf_scale
-from .rationals import binomial, compositions, factorial, interpolate
+from .rationals import binomial, capped_product, compositions, interpolate, size_text
 
 # enumerate_graphs refuses signatures with more labelled pairings than this
 MAX_LABELLED_PAIRINGS = 1_000_000
@@ -133,8 +133,9 @@ def _walk(sigma: Sequence[int], alpha: Sequence[int], root: int) -> list[int]:
 
 
 def _labelled_pairings(m: int, n: int) -> int:
-    """(3m+n-1)!! * l!: the face-labelled dart pairings enumerate_graphs walks."""
-    return prod(range(3 * m + n - 1, 0, -2)) * factorial(LayerSignature(m, n).faces)
+    """(3m+n-1)!! * l!, the face-labelled dart pairings enumerate_graphs walks,
+    capped at SIZE_CAP + 1."""
+    return capped_product(chain(range(3 * m + n - 1, 0, -2), range(2, LayerSignature(m, n).faces + 1)))
 
 
 def enumerate_graphs(m: int, n: int, label_mode: str = "faces-only") -> list[RibbonGraph]:
@@ -154,7 +155,7 @@ def enumerate_graphs(m: int, n: int, label_mode: str = "faces-only") -> list[Rib
     size = _labelled_pairings(m, n)
     if size > MAX_LABELLED_PAIRINGS:
         raise ValueError(
-            f"signature ({m},{n}) has {size} labelled pairings to enumerate, "
+            f"signature ({m},{n}) has {size_text(size)} labelled pairings to enumerate, "
             f"more than the limit of {MAX_LABELLED_PAIRINGS}"
         )
     d = 3 * m + n

@@ -9,13 +9,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-import pillowcount.cli as cli_mod
 import pillowcount.covers as covers_mod
+import pillowcount.trees as trees_mod
 import pillowcount.verify as verify_mod
 from pillowcount.cli import main
 from pillowcount.polynomials import Polynomial
@@ -166,7 +167,7 @@ def _refuse_work(*args, **kwargs):
     [["--per-tree"], ["--format", "latex-table"], ["--per-tree", "--format", "json"]],
 )
 def test_volume_refuses_per_tree_above_limit(runner, monkeypatch, args):
-    monkeypatch.setattr(cli_mod, "enumerate_decorated_trees", _refuse_work)
+    monkeypatch.setattr(trees_mod, "enumerate_decorated_trees", _refuse_work)
     result = runner.invoke(main, ["volume", "--K", "12", *args])
     assert result.exit_code == 2
     assert "K <= 11" in result.output
@@ -174,7 +175,7 @@ def test_volume_refuses_per_tree_above_limit(runner, monkeypatch, args):
 
 
 def test_volume_refuses_series_above_limit(runner, monkeypatch):
-    monkeypatch.setattr(cli_mod, "volume", _refuse_work)
+    monkeypatch.setattr(trees_mod, "volume", _refuse_work)
     result = runner.invoke(main, ["volume", "--K", "41"])
     assert result.exit_code == 2
     assert "K <= 40" in result.output
@@ -182,7 +183,7 @@ def test_volume_refuses_series_above_limit(runner, monkeypatch):
 
 
 def test_volume_series_has_no_per_tree_limit(runner, monkeypatch):
-    monkeypatch.setattr(cli_mod, "enumerate_decorated_trees", _refuse_work)
+    monkeypatch.setattr(trees_mod, "enumerate_decorated_trees", _refuse_work)
     result = runner.invoke(main, ["volume", "--K", "20"])
     assert result.exit_code == 0
     assert result.output == "pi^42 * 1/524288\n"
@@ -238,6 +239,24 @@ def test_ribbon_commands_refuse_oversized_signature(runner):
         result = runner.invoke(main, ["ribbon", *args])
         assert result.exit_code == 2
         assert "48648600 labelled pairings" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["local-poly", "--m", "400000", "--n", "0"], "F_{400000,0} has over 10^18 terms"),
+        (["local-poly", "--m", "1000000000", "--n", "0"], "F_{1000000000,0} has over 10^18 terms"),
+        (["ribbon", "enumerate", "--m", "100000", "--n", "0"], "(100000,0) has over 10^18 labelled pairings"),
+        (["ribbon", "enumerate", "--m", "1000000000", "--n", "0"], "(1000000000,0) has over 10^18 labelled pairings"),
+    ],
+)
+def test_huge_signatures_are_refused_at_once(runner, args, message):
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "more than the limit of" in result.output
 
 
 def test_ribbon_fit(runner):
@@ -300,6 +319,8 @@ def test_covers_count_naive_degree_limit(runner):
     [
         (["count", "--K", "20", "--max-degree", "24"], "K=20 to degree 24 would take about 71 s"),
         (["ratio", "--K", "1", "--degrees", "10,60"], "K=1 to degree 60 would take about 264 s"),
+        (["count", "--K", "1", "--max-degree", "1000000"], "K=1 to degree 1000000 would take more than 10^308 s"),
+        (["ratio", "--K", "1", "--degrees", "5,100000"], "K=1 to degree 100000 would take more than 10^308 s"),
     ],
 )
 def test_covers_refuse_requests_above_limit(runner, monkeypatch, args, estimate):
@@ -346,14 +367,14 @@ def test_verify_passes(runner):
 
 @pytest.mark.parametrize("option", ["--K-max", "--mn-max", "--cover-N-max"])
 def test_verify_rejects_negative_bounds(runner, monkeypatch, option):
-    monkeypatch.setattr(cli_mod, "run_verification", _refuse_work)
+    monkeypatch.setattr(verify_mod, "run_verification", _refuse_work)
     result = runner.invoke(main, ["verify", option, "-3"])
     assert result.exit_code == 2
     assert "-3 is not in the range x>=0" in result.output
 
 
 def test_verify_refuses_K_max_above_per_tree_limit(runner, monkeypatch):
-    monkeypatch.setattr(cli_mod, "run_verification", _refuse_work)
+    monkeypatch.setattr(verify_mod, "run_verification", _refuse_work)
     result = runner.invoke(main, ["verify", "--K-max", "13"])
     assert result.exit_code == 2
     assert "--K-max 13" in result.output
@@ -380,7 +401,7 @@ def test_verify_fails_when_no_checks_run(runner):
 
 def test_verify_notes_capped_cover_degree(runner, monkeypatch):
     stub = [verify_mod.CheckResult("stub", True, "", "")]
-    monkeypatch.setattr(cli_mod, "run_verification", lambda **bounds: stub)
+    monkeypatch.setattr(verify_mod, "run_verification", lambda **bounds: stub)
     capped = runner.invoke(main, ["verify", "--cover-N-max", "7"])
     assert capped.exit_code == 0
     assert "capped at 5" in capped.stderr
@@ -422,7 +443,7 @@ def test_main_ends_in_system_exit_with_the_status(capsys, monkeypatch):
         main(args=["volume", "--K", "1"], prog_name="pillowcount")
     assert done.value.code == 0
     assert capsys.readouterr().out == "pi^4 * 1/1\n"
-    monkeypatch.setattr(cli_mod, "run_verification", lambda **bounds: [verify_mod.CheckResult("stub", False, "1", "2")])
+    monkeypatch.setattr(verify_mod, "run_verification", lambda **bounds: [verify_mod.CheckResult("stub", False, "1", "2")])
     with pytest.raises(SystemExit) as done:
         main(args=["verify"], prog_name="pillowcount")
     assert done.value.code == 1
@@ -431,7 +452,7 @@ def test_main_ends_in_system_exit_with_the_status(capsys, monkeypatch):
 
 @pytest.mark.parametrize("args", [["verify", "--K", "3"], ["volume", "--K", "2", "--per"]])
 def test_option_prefixes_are_usage_errors(runner, monkeypatch, args):
-    monkeypatch.setattr(cli_mod, "run_verification", _refuse_work)
+    monkeypatch.setattr(verify_mod, "run_verification", _refuse_work)
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.stdout == ""
@@ -444,3 +465,37 @@ def test_cli_import_loads_no_click():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)}
     ).stdout
     assert out == "False\n"
+
+
+LAYERS = ("covers", "layers", "polynomials", "rationals", "ribbon", "trees", "verify")
+
+
+@pytest.mark.parametrize(
+    "args, absent",
+    [
+        (["volume", "--K", "1"], ("covers", "ribbon", "verify")),
+        (["covers", "ratio", "--K", "1", "--degrees", "4"], ("trees", "layers", "polynomials", "ribbon", "verify")),
+        (["--help"], LAYERS),
+    ],
+)
+def test_each_command_imports_only_the_layers_it_runs(args, absent):
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys\n"
+        "from pillowcount.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit as done:\n"
+        "    print(done.code, *sorted(m for m in sys.modules if m.startswith('pillowcount.')), file=sys.stderr)\n"
+    )
+    err = subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stderr
+    code, *loaded = err.split()
+    assert code == "0"
+    assert "pillowcount.cli" in loaded
+    assert not {f"pillowcount.{name}" for name in absent} & set(loaded)

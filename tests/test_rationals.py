@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pillowcount.rationals import (
+    SIZE_CAP,
     PiValue,
     bernoulli,
     binomial,
+    capped_binomial,
+    capped_product,
     compositions,
     factorial,
     interpolate,
     multinomial,
+    size_text,
     zeta_even,
 )
 
@@ -52,6 +57,20 @@ def test_binomial_values_and_edges():
     assert binomial(5, -1) == 0
     with pytest.raises(ValueError):
         binomial(-2, 1)
+
+
+def test_capped_sizes_are_exact_up_to_the_cap():
+    for n in range(30):
+        for k in range(-1, n + 2):
+            assert capped_binomial(n, k) == binomial(n, k)
+    assert capped_binomial(63, 31) == math.comb(63, 31) <= SIZE_CAP
+    assert capped_binomial(64, 32) == SIZE_CAP + 1 < math.comb(64, 32)
+    assert capped_binomial(10**9, 5 * 10**8) == SIZE_CAP + 1
+    assert capped_product(range(1, 20)) == math.factorial(19) <= SIZE_CAP
+    assert capped_product(range(1, 21)) == SIZE_CAP + 1 < math.factorial(20)
+    assert capped_product(range(10**18, 0, -1)) == SIZE_CAP + 1
+    assert size_text(SIZE_CAP) == str(SIZE_CAP)
+    assert size_text(SIZE_CAP + 1) == "over 10^18"
 
 
 def test_multinomial_values_and_errors():
