@@ -14,11 +14,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from . import layers
-from .polynomials import Polynomial
 from .rationals import PiValue, bernoulli, binomial, compositions, factorial, interpolate, multinomial, zeta_even
+
+# the series route behind `volume` needs only rationals, so the per-tree
+# route imports layers and polynomials where it runs
+if TYPE_CHECKING:
+    from . import layers
+    from .polynomials import Polynomial
 
 __all__ = [
     "DecoratedTree",
@@ -57,6 +61,8 @@ class DecoratedTree:
     _canon: tuple[tuple, int] | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        from . import layers
+
         v = self.vertices
         if v < 2:
             raise ValueError("a decorated tree needs at least two vertices")
@@ -354,6 +360,8 @@ class TreeContribution:
 def _local_terms(t: DecoratedTree) -> dict[tuple[int, ...], int]:
     """Product over all vertices of F_{m_v,n_v} in the edge width variables,
     as integer coefficients keyed by exponent tuples of full length k."""
+    from . import layers
+
     incident: list[list[int]] = [[] for _ in range(t.vertices)]
     for i, (a, b) in enumerate(t.edges):
         incident[a].append(i)
@@ -381,6 +389,8 @@ def _local_terms(t: DecoratedTree) -> dict[tuple[int, ...], int]:
 def local_product(t: DecoratedTree) -> Polynomial:
     """Product over all vertices of F_{m_v,n_v}, each written in the width
     variables of the edges incident to the vertex."""
+    from .polynomials import Polynomial
+
     return Polynomial(_local_terms(t))
 
 

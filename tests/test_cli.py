@@ -473,7 +473,7 @@ LAYERS = ("covers", "layers", "polynomials", "rationals", "ribbon", "trees", "ve
 @pytest.mark.parametrize(
     "args, absent",
     [
-        (["volume", "--K", "1"], ("covers", "ribbon", "verify")),
+        (["volume", "--K", "1"], ("covers", "layers", "polynomials", "ribbon", "verify")),
         (["covers", "ratio", "--K", "1", "--degrees", "4"], ("trees", "layers", "polynomials", "ribbon", "verify")),
         (["--help"], LAYERS),
     ],
