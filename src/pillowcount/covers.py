@@ -13,8 +13,10 @@ classes C1..C4.  Character values come from the Murnaghan-Nakayama rule.
 The cover counts build the values on a class 3^a 2^c 1^b all at once, as
 the Schur expansion of the power-sum product p_3^a p_2^c p_1^b: shapes are
 bead masks, each factor p_r adds every r-border strip, and a class of
-degree N + 2 is one p_2 step from its class of degree N.  `character`
-removes strips from a single shape top-down and is the reference route.
+degree N + 2 is one p_2 step from its class of degree N.  That step is
+taken once per degree for all classes of the degree's parity, their values
+packed side by side into one int per shape.  `character` removes strips
+from a single shape top-down and is the reference route.
 
 A cycle of length c in a corner monodromy sits over that corner as a point
 where the induced quadratic differential has order c - 2: fixed points are
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .rationals import multinomial
+from .rationals import multinomial, seconds_text
 
 Partition = tuple[int, ...]
 Profile = tuple[Partition, Partition, Partition, Partition]
@@ -228,6 +230,29 @@ def _add_strips(column: dict[int, int], r: int) -> dict[int, int]:
     return {mask: value for mask, value in out.items() if value}
 
 
+def _unpack(packed: dict[int, int], slots: int, width: int) -> list[dict[int, int]]:
+    """Split every packed value into `slots` balanced digits of `width` bits,
+    lowest slot first: one map from mask to nonzero digit per slot.  Each
+    digit must lie strictly between -2^(width-1) and 2^(width-1)."""
+    columns: list[dict[int, int]] = [{} for _ in range(slots)]
+    full = 1 << width
+    low = full - 1
+    half = full >> 1
+    for mask, value in packed.items():
+        for column in columns:
+            digit = value & low
+            value >>= width
+            if digit >= half:
+                # a negative digit borrowed one from the slots above it
+                digit -= full
+                value += 1
+            if digit:
+                column[mask] = digit
+            if not value:
+                break
+    return columns
+
+
 def _character_columns(
     max_degree: int, max_threes: int, max_ones: int
 ) -> Iterator[tuple[int, dict[Partition, dict[int, int]]]]:
@@ -238,27 +263,46 @@ def _character_columns(
 
     A shape is keyed by its bead mask, the bit set of its beta-numbers
     with max_degree beads; a shape of degree n has at most n rows, so every
-    shape of the request fits.  Each column is one power-sum step from a
-    column of lower degree: p_2 from degree n - 2 while c > 0, else p_1
-    from degree n - 1 while b > 0, else p_3 from degree n - 3.  Only the
-    last three degrees are kept.
+    shape of the request fits.  The seed columns, c = 0, are one step from
+    a seed of lower degree: p_1 from degree n - 1 while b > 0, else p_3
+    from degree n - 3; only the last three degrees of seeds are kept.
+
+    A class with c > 0 is one p_2 step from its class of degree n - 2, and
+    every class of a degree shares that step.  So the classes of each
+    parity of n are packed into one int per shape, one slot of `width`
+    bits per class in balanced digits, and each degree takes one p_2 pass
+    over the packed chain of its parity; a seed enters a new slot at its
+    own degree.  A digit is a character value, at most the dimension, so
+    below sqrt(max_degree!) in size, and only final values are unpacked.
     """
-    by_degree = {0: {(0, 0): {(1 << max_degree) - 1: 1}}}
+    width = math.factorial(max_degree).bit_length() + 2
+    empty = (1 << max_degree) - 1
+    seeds = {0: {(0, 0): {empty: 1}}}
+    # per parity of n: the (a, b) of each slot, in slot order, and the chain
+    slots: tuple[list[tuple[int, int]], list[tuple[int, int]]] = ([(0, 0)], [])
+    packed: list[dict[int, int]] = [{empty: 1}, {}]
     for n in range(1, max_degree + 1):
-        chains: dict[tuple[int, int], dict[int, int]] = {}
-        columns: dict[Partition, dict[int, int]] = {}
-        for cls in corner_types(n, max_threes, max_ones):
-            a, b = zeros_and_poles((cls,))
-            if 3 * a + b < n:
-                column = _add_strips(by_degree[n - 2][a, b], 2)
-            elif b:
-                column = _add_strips(by_degree[n - 1][a, b - 1], 1)
+        fresh: dict[tuple[int, int], dict[int, int]] = {}
+        for a in range(min(max_threes, n // 3) + 1):
+            b = n - 3 * a
+            if b > max_ones:
+                continue
+            if b:
+                fresh[a, b] = _add_strips(seeds[n - 1][a, b - 1], 1)
             else:
-                column = _add_strips(by_degree[n - 3][a - 1, 0], 3)
-            chains[a, b] = columns[cls] = column
-        by_degree[n] = chains
-        by_degree.pop(n - 3, None)
-        yield n, columns
+                fresh[a, b] = _add_strips(seeds[n - 3][a - 1, 0], 3)
+        seeds[n] = fresh
+        seeds.pop(n - 3, None)
+        keys = slots[n % 2]
+        chain = _add_strips(packed[n % 2], 2)
+        for key, column in fresh.items():
+            shift = width * len(keys)
+            keys.append(key)
+            for mask, value in column.items():
+                chain[mask] = chain.get(mask, 0) + (value << shift)
+        packed[n % 2] = chain
+        by_key = dict(zip(keys, _unpack(chain, len(keys), width)))
+        yield n, {cls: by_key[zeros_and_poles((cls,))] for cls in corner_types(n, max_threes, max_ones)}
 
 
 def _mask_hook_product(mask: int) -> int:
@@ -323,23 +367,29 @@ def _multiset_values(
         yield n, out
 
 
-# the cover counts for K = 1 to degree 40 take about 7 s on a 2-CPU VM, and
-# K = 8 to degree 24 about 15 s; the time grows about like K^2 N p(N), and
-# N p(N) like exp(pi sqrt(2N/3))
+# the cover counts for K = 1 to degree 40 take about 3 s on a 2-CPU VM, and
+# K = 12 to degree 24 about 37 s
 COVERS_MAX_SECONDS = 15
 
 
 def check_cover_size(k: int, max_degree: int) -> None:
-    """Refuse a cover count that would not finish in reasonable time."""
+    """Refuse a cover count that would not finish in reasonable time.
+
+    The estimate 5.8e-4 * exp(1.04 k_s + 0.188 N) seconds was fitted to 57
+    in-process times for K = 1..20 and N = 16..45 and is within a factor of
+    1.7 of each.  k_s = N / (1.85 + N/K) is K while K is small against N,
+    and stops growing once the corner classes of degree N hold every
+    3-cycle and fixed point the bounds allow.
+    """
     try:
-        seconds = 6.2e-7 * k**2 * math.exp(math.pi * math.sqrt(2 * max_degree / 3))
-    except OverflowError:  # an estimate past the float range, from degree about 76,500 on
+        saturated = max_degree / (1.85 + max_degree / k)
+        seconds = 5.8e-4 * math.exp(1.04 * saturated + 0.188 * max_degree)
+    except OverflowError:  # an estimate past the float range, from degree about 3,770 on
         seconds = math.inf
     if seconds > COVERS_MAX_SECONDS:
-        estimate = f"about {round(seconds)} s" if seconds < math.inf else "more than 10^308 s"
         raise ValueError(
             f"the character route handles requests of up to about {COVERS_MAX_SECONDS} s; "
-            f"the cover counts for K={k} to degree {max_degree} would take {estimate}"
+            f"the cover counts for K={k} to degree {max_degree} would take {seconds_text(seconds)}"
         )
 
 
@@ -399,6 +449,10 @@ def sq_count(counts: dict[Cell, Fraction], k: int, n_max: int) -> Fraction:
         (counts.get((n, k, k + 4), Fraction(0)) for n in range(1, n_max + 1)),
         Fraction(0),
     )
+    if not total:
+        # no cell reaches (k, k + 4), as for every n_max <= k: a huge k then
+        # builds no factorial
+        return total
     return Fraction(math.factorial(k) * math.factorial(k + 4), 4) * total
 
 
@@ -415,10 +469,12 @@ def cover_ratios(k: int, degrees: Iterable[int]) -> dict[int, float]:
         raise ValueError("degrees must be positive integers")
     counts = connected_counts(k, wanted[-1])
     dim = 2 * k + 2
-    return {
-        n: float(2 * dim * sq_count(counts, k, n)) * 2.0 ** (k - 1) / (math.pi ** (2 * k + 2) * n**dim)
-        for n in wanted
-    }
+    ratios = {}
+    for n in wanted:
+        sq = sq_count(counts, k, n)
+        # sq is 0 for every n <= k, and the floats would overflow from k = 1025 on
+        ratios[n] = float(2 * dim * sq) * 2.0 ** (k - 1) / (math.pi ** (2 * k + 2) * n**dim) if sq else 0.0
+    return ratios
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,9 @@
 """Exact rational arithmetic helpers: Bernoulli numbers, zeta values at even
 integers, rational multiples of powers of pi, and polynomial interpolation.
 
-Everything here is exact. Floating point never appears; decimal rendering is
-left to callers that need it for display.
+Everything here is exact. Floating point appears only in the time estimates
+of refusal messages; decimal rendering is left to callers that need it for
+display.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ __all__ = [
     "capped_binomial",
     "capped_product",
     "size_text",
+    "seconds_text",
     "multinomial",
     "compositions",
     "interpolate",
@@ -79,6 +81,12 @@ def capped_product(factors: Iterable[int]) -> int:
 def size_text(size: int) -> str:
     """A size from capped_binomial or capped_product, as refusal messages print it."""
     return str(size) if size <= SIZE_CAP else "over 10^18"
+
+
+def seconds_text(seconds: float) -> str:
+    """A time estimate as refusal messages print it; an estimate past the
+    float range is math.inf."""
+    return f"about {round(seconds)} s" if seconds < math.inf else "more than 10^308 s"
 
 
 def multinomial(n: int, parts: Iterable[int]) -> int:

@@ -13,10 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import inf, prod
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .rationals import PiValue, bernoulli, binomial, compositions, factorial, interpolate, multinomial, zeta_even
+from .rationals import (
+    PiValue,
+    bernoulli,
+    binomial,
+    compositions,
+    factorial,
+    interpolate,
+    multinomial,
+    seconds_text,
+    zeta_even,
+)
 
 # the series route behind `volume` needs only rationals, so the per-tree
 # route imports layers and polynomials where it runs
@@ -279,10 +289,13 @@ PER_TREE_MAX_K = 11
 def check_per_tree_size(K: int) -> None:
     """Refuse a per-tree request that would not finish in reasonable time."""
     if K > PER_TREE_MAX_K:
-        seconds = 13 * 3 ** (K - PER_TREE_MAX_K)
+        try:
+            seconds = 13 * 3.0 ** (K - PER_TREE_MAX_K)
+        except OverflowError:  # an estimate past the float range, from K = 658 on
+            seconds = inf
         raise ValueError(
             f"the per-tree route handles K <= {PER_TREE_MAX_K}; enumerating every "
-            f"decorated tree for K={K} would take about {seconds} s"
+            f"decorated tree for K={K} would take {seconds_text(seconds)}"
         )
 
 
@@ -538,12 +551,15 @@ SERIES_MAX_K = 40
 def check_series_size(K: int, evaluations: int = 1) -> None:
     """Refuse evaluating the tree series of K that many times when it would
     take longer than one evaluation at K = SERIES_MAX_K."""
-    seconds = 12 * evaluations * (K / SERIES_MAX_K) ** 4.5
+    try:
+        seconds = 12 * evaluations * (K / SERIES_MAX_K) ** 4.5
+    except OverflowError:  # an estimate past the float range
+        seconds = inf
     if seconds > 12:
         per, times = ("", "") if evaluations == 1 else (" in one evaluation", f" evaluated {evaluations} times")
         raise ValueError(
             f"the series route handles K <= {SERIES_MAX_K}{per}; the tree series "
-            f"for K={K}{times} would take about {round(seconds)} s"
+            f"for K={K}{times} would take {seconds_text(seconds)}"
         )
 
 

@@ -259,6 +259,25 @@ def test_huge_signatures_are_refused_at_once(runner, args, message):
     assert "more than the limit of" in result.output
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["volume", "--K", str(10**29), "--per-tree"], "K <= 11"),
+        (["volume", "--K", str(10**400)], "K <= 40"),
+        (["verify", "--K-max", str(10**21)], "K <= 11"),
+    ],
+)
+def test_huge_K_is_refused_at_once(runner, monkeypatch, args, message):
+    monkeypatch.setattr(trees_mod, "volume", _refuse_work)
+    monkeypatch.setattr(verify_mod, "run_verification", _refuse_work)
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "would take more than 10^308 s" in result.output
+
+
 def test_ribbon_fit(runner):
     result = runner.invoke(main, ["ribbon", "fit", "--m", "1", "--n", "1"])
     assert result.exit_code == 0
@@ -317,8 +336,8 @@ def test_covers_count_naive_degree_limit(runner):
 @pytest.mark.parametrize(
     "args, estimate",
     [
-        (["count", "--K", "20", "--max-degree", "24"], "K=20 to degree 24 would take about 71 s"),
-        (["ratio", "--K", "1", "--degrees", "10,60"], "K=1 to degree 60 would take about 264 s"),
+        (["count", "--K", "20", "--max-degree", "24"], "K=20 to degree 24 would take about 189 s"),
+        (["ratio", "--K", "1", "--degrees", "10,60"], "K=1 to degree 60 would take about 126 s"),
         (["count", "--K", "1", "--max-degree", "1000000"], "K=1 to degree 1000000 would take more than 10^308 s"),
         (["ratio", "--K", "1", "--degrees", "5,100000"], "K=1 to degree 100000 would take more than 10^308 s"),
     ],
@@ -333,6 +352,19 @@ def test_covers_refuse_requests_above_limit(runner, monkeypatch, args, estimate)
 @pytest.mark.parametrize("big_k, max_degree", [(1, 30), (2, 24), (1, 40)])
 def test_covers_limit_allows_benchmark_and_readme_requests(big_k, max_degree):
     covers_mod.check_cover_size(big_k, max_degree)
+
+
+def test_covers_huge_K_at_small_degree_is_cheap(runner):
+    """Past about twice the degree, K adds no work to the character route, and
+    no surface of degree N <= K exists: both commands print zeros at once,
+    without building K! or a float power of pi that overflows."""
+    start = time.perf_counter()
+    ratio = runner.invoke(main, ["covers", "ratio", "--K", str(10**9), "--degrees", "3,10"])
+    count = runner.invoke(main, ["covers", "count", "--K", str(10**400), "--max-degree", "4"])
+    assert time.perf_counter() - start < 5
+    assert ratio.exit_code == count.exit_code == 0
+    assert ratio.output == "r_3 = 0.000000\nr_10 = 0.000000\n"
+    assert json.loads(count.stdout)["sq_count"] == {"num": "0", "den": "1"}
 
 
 def test_covers_ratio(runner):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from pillowcount.covers import (
     _character_columns,
     _multiset_values,
+    _unpack,
     character,
     class_size,
     connected_counts,
@@ -251,21 +253,72 @@ def test_naive_enumerate_guards():
 
 
 def test_character_columns_match_reference():
-    """Every column the power-sum builder yields, for every class with parts
-    in {1, 2, 3} up to degree 12, equals character on every shape."""
-    max_degree = 12
-
-    def bead_mask(shape):
-        rows = shape + (0,) * (max_degree - len(shape))
-        return sum(1 << (part + max_degree - 1 - i) for i, part in enumerate(rows))
-
+    """Every column the packed power-sum builder yields equals character on
+    every shape, for every max_degree up to 12 and for bounds that give no
+    class at odd n, a few slots, and every class with parts in {1, 2, 3}:
+    the slot layout depends on all three arguments."""
     classes = 0
-    for n, columns in _character_columns(max_degree, max_degree // 3, max_degree):
-        assert sorted(columns) == sorted(partitions(n, 3))
-        shapes = {bead_mask(shape): shape for shape in partitions(n)}
-        for cls, column in columns.items():
-            assert set(column) <= set(shapes)
-            for mask, shape in shapes.items():
-                assert column.get(mask, 0) == character(shape, cls)
-            classes += 1
-    assert classes == sum(len(list(partitions(n, 3))) for n in range(1, max_degree + 1))
+    for max_degree in range(1, 13):
+
+        def bead_mask(shape):
+            rows = shape + (0,) * (max_degree - len(shape))
+            return sum(1 << (part + max_degree - 1 - i) for i, part in enumerate(rows))
+
+        for max_threes, max_ones in ((0, 0), (1, 5), (2, 6), (max_degree // 3, max_degree)):
+            degrees = []
+            for n, columns in _character_columns(max_degree, max_threes, max_ones):
+                degrees.append(n)
+                assert list(columns) == corner_types(n, max_threes, max_ones)
+                shapes = {bead_mask(shape): shape for shape in partitions(n)}
+                for cls, column in columns.items():
+                    assert set(column) <= set(shapes)
+                    for mask, shape in shapes.items():
+                        assert column.get(mask, 0) == character(shape, cls)
+                    classes += 1
+            assert degrees == list(range(1, max_degree + 1))
+    assert classes == sum(
+        len(corner_types(n, max_threes, max_ones))
+        for max_degree in range(1, 13)
+        for max_threes, max_ones in ((0, 0), (1, 5), (2, 6), (max_degree // 3, max_degree))
+        for n in range(1, max_degree + 1)
+    )
+
+
+def test_unpack_balanced_slots():
+    """Digits of either sign up to 2^(w-1) - 1 in adjacent slots, a zero
+    slot between them and a negative top slot all come back exactly."""
+    width = 5
+    top = (1 << (width - 1)) - 1
+    for digits in (
+        [top, -top, top],
+        [-top, top, -top],
+        [top, 0, -top],
+        [-1, 0, 0, -top],
+        [0, 0, 1],
+        [-top, -top, -top, -top],
+    ):
+        value = sum(d << (width * i) for i, d in enumerate(digits))
+        columns = _unpack({7: value}, len(digits), width)
+        assert [column.get(7, 0) for column in columns] == digits
+        assert all(0 not in column.values() for column in columns)
+    # shapes unpack independently, and a value that runs out early leaves the upper slots empty
+    assert _unpack({1: 3, 2: -2 << width}, 3, width) == [{1: 3}, {2: -2}, {}]
+    # the width the builder uses holds chi^(1)(1) = 1 at max_degree = 1 (bead 0 moved to 1)
+    assert list(_character_columns(1, 0, 1)) == [(1, {(1,): {0b10: 1}})]
+
+
+@pytest.mark.parametrize(
+    "k, max_degree, digest",
+    [
+        (3, 16, "69aae63322e5ad87f09d6dba11532a0a26b8456861894aff80a6de636157734b"),
+        (6, 12, "a7b604357f912a8b38aeb13ced5200adff118c3ddf6c9d83804c88559fb1c5fa"),
+        (12, 10, "3578facb41b70314a08770e9f14e62fc105d4951e5061a5e0326a4836da79389"),
+    ],
+)
+def test_connected_counts_pinned_for_many_slots(k, max_degree, digest):
+    """Requests with far more classes per parity than the K = 1 and K = 2
+    goldens, pinned by the sha256 of their sorted (cell, num, den) rows as
+    computed by the one-column-at-a-time builder."""
+    counts = connected_counts(k, max_degree)
+    rows = "".join(f"{cell} {value.numerator} {value.denominator}\n" for cell, value in sorted(counts.items()))
+    assert hashlib.sha256(rows.encode()).hexdigest() == digest
