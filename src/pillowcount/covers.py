@@ -375,16 +375,18 @@ COVERS_MAX_SECONDS = 15
 def check_cover_size(k: int, max_degree: int) -> None:
     """Refuse a cover count that would not finish in reasonable time.
 
-    The estimate 5.8e-4 * exp(1.04 k_s + 0.188 N) seconds was fitted to 57
-    in-process times for K = 1..20 and N = 16..45 and is within a factor of
-    1.7 of each.  k_s = N / (1.85 + N/K) is K while K is small against N,
-    and stops growing once the corner classes of degree N hold every
-    3-cycle and fixed point the bounds allow.
+    The estimate 5.8e-4 * exp(0.77 k_s + 0.197 N) seconds was fitted to 61
+    in-process times, for K = 1..20 at N = 16..45 and K = 30..60 at
+    N = 12..16, and is within a factor of 1.43 of each.  k_s =
+    (K^-2 + (N/2)^-2)^(-1/2), a smooth min(K, N/2), is K while K is small
+    against N/2 and approaches N/2 as K grows, so the estimate stops
+    growing with K: at N = 16 it is at most 6.4 s, where K = 30, 40 and 60
+    each took about 7 s.
     """
     try:
-        saturated = max_degree / (1.85 + max_degree / k)
-        seconds = 5.8e-4 * math.exp(1.04 * saturated + 0.188 * max_degree)
-    except OverflowError:  # an estimate past the float range, from degree about 3,770 on
+        saturated = ((1 / k) ** 2 + (2 / max_degree) ** 2) ** -0.5
+        seconds = 5.8e-4 * math.exp(0.77 * saturated + 0.197 * max_degree)
+    except OverflowError:  # an estimate past the float range, from degree about 3,600 on
         seconds = math.inf
     if seconds > COVERS_MAX_SECONDS:
         raise ValueError(

@@ -336,8 +336,8 @@ def test_covers_count_naive_degree_limit(runner):
 @pytest.mark.parametrize(
     "args, estimate",
     [
-        (["count", "--K", "20", "--max-degree", "24"], "K=20 to degree 24 would take about 189 s"),
-        (["ratio", "--K", "1", "--degrees", "10,60"], "K=1 to degree 60 would take about 126 s"),
+        (["count", "--K", "20", "--max-degree", "24"], "K=20 to degree 24 would take about 181 s"),
+        (["ratio", "--K", "1", "--degrees", "10,60"], "K=1 to degree 60 would take about 170 s"),
         (["count", "--K", "1", "--max-degree", "1000000"], "K=1 to degree 1000000 would take more than 10^308 s"),
         (["ratio", "--K", "1", "--degrees", "5,100000"], "K=1 to degree 100000 would take more than 10^308 s"),
     ],

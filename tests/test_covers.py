@@ -256,7 +256,13 @@ def test_character_columns_match_reference():
     """Every column the packed power-sum builder yields equals character on
     every shape, for every max_degree up to 12 and for bounds that give no
     class at odd n, a few slots, and every class with parts in {1, 2, 3}:
-    the slot layout depends on all three arguments."""
+    the slot layout depends on all three arguments.  The expected classes
+    are read off partitions(n, 3), independently of corner_types, which the
+    builder follows for the order."""
+
+    def bounded(n, max_threes, max_ones):
+        return sorted(cls for cls in partitions(n, 3) if cls.count(3) <= max_threes and cls.count(1) <= max_ones)
+
     classes = 0
     for max_degree in range(1, 13):
 
@@ -264,24 +270,23 @@ def test_character_columns_match_reference():
             rows = shape + (0,) * (max_degree - len(shape))
             return sum(1 << (part + max_degree - 1 - i) for i, part in enumerate(rows))
 
-        for max_threes, max_ones in ((0, 0), (1, 5), (2, 6), (max_degree // 3, max_degree)):
+        bounds = ((0, 0), (1, 5), (2, 6), (max_degree // 3, max_degree))
+        for row, (max_threes, max_ones) in enumerate(bounds):
             degrees = []
             for n, columns in _character_columns(max_degree, max_threes, max_ones):
                 degrees.append(n)
                 assert list(columns) == corner_types(n, max_threes, max_ones)
+                assert sorted(columns) == bounded(n, max_threes, max_ones)
                 shapes = {bead_mask(shape): shape for shape in partitions(n)}
                 for cls, column in columns.items():
                     assert set(column) <= set(shapes)
                     for mask, shape in shapes.items():
                         assert column.get(mask, 0) == character(shape, cls)
-                    classes += 1
+                if row == 3:  # every class with parts in {1, 2, 3}
+                    assert sorted(columns) == sorted(partitions(n, 3))
+                    classes += len(columns)
             assert degrees == list(range(1, max_degree + 1))
-    assert classes == sum(
-        len(corner_types(n, max_threes, max_ones))
-        for max_degree in range(1, 13)
-        for max_threes, max_ones in ((0, 0), (1, 5), (2, 6), (max_degree // 3, max_degree))
-        for n in range(1, max_degree + 1)
-    )
+    assert classes == sum(len(list(partitions(n, 3))) for max_degree in range(1, 13) for n in range(1, max_degree + 1))
 
 
 def test_unpack_balanced_slots():
