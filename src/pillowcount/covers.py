@@ -275,7 +275,7 @@ def _character_columns(
     own degree.  A digit is a character value, at most the dimension, so
     below sqrt(max_degree!) in size, and only final values are unpacked.
     """
-    width = math.factorial(max_degree).bit_length() + 2
+    width = math.isqrt(math.factorial(max_degree)).bit_length() + 2
     empty = (1 << max_degree) - 1
     seeds = {0: {(0, 0): {empty: 1}}}
     # per parity of n: the (a, b) of each slot, in slot order, and the chain
@@ -377,11 +377,15 @@ def check_cover_size(k: int, max_degree: int) -> None:
 
     The estimate 5.8e-4 * exp(0.77 k_s + 0.197 N) seconds was fitted to 61
     in-process times, for K = 1..20 at N = 16..45 and K = 30..60 at
-    N = 12..16, and is within a factor of 1.43 of each.  k_s =
-    (K^-2 + (N/2)^-2)^(-1/2), a smooth min(K, N/2), is K while K is small
-    against N/2 and approaches N/2 as K grows, so the estimate stops
-    growing with K: at N = 16 it is at most 6.4 s, where K = 30, 40 and 60
-    each took about 7 s.
+    N = 12..16, and was within a factor of 1.43 of each while the log in
+    connected_counts was a power series.  k_s = (K^-2 + (N/2)^-2)^(-1/2),
+    a smooth min(K, N/2), is K while K is small against N/2 and approaches
+    N/2 as K grows, so the estimate stops growing with K: at N = 16 it is
+    at most 6.4 s.  With the log taken by the degree recurrence, large K
+    runs faster and is overestimated, by up to a factor of 1.8: K = 16, 30
+    and 60 at N = 16 took 1.8, 4.2 and 4.4 s against estimates of 3.4, 5.2
+    and 6.1 s.  K = 1 at N = 40..47 took 3.6 to 15.4 s, within a factor
+    of 1.17 of the estimate.
     """
     try:
         saturated = ((1 / k) ** 2 + (2 / max_degree) ** 2) ** -0.5
@@ -406,34 +410,26 @@ def connected_counts(k: int, max_degree: int) -> dict[Cell, Fraction]:
     """
     check_cover_size(k, max_degree)
     max_ones = k + 4
-    all_counts: dict[Cell, Fraction] = {}
+    # at index n, all covers A_n and connected ones C_n of degree n, each by
+    # (3-cycles, fixed points); a disjoint union of covers multiplies their
+    # terms and adds their gradings, so 1 + A = exp(C), and its derivative
+    # in the degree gives n C_n = n A_n - sum_{m<n} m C_m A_{n-m}
+    all_covers: list[dict[tuple[int, int], Fraction]] = [{}]
+    connected: list[dict[tuple[int, int], Fraction]] = [{}]
     for n, values in _multiset_values(max_degree, k, max_ones):
+        a: dict[tuple[int, int], Fraction] = {}
         for combo, value in values.items():
-            key = (n, *zeros_and_poles(combo))
-            weighted = multinomial(4, Counter(combo).values()) * value
-            all_counts[key] = all_counts.get(key, Fraction(0)) + weighted
-
-    # C = log(1 + A) = sum_j (-1)^(j+1) A^j / j, where a disjoint union of
-    # covers multiplies their terms and adds their gradings
-    by_degree: dict[int, list[tuple[Cell, Fraction]]] = {}
-    for key, value in all_counts.items():
-        by_degree.setdefault(key[0], []).append((key, value))
-    result: dict[Cell, Fraction] = {}
-    power = all_counts
-    j = 1
-    while power:
-        coeff = Fraction(1 if j % 2 else -1, j)
-        nxt: dict[Cell, Fraction] = {}
-        for (n, z, p), value in power.items():
-            result[n, z, p] = result.get((n, z, p), Fraction(0)) + coeff * value
-            for n2 in range(1, max_degree - n + 1):
-                for (_, z2, p2), value2 in by_degree.get(n2, ()):
+            key = zeros_and_poles(combo)
+            a[key] = a.get(key, 0) + multinomial(4, Counter(combo).values()) * value
+        all_covers.append(a)
+        c = {key: n * value for key, value in a.items()}
+        for m in range(1, n):
+            for (z, p), value in connected[m].items():
+                for (z2, p2), value2 in all_covers[n - m].items():
                     if z + z2 <= k and p + p2 <= max_ones:
-                        merged = (n + n2, z + z2, p + p2)
-                        nxt[merged] = nxt.get(merged, Fraction(0)) + value * value2
-        power = nxt
-        j += 1
-    return {key: value for key, value in result.items() if value != 0}
+                        c[z + z2, p + p2] = c.get((z + z2, p + p2), 0) - m * value * value2
+        connected.append({key: value / n for key, value in c.items() if value})
+    return {(n, *key): value for n, c in enumerate(connected) for key, value in c.items()}
 
 
 def sq_count(counts: dict[Cell, Fraction], k: int, n_max: int) -> Fraction:

@@ -20,21 +20,24 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations
-from math import gcd
+from math import gcd, inf, prod
 from typing import Iterator, Sequence
 
 from .layers import LayerSignature
 from .polynomials import Polynomial, RationalFunction, rf_add, rf_equal, rf_mul, rf_partial, rf_scale
-from .rationals import binomial, capped_product, compositions, interpolate, size_text
+from .rationals import binomial, capped_product, compositions, factorial, interpolate, seconds_text, size_text
 
 # enumerate_graphs refuses signatures with more labelled pairings than this
 MAX_LABELLED_PAIRINGS = 1_000_000
+# exact_lattice_count refuses widths estimated to take longer than this
+LATTICE_MAX_SECONDS = 15
 # leading_part_fit samples directions with coordinates up to this value
 SAMPLE_RADIUS = 4
 
 __all__ = [
     "RibbonGraph",
     "enumerate_graphs",
+    "check_lattice_size",
     "exact_lattice_count",
     "laplace_transform",
     "hat_F",
@@ -226,6 +229,29 @@ def _counting_order(columns: Sequence[tuple[int, ...]], l: int) -> list[tuple[in
     return rest + tail[::-1]
 
 
+def check_lattice_size(free_totals: Sequence[int]) -> None:
+    """Refuse a lattice count that would not finish in reasonable time.
+
+    exact_lattice_count loops over every total of each free column up to
+    its largest, free_totals, and the totals of f free columns that share
+    faces fill about a simplex, so it visits about prod / f! of them.  At
+    1e-5 s each, the estimate was 0.6 to 6.6 times the in-process time of
+    each of the 137 faces-only graphs of (2,0), (2,2), (3,1), (3,3), (4,0)
+    and (4,2) with a free column, at widths estimated near 1 s; it errs
+    on the side of refusing.  Graph 3-1-21 at widths near 10^6 took 14-16 s
+    (estimate 20 s), and 4-0-62 at width 100 took 11-15 s (estimate 13 s).
+    """
+    try:
+        seconds = 1e-5 * prod(free_totals) / factorial(len(free_totals))
+    except OverflowError:  # a product past the float range
+        seconds = inf
+    if seconds > LATTICE_MAX_SECONDS:
+        raise ValueError(
+            f"lattice counts handle requests of up to about {LATTICE_MAX_SECONDS} s; "
+            f"these widths would take {seconds_text(seconds)}"
+        )
+
+
 def exact_lattice_count(g: RibbonGraph, widths: Sequence[int]) -> int:
     """Number of positive half-integer edge metrics realizing the face widths.
 
@@ -256,6 +282,9 @@ def exact_lattice_count(g: RibbonGraph, widths: Sequence[int]) -> int:
     remaining = [2 * w for w in widths]
     if any(r < lo for r, lo in zip(remaining, need[0])):
         return 0
+    # the free columns lead the order, each looping up to its largest total
+    free = [k for k, f in enumerate(forcing) if f is None]
+    check_lattice_size([min((remaining[e] - need[k + 1][e]) // cols[k][e] for e in supports[k]) for k in free])
 
     def count(k: int) -> int:
         if k == len(cols):

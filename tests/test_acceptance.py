@@ -29,7 +29,8 @@ from pillowcount.ribbon import (
     leading_part_fit,
     verify_pole_recurrence,
 )
-from pillowcount.trees import enumerate_decorated_trees, tree_contribution, volume, zeta_lemma_ratio
+from pillowcount.trees import enumerate_decorated_trees, tree_contribution, volume
+from zeta_lemma import zeta_lemma_ratio
 
 
 def _report(number: int, passed: bool, detail: str) -> None:

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 import pillowcount.covers as covers_mod
+import pillowcount.ribbon as ribbon_mod
 import pillowcount.trees as trees_mod
 import pillowcount.verify as verify_mod
 from pillowcount.cli import main
@@ -257,6 +258,24 @@ def test_huge_signatures_are_refused_at_once(runner, args, message):
     assert result.exit_code == 2
     assert message in result.output
     assert "more than the limit of" in result.output
+
+
+@pytest.mark.parametrize(
+    "widths, message",
+    [
+        ("100000000,100000001,100000002", "would take about 2000 s"),
+        (",".join([str(10**400)] * 3), "would take more than 10^308 s"),
+    ],
+    ids=["widths-1e8", "widths-1e400"],
+)
+def test_ribbon_count_refuses_long_counts_at_once(runner, monkeypatch, widths, message):
+    monkeypatch.setattr(ribbon_mod, "binomial", _refuse_work)
+    start = time.perf_counter()
+    result = runner.invoke(main, ["ribbon", "count", "--graph-id", "3-1-21", "--widths", widths])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert "lattice counts handle requests of up to about 15 s" in result.output
+    assert message in result.output
 
 
 @pytest.mark.parametrize(

@@ -327,3 +327,13 @@ def test_connected_counts_pinned_for_many_slots(k, max_degree, digest):
     counts = connected_counts(k, max_degree)
     rows = "".join(f"{cell} {value.numerator} {value.denominator}\n" for cell, value in sorted(counts.items()))
     assert hashlib.sha256(rows.encode()).hexdigest() == digest
+
+
+def test_truncation_commutes_with_the_log():
+    """connected_counts(k, N) is connected_counts(K, N) for any K > k, cut to
+    z <= k and p <= k + 4: gradings only add under products, so dropping
+    the cells past the bounds commutes with them and with the log."""
+    wide = connected_counts(6, 12)
+    for k in range(1, 6):
+        cut = {(n, z, p): value for (n, z, p), value in wide.items() if z <= k and p <= k + 4}
+        assert connected_counts(k, 12) == cut

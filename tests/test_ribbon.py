@@ -17,6 +17,7 @@ from pillowcount.ribbon import (
     _directions,
     _face_partition,
     _labelled_pairings,
+    check_lattice_size,
     enumerate_graphs,
     exact_lattice_count,
     hat_F,
@@ -228,6 +229,18 @@ def test_lattice_count_input_validation():
         exact_lattice_count(g, (1,))
     with pytest.raises(ValueError):
         exact_lattice_count(g, (1, 0))
+
+
+def test_lattice_size_estimate():
+    """About 1e-5 s per tuple of free totals, prod / f! tuples for f free
+    columns, refused above 15 s."""
+    check_lattice_size([])
+    check_lattice_size([10**6])
+    check_lattice_size([200, 200, 200])
+    for free_totals, estimate in [([2 * 10**6], "about 20 s"), ([2000, 2000], "about 20 s"), ([10**200] * 2, "more than 10^308 s")]:
+        with pytest.raises(ValueError) as refused:
+            check_lattice_size(free_totals)
+        assert str(refused.value).endswith(f"would take {estimate}")
 
 
 def graphs_by_form(mn: tuple[int, int]) -> dict[tuple, list[RibbonGraph]]:

@@ -29,11 +29,11 @@ from pillowcount.trees import (
     tree_subtotals,
     volume,
     volume_series,
-    zeta_lemma_ratio,
-    zeta_lemma_sum_k1,
-    zeta_lemma_sum_k2,
     zeta_operator,
 )
+
+import zeta_lemma
+from zeta_lemma import zeta_lemma_ratio, zeta_lemma_sum_k1, zeta_lemma_sum_k2
 
 
 def test_decorated_tree_validation():
@@ -425,8 +425,8 @@ def test_zeta_lemma_ratio_refuses_odd_exponent_before_summing(monkeypatch):
     def refuse_work(*args, **kwargs):
         raise AssertionError("the finite sum started before the request was refused")
 
-    monkeypatch.setattr(trees_mod, "zeta_lemma_sum_k1", refuse_work)
-    monkeypatch.setattr(trees_mod, "zeta_lemma_sum_k2", refuse_work)
+    monkeypatch.setattr(zeta_lemma, "zeta_lemma_sum_k1", refuse_work)
+    monkeypatch.setattr(zeta_lemma, "zeta_lemma_sum_k2", refuse_work)
     for exponents in [(1,), (1, 2), (2, 1)]:
         with pytest.raises(ValueError, match="unsupported zeta argument 3"):
             zeta_lemma_ratio(exponents, 10**9)
