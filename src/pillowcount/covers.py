@@ -16,7 +16,9 @@ bead masks, each factor p_r adds every r-border strip, and a class of
 degree N + 2 is one p_2 step from its class of degree N.  That step is
 taken once per degree for all classes of the degree's parity, their values
 packed side by side into one int per shape.  `character` removes strips
-from a single shape top-down and is the reference route.
+from a single shape's bead mask top-down and is the reference route.
+`verify` checks these four-way sums, per profile, against direct
+enumeration.
 
 A cycle of length c in a corner monodromy sits over that corner as a point
 where the induced quadratic differential has order c - 2: fixed points are
@@ -70,58 +72,37 @@ def class_size(cycle_type: Partition) -> int:
     return math.factorial(sum(cycle_type)) // z
 
 
-@lru_cache(maxsize=None)
-def hook_product(shape: Partition) -> int:
-    """Product of hook lengths of the Young diagram of shape."""
-    cols = [0] * (shape[0] if shape else 0)
-    for row in shape:
-        for j in range(row):
-            cols[j] += 1
-    prod = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            arm = row - j - 1
-            leg = cols[j] - i - 1
-            prod *= arm + leg + 1
-    return prod
+def _mask(shape: Partition) -> int:
+    """The bead mask of shape, one bead per row at shape[i] + rows - 1 - i."""
+    rows = len(shape)
+    return sum(1 << (part + rows - 1 - i) for i, part in enumerate(shape))
 
 
 def dimension(shape: Partition) -> int:
     """Dimension of the irreducible S_N representation labelled by shape."""
-    return math.factorial(sum(shape)) // hook_product(shape)
-
-
-def _strip_border(shape: Partition, length: int) -> Iterator[tuple[int, Partition]]:
-    """Yield (sign, smaller shape) for each border strip of the given length
-    removable from shape, via the beta-number encoding."""
-    rows = len(shape)
-    beta = [shape[i] + (rows - 1 - i) for i in range(rows)]
-    beta_set = set(beta)
-    for b in beta:
-        nb = b - length
-        if nb < 0 or nb in beta_set:
-            continue
-        # the strip height is the number of beta entries jumped over
-        passed = sum(1 for c in beta if nb < c < b)
-        sign = -1 if passed % 2 else 1
-        new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
-        new_shape = tuple(new_beta[j] - (rows - 1 - j) for j in range(rows))
-        while new_shape and new_shape[-1] == 0:
-            new_shape = new_shape[:-1]
-        yield sign, new_shape
+    return math.factorial(sum(shape)) // _mask_hook_product(_mask(shape))
 
 
 # bounded, so that a call far past the small degrees it serves cannot grow
 # the cache without limit
 @lru_cache(maxsize=1 << 16)
-def _mn_value(shape: Partition, parts: Partition) -> int:
-    if not parts:
-        return 1
-    if parts[0] == 1:
+def _mn_value(mask: int, parts: Partition) -> int:
+    """chi^shape(parts) for the shape with this bead mask, parts decreasing.
+    Removing an r-border strip moves a bead x >= r to the empty x - r."""
+    if not parts or parts[0] == 1:
         # remaining cycles are all fixed points
-        return dimension(shape)
-    length, rest = parts[0], parts[1:]
-    return sum(sign * _mn_value(smaller, rest) for sign, smaller in _strip_border(shape, length))
+        return math.factorial(len(parts)) // _mask_hook_product(mask)
+    r, rest = parts[0], parts[1:]
+    total = 0
+    # the beads x whose position x - r is empty
+    movable = (mask >> r & ~mask) << r
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        value = _mn_value(mask ^ low ^ (low >> r), rest)
+        # signed by the beads at x - r + 1 .. x - 1, as x - r is empty
+        total += -value if (mask & (low - (low >> r))).bit_count() & 1 else value
+    return total
 
 
 def character(irrep: Partition, cls: Partition) -> int:
@@ -133,37 +114,7 @@ def character(irrep: Partition, cls: Partition) -> int:
     cls = tuple(sorted(cls, reverse=True))
     if sum(irrep) != sum(cls):
         raise ValueError("irrep and class label different symmetric groups")
-    return _mn_value(irrep, cls)
-
-
-def frobenius_count(classes: Sequence[Partition]) -> Fraction:
-    """Weighted number of tuples (g1, ..., gr) with product 1 and gi in the
-    i-th class: (1/N!) * #tuples, via the character sum
-    (prod |C_i| / N!^2) * sum_chi prod_i chi(C_i) / dim(chi)^(r-2)."""
-    if len(classes) < 2:
-        raise ValueError("need at least two conjugacy classes")
-    n = sum(classes[0])
-    for cls in classes:
-        if sum(cls) != n:
-            raise ValueError("conjugacy classes label different symmetric groups")
-    normalized = [tuple(sorted(cls, reverse=True)) for cls in classes]
-    sizes = 1
-    for cls in normalized:
-        sizes *= class_size(cls)
-    r = len(normalized)
-    # dim = N!/hook turns the sum into an integer accumulation:
-    # sum_chi prod chi / dim^(r-2) = sum_shape prod chi * hook^(r-2) / N!^(r-2)
-    total = 0
-    for shape in partitions(n):
-        prod = 1
-        for cls in normalized:
-            prod *= character(shape, cls)
-            if prod == 0:
-                break
-        if prod == 0:
-            continue
-        total += prod * hook_product(shape) ** (r - 2)
-    return Fraction(sizes * total, math.factorial(n) ** r)
+    return _mn_value(_mask(irrep), cls)
 
 
 def corner_types(n: int, max_threes: int, max_ones: int) -> list[Partition]:

@@ -141,6 +141,16 @@ def _labelled_pairings(m: int, n: int) -> int:
     return capped_product(chain(range(3 * m + n - 1, 0, -2), range(2, LayerSignature(m, n).faces + 1)))
 
 
+def _check_pairings(m: int, n: int) -> None:
+    """Refuse a signature with more labelled pairings than MAX_LABELLED_PAIRINGS."""
+    size = _labelled_pairings(m, n)
+    if size > MAX_LABELLED_PAIRINGS:
+        raise ValueError(
+            f"signature ({m},{n}) has {size_text(size)} labelled pairings to enumerate, "
+            f"more than the limit of {MAX_LABELLED_PAIRINGS}"
+        )
+
+
 def enumerate_graphs(m: int, n: int, label_mode: str = "faces-only") -> list[RibbonGraph]:
     """All isomorphism classes of connected genus-0 graphs with labelled faces.
 
@@ -155,12 +165,7 @@ def enumerate_graphs(m: int, n: int, label_mode: str = "faces-only") -> list[Rib
     if label_mode not in ("faces-only", "full"):
         raise ValueError(f"unknown label mode {label_mode!r}")
     l = LayerSignature(m, n).faces
-    size = _labelled_pairings(m, n)
-    if size > MAX_LABELLED_PAIRINGS:
-        raise ValueError(
-            f"signature ({m},{n}) has {size_text(size)} labelled pairings to enumerate, "
-            f"more than the limit of {MAX_LABELLED_PAIRINGS}"
-        )
+    _check_pairings(m, n)
     d = 3 * m + n
     full = label_mode == "full"
     sigma = _sigma(m, n)
@@ -400,8 +405,8 @@ def _wall_normals(graphs: Sequence[RibbonGraph], l: int) -> set[tuple[int, ...]]
     """Normals of the cone walls where any graph's count changes regime.
 
     Walls of a vector partition function are spanned by subsets of incidence
-    columns of rank l-1; for l <= 3 these come from single columns (l = 2)
-    or pairs of columns (l = 3).
+    columns of rank l-1; for l <= 3, the faces leading_part_fit accepts,
+    these come from single columns (l = 2) or pairs of columns (l = 3).
     """
     normals: set[tuple[int, ...]] = set()
     if l == 1:
@@ -412,7 +417,7 @@ def _wall_normals(graphs: Sequence[RibbonGraph], l: int) -> set[tuple[int, ...]]
             for (c1, c2) in cols:
                 nu = (c2, -c1)
                 normals.add(_primitive(nu))
-        elif l == 3:
+        else:
             for i in range(len(cols)):
                 for j in range(i + 1, len(cols)):
                     a, b = cols[i], cols[j]
@@ -423,8 +428,6 @@ def _wall_normals(graphs: Sequence[RibbonGraph], l: int) -> set[tuple[int, ...]]
                     )
                     if any(nu):
                         normals.add(_primitive(nu))
-        else:
-            raise ValueError("leading-term fit supports at most 3 faces")
     return normals
 
 
@@ -459,6 +462,9 @@ def leading_part_fit(m: int, n: int) -> Polynomial:
     """
     sig = LayerSignature(m, n)
     a, l = sig.half_degree, sig.faces
+    _check_pairings(m, n)
+    if l > 3:
+        raise ValueError("leading-term fit supports at most 3 faces")
     graphs = enumerate_graphs(m, n, "full")
     if not graphs:
         raise ValueError(f"no graphs for signature ({m},{n})")

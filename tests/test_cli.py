@@ -303,6 +303,13 @@ def test_ribbon_fit(runner):
     assert json.loads(result.output) == [{"exponents": [0, 0], "num": "1", "den": "1"}]
 
 
+def test_ribbon_fit_refuses_four_faces_before_enumerating(runner, monkeypatch):
+    monkeypatch.setattr(ribbon_mod, "enumerate_graphs", _refuse_work)
+    result = runner.invoke(main, ["ribbon", "fit", "--m", "4", "--n", "0"])
+    assert result.exit_code == 2
+    assert "leading-term fit supports at most 3 faces" in result.output
+
+
 def test_covers_count_methods_agree(runner):
     outputs = {}
     for big_k in ("1", "2"):

@@ -21,10 +21,9 @@ from pillowcount.covers import (
     corner_types,
     cover_profiles,
     cover_ratios,
+    _mask_hook_product,
     dimension,
-    frobenius_count,
     genus,
-    hook_product,
     naive_connected_counts,
     naive_enumerate,
     partitions,
@@ -50,8 +49,13 @@ def test_class_sizes_partition_the_group():
 
 
 def test_hooks_and_dimensions():
-    assert hook_product((1,)) == 1
-    assert hook_product((2, 1)) == 3
+    # beads at 1 and 3, shape (2, 1): hook lengths 3 - 0, 3 - 2 and 1 - 0
+    assert _mask_hook_product(0b1010) == 3
+    # the same shape with an extra bead for an empty row
+    assert _mask_hook_product(0b10101) == 3
+    # shape (1): one bead at 1 over the empty position 0
+    assert _mask_hook_product(0b10) == 1
+    assert _mask_hook_product(0) == 1
     assert dimension((2, 1)) == 2
     assert dimension((3, 2)) == 5
     for n in range(1, 8):
@@ -101,21 +105,24 @@ def test_character_bounded_by_dimension(n: int, data):
 
 
 def test_frobenius_pinned_examples():
-    one = (1,)
-    assert frobenius_count([one, one, one, one]) == 1
-    assert frobenius_count([(2,), (2,), (1, 1), (1, 1)]) == Fraction(1, 2)
-    assert frobenius_count([(3,), (2, 1), (2, 1), (1, 1, 1)]) == 1
-    # all four corners regular of degree 2: the unramified torus double cover
-    assert frobenius_count([(2,), (2,), (2,), (2,)]) == Fraction(1, 2)
-    # parity obstruction: an odd product can never be the identity
-    assert frobenius_count([(2,), (1, 1), (1, 1), (1, 1)]) == 0
-
-
-def test_frobenius_input_validation():
-    with pytest.raises(ValueError):
-        frobenius_count([(2,)])
-    with pytest.raises(ValueError):
-        frobenius_count([(2,), (3,), (2,), (2,)])
+    """Pinned counts, each from the four-way character sum that the cover
+    counts use (0 where it leaves the multiset out) and from the direct
+    enumeration."""
+    pinned = [
+        (((1,),) * 4, 1),
+        (((2,), (2,), (1, 1), (1, 1)), Fraction(1, 2)),
+        (((3,), (2, 1), (2, 1), (1, 1, 1)), 1),
+        # all four corners regular of degree 2: the unramified torus double cover
+        (((2,),) * 4, Fraction(1, 2)),
+        # parity obstruction: an odd product can never be the identity
+        (((2,), (1, 1), (1, 1), (1, 1)), 0),
+    ]
+    sums = {
+        tuple(sorted(combo)): value for _, values in _multiset_values(3, 12, 12) for combo, value in values.items()
+    }
+    for profile, count in pinned:
+        assert sums.get(tuple(sorted(profile)), 0) == count
+        assert naive_enumerate(profile)[0] == count
 
 
 def test_corner_types_enumeration():
@@ -185,19 +192,23 @@ def test_odd_total_of_two_cycles_counts_nothing():
         for profile in cover_profiles(n, 2, 6):
             if sum(cls.count(2) for cls in profile) % 2:
                 odd += 1
-                assert frobenius_count(profile) == 0
+                assert naive_enumerate(profile)[0] == 0
     assert odd == 104
+    # and the four-way sums leave every such multiset out
+    for n, values in _multiset_values(5, 2, 6):
+        assert all(sum(cls.count(2) for cls in combo) % 2 == 0 for combo in values)
 
 
 def test_connected_counts_against_naive_per_profile():
-    """The direct enumeration's tuples equal the character sum for all 979
-    profiles with parts in {1, 2, 3} and degree at most 5, and its
+    """The direct enumeration's tuples equal the four-way character sum for
+    all 979 profiles with parts in {1, 2, 3} and degree at most 5, and its
     transitive tuples, summed by (degree, zeros, poles), equal the shipped
     log-inversion.  The bounds z <= 16 and p <= 20 reach every profile."""
     checked = 0
-    for n in range(1, 6):
+    for n, values in _multiset_values(5, 16, 20):
+        by_multiset = {tuple(sorted(combo)): value for combo, value in values.items()}
         for profile in itertools.product(partitions(n, 3), repeat=4):
-            assert naive_enumerate(profile)[0] == frobenius_count(profile)
+            assert naive_enumerate(profile)[0] == by_multiset.get(tuple(sorted(profile)), 0)
             checked += 1
     assert checked == 979
     assert sum(1 for n in range(1, 6) for _ in cover_profiles(n, 16, 20)) == 979
@@ -206,13 +217,13 @@ def test_connected_counts_against_naive_per_profile():
 
 def test_multiset_values_match_frobenius():
     """The four-way character sum, once per 4-multiset of corner classes of
-    degree at most 5, equals frobenius_count, and is absent exactly where
-    that count is 0."""
+    degree at most 5, equals the direct enumeration, and is absent exactly
+    where that count is 0."""
     checked = 0
     for n, values in _multiset_values(5, 5, 20):
         by_multiset = {tuple(sorted(combo)): value for combo, value in values.items()}
         for combo in itertools.combinations_with_replacement(partitions(n, 3), 4):
-            assert by_multiset.get(tuple(sorted(combo)), 0) == frobenius_count(combo)
+            assert by_multiset.get(tuple(sorted(combo)), 0) == naive_enumerate(combo)[0]
             checked += 1
     assert checked == sum(math.comb(len(list(partitions(n, 3))) + 3, 4) for n in range(1, 6))
 

@@ -78,3 +78,30 @@ def test_cover_check_compares_the_shipped_connected_counts(monkeypatch):
     assert [r.name for r in failed] == ["cover counts character sum = direct enumeration, degree 3"]
     assert failed[0].lhs == "(3, 1, 5): 13, (3, 2, 6): 1"
     assert failed[0].rhs == "(3, 1, 5): 12, (3, 2, 6): 2"
+
+
+def test_cover_check_reads_the_shipped_four_way_sums(monkeypatch):
+    """verify's per-profile check reads _multiset_values, the sums that the
+    cover counts are built from: one degree-3 value moved fails that degree
+    alone, and the failure names the first profile of that multiset."""
+    from fractions import Fraction
+
+    from pillowcount.covers import cover_profiles
+
+    real = verify_mod._multiset_values
+    moved = ((3,), (2, 1), (2, 1), (1, 1, 1))
+
+    def shifted(max_degree, max_threes, max_ones):
+        for n, values in real(max_degree, max_threes, max_ones):
+            if n == 3:
+                key = next(combo for combo in values if sorted(combo) == sorted(moved))
+                values = {**values, key: values[key] + Fraction(1, 3)}
+            yield n, values
+
+    monkeypatch.setattr(verify_mod, "_multiset_values", shifted)
+    results = run_verification(k_max=0, mn_max=0, cover_n_max=5)
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["cover counts character sum = direct enumeration, degree 3"]
+    profile = next(p for p in cover_profiles(3, 2, 6) if sorted(p) == sorted(moved))
+    assert failed[0].lhs == f"{profile}: 4/3"
+    assert failed[0].rhs == f"{profile}: 1"
