@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from pillowcount.covers import (
     _character_columns,
+    _mask_hook_product,
     _multiset_values,
     _unpack,
     character,
@@ -21,7 +22,6 @@ from pillowcount.covers import (
     corner_types,
     cover_profiles,
     cover_ratios,
-    _mask_hook_product,
     dimension,
     genus,
     naive_connected_counts,
@@ -195,7 +195,7 @@ def test_odd_total_of_two_cycles_counts_nothing():
                 assert naive_enumerate(profile)[0] == 0
     assert odd == 104
     # and the four-way sums leave every such multiset out
-    for n, values in _multiset_values(5, 2, 6):
+    for _, values in _multiset_values(5, 2, 6):
         assert all(sum(cls.count(2) for cls in combo) % 2 == 0 for combo in values)
 
 
