@@ -15,10 +15,13 @@ the Schur expansion of the power-sum product p_3^a p_2^c p_1^b: shapes are
 bead masks, each factor p_r adds every r-border strip, and a class of
 degree N + 2 is one p_2 step from its class of degree N.  That step is
 taken once per degree for all classes of the degree's parity, their values
-packed side by side into one int per shape.  `character` removes strips
-from a single shape's bead mask top-down and is the reference route.
-`verify` checks these four-way sums, per profile, against direct
-enumeration.
+packed side by side into one int per shape.  The two parities share only
+the cheap seed columns, so the odd degrees run in a forked child process
+while the caller runs the even ones; each degree's columns are unpacked
+into lists aligned to its shapes, and the four-way sums over them run as
+map/sum chains in C.  `character` removes strips from a single shape's
+bead mask top-down and is the reference route.  `verify` checks these
+four-way sums, per profile, against direct enumeration.
 
 A cycle of length c in a corner monodromy sits over that corner as a point
 where the induced quadratic differential has order c - 2: fixed points are
@@ -34,9 +37,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import threading
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .rationals import multinomial, seconds_text
@@ -181,57 +188,52 @@ def _add_strips(column: dict[int, int], r: int) -> dict[int, int]:
     return {mask: value for mask, value in out.items() if value}
 
 
-def _unpack(packed: dict[int, int], slots: int, width: int) -> list[dict[int, int]]:
+def _unpack(packed: Iterable[int], slots: int, width: int) -> list[list[int]]:
     """Split every packed value into `slots` balanced digits of `width` bits,
-    lowest slot first: one map from mask to nonzero digit per slot.  Each
-    digit must lie strictly between -2^(width-1) and 2^(width-1)."""
-    columns: list[dict[int, int]] = [{} for _ in range(slots)]
-    full = 1 << width
-    low = full - 1
-    half = full >> 1
-    for mask, value in packed.items():
-        for column in columns:
-            digit = value & low
-            value >>= width
-            if digit >= half:
-                # a negative digit borrowed one from the slots above it
-                digit -= full
-                value += 1
-            if digit:
-                column[mask] = digit
-            if not value:
-                break
-    return columns
+    lowest slot first: one list per slot, in the order of `packed`, zeros
+    included.  Each digit must lie in -2^(width-1) .. 2^(width-1) - 1, so
+    adding 2^(width-1) to every slot makes every digit a plain unsigned
+    field, and no slot borrows from the one above it."""
+    low = (1 << width) - 1
+    half = 1 << (width - 1)
+    bias = sum(half << (s * width) for s in range(slots))
+    biased = [value + bias for value in packed]
+    return [[(u >> s * width & low) - half for u in biased] for s in range(slots)]
 
 
 def _character_columns(
-    max_degree: int, max_threes: int, max_ones: int
-) -> Iterator[tuple[int, dict[Partition, dict[int, int]]]]:
-    """Yield (n, columns) for n = 1..max_degree, where columns maps every
-    corner type 3^a 2^c 1^b of corner_types(n, max_threes, max_ones) to its
-    character column: the Schur expansion of p_3^a p_2^c p_1^b, as a map
-    from shape to the nonzero chi^shape(3^a 2^c 1^b).
+    max_degree: int, max_threes: int, max_ones: int, parity: int
+) -> Iterator[tuple[int, list[int], dict[Partition, list[int]]]]:
+    """Yield (n, masks, columns) for the n = 1..max_degree with n % 2 ==
+    parity, where columns maps every corner type 3^a 2^c 1^b of
+    corner_types(n, max_threes, max_ones), in that order, to its character
+    column: the Schur expansion of p_3^a p_2^c p_1^b, as the list of
+    chi^shape(3^a 2^c 1^b) aligned to masks, zeros included.  masks holds
+    every shape of degree n on which some column is nonzero.
 
     A shape is keyed by its bead mask, the bit set of its beta-numbers
     with max_degree beads; a shape of degree n has at most n rows, so every
     shape of the request fits.  The seed columns, c = 0, are one step from
     a seed of lower degree: p_1 from degree n - 1 while b > 0, else p_3
     from degree n - 3; only the last three degrees of seeds are kept.
+    Seeds cross parities, so every seed is built for either parity.
 
     A class with c > 0 is one p_2 step from its class of degree n - 2, and
-    every class of a degree shares that step.  So the classes of each
+    every class of a degree shares that step.  So the classes of this
     parity of n are packed into one int per shape, one slot of `width`
-    bits per class in balanced digits, and each degree takes one p_2 pass
-    over the packed chain of its parity; a seed enters a new slot at its
-    own degree.  A digit is a character value, at most the dimension, so
-    below sqrt(max_degree!) in size, and only final values are unpacked.
+    bits per class in balanced digits, and each degree of the parity takes
+    one p_2 pass over the packed chain; a seed enters a new slot at its
+    own degree.  The two parities share nothing past the seeds, which is
+    what lets _multiset_values run them in two processes.  A digit is a
+    character value, at most the dimension, so below sqrt(max_degree!) in
+    size, and only final values are unpacked.
     """
     width = math.isqrt(math.factorial(max_degree)).bit_length() + 2
     empty = (1 << max_degree) - 1
     seeds = {0: {(0, 0): {empty: 1}}}
-    # per parity of n: the (a, b) of each slot, in slot order, and the chain
-    slots: tuple[list[tuple[int, int]], list[tuple[int, int]]] = ([(0, 0)], [])
-    packed: list[dict[int, int]] = [{empty: 1}, {}]
+    # the (a, b) of each slot of this parity, in slot order, and the chain
+    keys: list[tuple[int, int]] = [] if parity else [(0, 0)]
+    chain: dict[int, int] = {} if parity else {empty: 1}
     for n in range(1, max_degree + 1):
         fresh: dict[tuple[int, int], dict[int, int]] = {}
         for a in range(min(max_threes, n // 3) + 1):
@@ -244,16 +246,17 @@ def _character_columns(
                 fresh[a, b] = _add_strips(seeds[n - 3][a - 1, 0], 3)
         seeds[n] = fresh
         seeds.pop(n - 3, None)
-        keys = slots[n % 2]
-        chain = _add_strips(packed[n % 2], 2)
+        if n % 2 != parity:
+            continue
+        chain = _add_strips(chain, 2)
         for key, column in fresh.items():
             shift = width * len(keys)
             keys.append(key)
             for mask, value in column.items():
                 chain[mask] = chain.get(mask, 0) + (value << shift)
-        packed[n % 2] = chain
-        by_key = dict(zip(keys, _unpack(chain, len(keys), width)))
-        yield n, {cls: by_key[zeros_and_poles((cls,))] for cls in corner_types(n, max_threes, max_ones)}
+        by_key = dict(zip(keys, _unpack(chain.values(), len(keys), width)))
+        columns = {cls: by_key[zeros_and_poles((cls,))] for cls in corner_types(n, max_threes, max_ones)}
+        yield n, list(chain), columns
 
 
 def _mask_hook_product(mask: int) -> int:
@@ -277,71 +280,137 @@ def _mask_hook_product(mask: int) -> int:
     return prod
 
 
-def _multiset_values(
-    max_degree: int, max_threes: int, max_ones: int
+def _parity_values(
+    max_degree: int, max_threes: int, max_ones: int, parity: int
 ) -> Iterator[tuple[int, dict[tuple[Partition, ...], Fraction]]]:
-    """Yield (n, values) for n = 1..max_degree: the Frobenius counts of
-    degree n, indexed by the (sorted) multiset of the four corner classes.
-    The character sum is symmetric in the classes, so evaluating once per
-    multiset saves the bulk of the work."""
-    for n, columns in _character_columns(max_degree, max_threes, max_ones):
-        sizes = {t: class_size(t) for t in columns}
-        hooks2: dict[int, int] = {}
+    """Yield (n, values) for the n = 1..max_degree with n % 2 == parity:
+    the Frobenius counts of degree n, indexed by the (sorted) multiset of
+    the four corner classes.  The character sum is symmetric in the
+    classes, so evaluating once per multiset saves the bulk of the work."""
+    for n, masks, columns in _character_columns(max_degree, max_threes, max_ones, parity):
+        hooks2 = [_mask_hook_product(mask) ** 2 for mask in masks]
+        threes = {cls: cls.count(3) for cls in columns}
+        ones = {cls: cls.count(1) for cls in columns}
+        twos = {cls: cls.count(2) for cls in columns}
+        sizes = {cls: class_size(cls) for cls in columns}
         nfact4 = math.factorial(n) ** 4
         out: dict[tuple[Partition, ...], Fraction] = {}
+        head = None
         for combo in itertools.combinations_with_replacement(columns, 4):
-            threes, ones = zeros_and_poles(combo)
+            c1, c2, c3, c4 = combo
             # 3^a 2^c 1^b has sign (-1)^c and g1 g2 g3 g4 = 1, so an odd total of 2-cycles counts nothing
-            if threes > max_threes or ones > max_ones or sum(cls.count(2) for cls in combo) % 2:
+            if (
+                threes[c1] + threes[c2] + threes[c3] + threes[c4] > max_threes
+                or ones[c1] + ones[c2] + ones[c3] + ones[c4] > max_ones
+                or (twos[c1] + twos[c2] + twos[c3] + twos[c4]) % 2
+            ):
                 continue
-            v1, v2, v3, v4 = (columns[c] for c in combo)
-            total = 0
-            # a shape outside the support of one column adds nothing
-            for mask, a in v1.items():
-                b = v2.get(mask)
-                if not b:
-                    continue
-                c = v3.get(mask)
-                if not c:
-                    continue
-                d = v4.get(mask)
-                if not d:
-                    continue
-                h = hooks2.get(mask)
-                if h is None:
-                    h = hooks2[mask] = _mask_hook_product(mask) ** 2
-                total += a * b * c * d * h
+            # the multisets come sorted, so one (c1, c2) heads a run of them
+            if head != (c1, c2):
+                head = (c1, c2)
+                weighted = list(map(mul, map(mul, columns[c1], columns[c2]), hooks2))
+            total = sum(map(mul, weighted, map(mul, columns[c3], columns[c4])))
             if not total:
                 continue
-            size = sizes[combo[0]] * sizes[combo[1]] * sizes[combo[2]] * sizes[combo[3]]
-            out[combo] = Fraction(size * total, nfact4)
+            out[combo] = Fraction(sizes[c1] * sizes[c2] * sizes[c3] * sizes[c4] * total, nfact4)
         yield n, out
 
 
-# the cover counts for K = 1 to degree 40 take about 3 s on a 2-CPU VM, and
-# K = 12 to degree 24 about 37 s
+def _multiset_values(
+    max_degree: int, max_threes: int, max_ones: int
+) -> Iterator[tuple[int, dict[tuple[Partition, ...], Fraction]]]:
+    """Yield (n, values) for n = 1..max_degree, in order: the Frobenius
+    counts of degree n by multiset of corner classes (_parity_values).
+
+    The odd degrees run in a forked child, which sends each degree's values
+    down a pipe as one pickle, while this process computes the even ones.
+    Fork, not a spawned pool: a spawn pool's round trip took 0.09-0.20 s on
+    a 2-CPU VM, against 2-5 ms to fork and reap, more than the odd half of
+    a benchmark-sized request costs.  Where os.fork is missing, or other
+    threads run (fork copies only the calling thread), both halves run in
+    this process.  A child that fails or sends short raises RuntimeError,
+    and closing the generator early kills and reaps the child.
+    """
+    even = _parity_values(max_degree, max_threes, max_ones, 0)
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        odd = _parity_values(max_degree, max_threes, max_ones, 1)
+        for n in range(1, max_degree + 1):
+            yield next(odd if n % 2 else even)
+        return
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if not pid:
+        status = 1
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as sink:
+                for item in _parity_values(max_degree, max_threes, max_ones, 1):
+                    pickle.dump(item, sink)
+                    sink.flush()
+            status = 0
+        except Exception:
+            import traceback  # only a failing child needs it
+
+            traceback.print_exc()
+        finally:
+            # never return into the caller's frames, whatever happened
+            os._exit(status)
+    os.close(write_end)
+    try:
+        with os.fdopen(read_end, "rb") as source:
+            for n in range(1, max_degree + 1):
+                if not n % 2:
+                    yield next(even)
+                    continue
+                try:
+                    item = pickle.load(source)
+                except (EOFError, pickle.UnpicklingError) as exc:
+                    raise RuntimeError(f"the odd-degree cover counts stopped before degree {n}") from exc
+                yield item
+        _, status = os.waitpid(pid, 0)
+        pid = 0
+        if status:
+            raise RuntimeError(f"the odd-degree cover counts ended with wait status {status}")
+    finally:
+        if pid:
+            import signal  # only a caller that stops early needs it
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+# the cover counts for K = 1 to degree 40 take about 1.8 s on a 2-CPU VM, and
+# K = 12 to degree 24 about 11 s
 COVERS_MAX_SECONDS = 15
 
 
 def check_cover_size(k: int, max_degree: int) -> None:
     """Refuse a cover count that would not finish in reasonable time.
 
-    The estimate 5.8e-4 * exp(0.77 k_s + 0.197 N) seconds was fitted to 61
-    in-process times, for K = 1..20 at N = 16..45 and K = 30..60 at
-    N = 12..16, and was within a factor of 1.43 of each while the log in
-    connected_counts was a power series.  k_s = (K^-2 + (N/2)^-2)^(-1/2),
-    a smooth min(K, N/2), is K while K is small against N/2 and approaches
-    N/2 as K grows, so the estimate stops growing with K: at N = 16 it is
-    at most 6.4 s.  With the log taken by the degree recurrence, large K
-    runs faster and is overestimated, by up to a factor of 1.8: K = 16, 30
-    and 60 at N = 16 took 1.8, 4.2 and 4.4 s against estimates of 3.4, 5.2
-    and 6.1 s.  K = 1 at N = 40..47 took 3.6 to 15.4 s, within a factor
-    of 1.17 of the estimate.
+    The estimate 3.9e-4 * exp(0.67 k_s + 0.183 N) seconds was fitted, with
+    the least worst ratio, to the in-process times of connected_counts on
+    a 2-CPU VM, the odd degrees running in the second process: the 68
+    requests of 0.25 s or more among K = 1..20 at N = 16..54 and K = 30..60
+    at N = 12..18.  It is within a factor of 1.93 of each of them.
+    k_s = (K^-2 + (N/2)^-2)^(-1/2), a smooth min(K, N/2), is K while K is
+    small against N/2 and approaches N/2 as K grows, so the estimate stops
+    growing with K: at N = 16 it is at most 1.6 s.  The worst points lie
+    near the limit on both sides, as K = 1 grows faster in N than any one
+    slope fits: K = 1 at N = 52 and 54 took 19.6 and 28.4 s, and K = 20 at
+    N = 22 took 23 s, against estimates of 10, 15 and 14 s, while K = 4 at
+    N = 38 took 2.9 s against 5.6 s.  On one CPU the two halves run one
+    after the other, and the same requests take 1.0 to 1.7 times as long:
+    K = 1 at N = 40 took 3.2 s against 2.0 s on two.
     """
     try:
         saturated = ((1 / k) ** 2 + (2 / max_degree) ** 2) ** -0.5
-        seconds = 5.8e-4 * math.exp(0.77 * saturated + 0.197 * max_degree)
-    except OverflowError:  # an estimate past the float range, from degree about 3,600 on
+        seconds = 3.9e-4 * math.exp(0.67 * saturated + 0.183 * max_degree)
+    except OverflowError:  # an estimate past the float range, from degree about 3,900 on
         seconds = math.inf
     if seconds > COVERS_MAX_SECONDS:
         raise ValueError(

@@ -5,12 +5,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pillowcount import covers as covers_mod
 from pillowcount.covers import (
     _character_columns,
     _mask_hook_product,
@@ -284,43 +287,48 @@ def test_character_columns_match_reference():
         bounds = ((0, 0), (1, 5), (2, 6), (max_degree // 3, max_degree))
         for row, (max_threes, max_ones) in enumerate(bounds):
             degrees = []
-            for n, columns in _character_columns(max_degree, max_threes, max_ones):
-                degrees.append(n)
-                assert list(columns) == corner_types(n, max_threes, max_ones)
-                assert sorted(columns) == bounded(n, max_threes, max_ones)
-                shapes = {bead_mask(shape): shape for shape in partitions(n)}
-                for cls, column in columns.items():
-                    assert set(column) <= set(shapes)
-                    for mask, shape in shapes.items():
-                        assert column.get(mask, 0) == character(shape, cls)
-                if row == 3:  # every class with parts in {1, 2, 3}
-                    assert sorted(columns) == sorted(partitions(n, 3))
-                    classes += len(columns)
-            assert degrees == list(range(1, max_degree + 1))
+            for parity in (0, 1):
+                for n, masks, dense in _character_columns(max_degree, max_threes, max_ones, parity):
+                    assert n % 2 == parity
+                    degrees.append(n)
+                    assert list(dense) == corner_types(n, max_threes, max_ones)
+                    assert sorted(dense) == bounded(n, max_threes, max_ones)
+                    shapes = {bead_mask(shape): shape for shape in partitions(n)}
+                    assert len(set(masks)) == len(masks) and set(masks) <= set(shapes)
+                    for cls, values in dense.items():
+                        assert len(values) == len(masks)
+                        column = {mask: value for mask, value in zip(masks, values) if value}
+                        for mask, shape in shapes.items():
+                            assert column.get(mask, 0) == character(shape, cls)
+                    if row == 3:  # every class with parts in {1, 2, 3}
+                        assert sorted(dense) == sorted(partitions(n, 3))
+                        classes += len(dense)
+            assert sorted(degrees) == list(range(1, max_degree + 1))
     assert classes == sum(len(list(partitions(n, 3))) for max_degree in range(1, 13) for n in range(1, max_degree + 1))
 
 
 def test_unpack_balanced_slots():
-    """Digits of either sign up to 2^(w-1) - 1 in adjacent slots, a zero
-    slot between them and a negative top slot all come back exactly."""
+    """Digits of either sign up to 2^(w-1) - 1, and down to -2^(w-1), in
+    adjacent slots, a zero slot between them and a negative top slot all
+    come back exactly."""
     width = 5
     top = (1 << (width - 1)) - 1
     for digits in (
         [top, -top, top],
         [-top, top, -top],
+        [-top - 1, top, -top - 1],
         [top, 0, -top],
         [-1, 0, 0, -top],
         [0, 0, 1],
         [-top, -top, -top, -top],
     ):
         value = sum(d << (width * i) for i, d in enumerate(digits))
-        columns = _unpack({7: value}, len(digits), width)
-        assert [column.get(7, 0) for column in columns] == digits
-        assert all(0 not in column.values() for column in columns)
-    # shapes unpack independently, and a value that runs out early leaves the upper slots empty
-    assert _unpack({1: 3, 2: -2 << width}, 3, width) == [{1: 3}, {2: -2}, {}]
+        assert _unpack([value], len(digits), width) == [[d] for d in digits]
+    # values unpack independently, each slot a list aligned to them, zeros included
+    assert _unpack([3, -2 << width, 0], 3, width) == [[3, 0, 0], [0, -2, 0], [0, 0, 0]]
     # the width the builder uses holds chi^(1)(1) = 1 at max_degree = 1 (bead 0 moved to 1)
-    assert list(_character_columns(1, 0, 1)) == [(1, {(1,): {0b10: 1}})]
+    assert list(_character_columns(1, 0, 1, 1)) == [(1, [0b10], {(1,): [1]})]
+    assert list(_character_columns(1, 0, 1, 0)) == []
 
 
 @pytest.mark.parametrize(
@@ -348,3 +356,87 @@ def test_truncation_commutes_with_the_log():
     for k in range(1, 6):
         cut = {(n, z, p): value for (n, z, p), value in wide.items() if z <= k and p <= k + 4}
         assert connected_counts(k, 12) == cut
+
+
+def _forked_children(monkeypatch) -> list[int]:
+    """Record the pid of every child that os.fork starts from now on."""
+    children: list[int] = []
+    real_fork = os.fork
+
+    def recording_fork() -> int:
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return children
+
+
+@pytest.mark.parametrize(
+    "sent, failure",
+    [
+        (1, lambda: 1 // 0),
+        (1, lambda: os._exit(3)),
+        (1, lambda: None),
+        (None, lambda: os._exit(3)),
+    ],
+    ids=["raises", "exits", "stops-short", "exits-after-the-last-degree"],
+)
+def test_failed_odd_half_raises(monkeypatch, sent, failure):
+    """An odd-degree worker that raises, exits with status 3, or stops early
+    in the child makes connected_counts raise: no table comes back short."""
+    parent = os.getpid()
+    real = covers_mod._parity_values
+
+    def odd_half_fails(max_degree, max_threes, max_ones, parity):
+        values = real(max_degree, max_threes, max_ones, parity)
+        if not parity:
+            yield from values
+            return
+        assert os.getpid() != parent, "the odd degrees ran in the calling process"
+        yield from itertools.islice(values, sent)
+        failure()
+
+    monkeypatch.setattr(covers_mod, "_parity_values", odd_half_fails)
+    children = _forked_children(monkeypatch)
+    with pytest.raises(RuntimeError, match="odd-degree"):
+        connected_counts(1, 8)
+    assert len(children) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(children[0], 0)
+
+
+def test_closing_early_reaps_the_odd_half(monkeypatch):
+    children = _forked_children(monkeypatch)
+    values = _multiset_values(12, 1, 5)
+    assert next(values)[0] == 1
+    values.close()
+    assert len(children) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(children[0], 0)
+
+
+@pytest.mark.parametrize("k, max_degree", [(1, 16), (2, 12)])
+def test_in_process_halves_match_the_fork(monkeypatch, k, max_degree):
+    """Without os.fork, and while another thread runs, both parities run in
+    the calling process, with the same table, in the same order."""
+    with monkeypatch.context() as patch:
+        children = _forked_children(patch)
+        forked = list(connected_counts(k, max_degree).items())
+        assert len(children) == 1
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork")
+        assert list(connected_counts(k, max_degree).items()) == forked
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with monkeypatch.context() as patch:
+            children = _forked_children(patch)
+            assert list(connected_counts(k, max_degree).items()) == forked
+            assert children == []
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
