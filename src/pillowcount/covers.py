@@ -21,7 +21,8 @@ while the caller runs the even ones; each degree's columns are unpacked
 into lists aligned to its shapes, and the four-way sums over them run as
 map/sum chains in C.  `character` removes strips from a single shape's
 bead mask top-down and is the reference route.  `verify` checks these
-four-way sums, per profile, against direct enumeration.
+four-way sums, per profile, against direct enumeration, and the connected
+counts it takes from the same sums (connected_from_sums) per cell.
 
 A cycle of length c in a corner monodromy sits over that corner as a point
 where the induced quadratic differential has order c - 2: fixed points are
@@ -399,16 +400,16 @@ def check_cover_size(k: int, max_degree: int) -> None:
     at N = 12..18.  It is within a factor of 1.93 of each of them.
     k_s = (K^-2 + (N/2)^-2)^(-1/2), a smooth min(K, N/2), is K while K is
     small against N/2 and approaches N/2 as K grows, so the estimate stops
-    growing with K: at N = 16 it is at most 1.6 s.  The worst points lie
-    near the limit on both sides, as K = 1 grows faster in N than any one
-    slope fits: K = 1 at N = 52 and 54 took 19.6 and 28.4 s, and K = 20 at
-    N = 22 took 23 s, against estimates of 10, 15 and 14 s, while K = 4 at
-    N = 38 took 2.9 s against 5.6 s.  On one CPU the two halves run one
-    after the other, and the same requests take 1.0 to 1.7 times as long:
-    K = 1 at N = 40 took 3.2 s against 2.0 s on two.
+    growing with K: at N = 16 it is at most 1.6 s.  It is 0 when K or N is
+    0.  The worst points lie near the limit on both sides, as K = 1 grows
+    faster in N than any one slope fits: K = 1 at N = 52 and 54 took 19.6
+    and 28.4 s, and K = 20 at N = 22 took 23 s, against estimates of 10, 15
+    and 14 s, while K = 4 at N = 38 took 2.9 s against 5.6 s.  On one CPU
+    the two halves run one after the other, and the same requests take 1.0
+    to 1.7 times as long: K = 1 at N = 40 took 3.2 s against 2.0 s on two.
     """
     try:
-        saturated = ((1 / k) ** 2 + (2 / max_degree) ** 2) ** -0.5
+        saturated = ((1 / k) ** 2 + (2 / max_degree) ** 2) ** -0.5 if k and max_degree else 0
         seconds = 3.9e-4 * math.exp(0.67 * saturated + 0.183 * max_degree)
     except OverflowError:  # an estimate past the float range, from degree about 3,900 on
         seconds = math.inf
@@ -429,6 +430,15 @@ def connected_counts(k: int, max_degree: int) -> dict[Cell, Fraction]:
     Requests estimated above COVERS_MAX_SECONDS are refused before any work.
     """
     check_cover_size(k, max_degree)
+    return connected_from_sums(k, _multiset_values(max_degree, k, k + 4))
+
+
+def connected_from_sums(
+    k: int, sums: Iterable[tuple[int, dict[tuple[Partition, ...], Fraction]]]
+) -> dict[Cell, Fraction]:
+    """connected_counts(k, N) from the four-way sums of degrees 1..N in
+    order, as _multiset_values(N, k, k + 4) yields them: the logarithm of
+    the generating function of all covers, degree by degree."""
     max_ones = k + 4
     # at index n, all covers A_n and connected ones C_n of degree n, each by
     # (3-cycles, fixed points); a disjoint union of covers multiplies their
@@ -436,7 +446,7 @@ def connected_counts(k: int, max_degree: int) -> dict[Cell, Fraction]:
     # in the degree gives n C_n = n A_n - sum_{m<n} m C_m A_{n-m}
     all_covers: list[dict[tuple[int, int], Fraction]] = [{}]
     connected: list[dict[tuple[int, int], Fraction]] = [{}]
-    for n, values in _multiset_values(max_degree, k, max_ones):
+    for n, values in sums:
         a: dict[tuple[int, int], Fraction] = {}
         for combo, value in values.items():
             key = zeros_and_poles(combo)

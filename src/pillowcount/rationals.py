@@ -1,5 +1,6 @@
 """Exact rational arithmetic helpers: Bernoulli numbers, zeta values at even
-integers, rational multiples of powers of pi, and polynomial interpolation.
+integers, rational multiples of powers of pi, and the package's one exact
+linear solver, which every fit goes through.
 
 Everything here is exact. Floating point appears only in the time estimates
 of refusal messages; decimal rendering is left to callers that need it for
@@ -23,7 +24,7 @@ __all__ = [
     "seconds_text",
     "multinomial",
     "compositions",
-    "interpolate",
+    "solve_exact",
     "bernoulli",
     "zeta_even",
     "PiValue",
@@ -120,25 +121,28 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> list[Fraction]:
-    """Coefficients, by ascending power, of the polynomial of degree below
-    len(xs) through the points (x, y), the xs distinct: Newton divided
-    differences, then Horner's rule in Newton form."""
-    if len(xs) != len(ys) or len(set(xs)) != len(xs):
-        raise ValueError("interpolation needs one value per point at distinct points")
-    newton = [Fraction(y) for y in ys]
-    for j in range(1, len(newton)):
-        for i in range(len(newton) - 1, j - 1, -1):
-            newton[i] = (newton[i] - newton[i - 1]) / (xs[i] - xs[i - j])
-    coeffs: list[Fraction] = []
-    for x, c in zip(reversed(xs), reversed(newton)):
-        # coeffs * (t - x) + c
-        shifted = [Fraction(0)] + coeffs
-        for p, a in enumerate(coeffs):
-            shifted[p] -= x * a
-        shifted[0] += c
-        coeffs = shifted
-    return coeffs
+def solve_exact(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar], unknowns: int) -> list[Fraction]:
+    """The solution x of rows . x = rhs in `unknowns` unknowns, by Gauss-Jordan
+    elimination over Fraction; rows past the rank are checks.  Raises
+    ValueError when the rows do not determine every unknown, or when a check
+    row disagrees with the rest."""
+    if len(rows) != len(rhs) or any(len(row) != unknowns for row in rows):
+        raise ValueError("a linear system needs one value per row and one entry per unknown in each row")
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for c in range(unknowns):
+        pivot = next((i for i in range(c, len(aug)) if aug[i][c]), None)
+        if pivot is None:
+            raise ValueError("the linear system does not determine its unknowns")
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        pv = aug[c][c]
+        aug[c] = [x / pv for x in aug[c]]
+        for i, row in enumerate(aug):
+            if i != c and row[c]:
+                f = row[c]
+                aug[i] = [x - f * y for x, y in zip(row, aug[c])]
+    if any(row[unknowns] for row in aug[unknowns:]):
+        raise ValueError("the linear system is inconsistent")
+    return [row[unknowns] for row in aug[:unknowns]]
 
 
 # Bernoulli numbers, convention B_1 = -1/2. The cache only ever grows; the

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 from .layers import LayerSignature
 from .polynomials import Polynomial, RationalFunction, rf_add, rf_equal, rf_mul, rf_partial, rf_scale
-from .rationals import binomial, capped_product, compositions, factorial, interpolate, seconds_text, size_text
+from .rationals import binomial, capped_product, compositions, factorial, seconds_text, size_text, solve_exact
 
 # enumerate_graphs refuses signatures with more labelled pairings than this
 MAX_LABELLED_PAIRINGS = 1_000_000
@@ -398,7 +398,7 @@ def verify_pole_recurrence(m: int, n: int) -> bool:
     return rf_equal(lhs, rhs)
 
 
-# -- leading-term interpolation ----------------------------------------
+# -- leading-term fit --------------------------------------------------
 
 
 def _wall_normals(graphs: Sequence[RibbonGraph], l: int) -> set[tuple[int, ...]]:
@@ -475,68 +475,25 @@ def leading_part_fit(m: int, n: int) -> Polynomial:
         return sum(size * exact_lattice_count(g, widths) for g, size in classes)
 
     def leading_along(u: tuple[int, ...]) -> Fraction:
-        npoints = 2 * a + 1
         # t steps by 2: an edge with one face on both sides adds a column
         # 2e_i, with which the count can be a quasi-polynomial of period 2 in
         # t, and one parity class of t then still lies on one polynomial;
-        # the two extra points check that it does
+        # the two samples past the 2a + 1 unknowns check that it does
         t0 = max(2, (3 * m + n) // 2)
-        ts = [t0 + 2 * i for i in range(npoints + 2)]
+        ts = [t0 + 2 * i for i in range(2 * a + 3)]
         vals = [total_count(tuple(t * ui for ui in u)) for t in ts]
-        coeffs = interpolate(ts[:npoints], vals[:npoints])
-        for t, v in zip(ts[npoints:], vals[npoints:]):
-            if sum(c * t**p for p, c in enumerate(coeffs)) != v:
-                raise ValueError(f"ray interpolation along {u} misses its check point t={t}")
-        return coeffs[-1]
+        return solve_exact([[t**p for p in range(2 * a + 1)] for t in ts], vals, 2 * a + 1)[-1]
 
     basis = [tuple(2 * b for b in comp) for comp in compositions(a, l)]
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     rhs: list[Fraction] = []
     needed = len(basis) + 2
     for u in _directions(l, SAMPLE_RADIUS):
         if any(sum(ui * vi for ui, vi in zip(u, nu)) == 0 for nu in walls):
             continue
-        rows.append([Fraction(_eval_mono(exps, u)) for exps in basis])
+        rows.append([prod(ui**e for ui, e in zip(u, exps)) for exps in basis])
         rhs.append(leading_along(u))
         if len(rows) >= needed:
             break
-    if len(rows) < len(basis):
-        raise ValueError(f"insufficient off-wall sample directions within radius {SAMPLE_RADIUS}")
-    coeffs = _solve_exact(rows, rhs, len(basis))
+    coeffs = solve_exact(rows, rhs, len(basis))
     return Polynomial({exps: c for exps, c in zip(basis, coeffs) if c})
-
-
-def _eval_mono(exps: tuple[int, ...], point: tuple[int, ...]) -> int:
-    out = 1
-    for e, p in zip(exps, point):
-        out *= p**e
-    return out
-
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction], unknowns: int) -> list[Fraction]:
-    """Gaussian elimination; raises if the system is inconsistent or deficient."""
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(unknowns):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if r < unknowns:
-        raise ValueError("sample directions do not determine the fit")
-    for i in range(r, len(aug)):
-        if aug[i][unknowns] != 0:
-            raise ValueError("inconsistent samples: count is not a degree-2a polynomial")
-    sol = [Fraction(0)] * unknowns
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][unknowns]
-    return sol

@@ -20,9 +20,9 @@ from .rationals import (
     PiValue,
     compositions,
     factorial,
-    interpolate,
     multinomial,
     seconds_text,
+    solve_exact,
     zeta_even,
 )
 
@@ -523,17 +523,18 @@ def volume_series(K: int) -> tuple[Fraction, dict[int, Fraction]]:
     the total and the subtotal of the k-cylinder trees for each k.
 
     The tree sum weighted t^k is a polynomial in t of degree K + 1 without
-    constant term; its coefficients are interpolated from its values at
-    t = 1..K+1, the first of which is the total. K is refused when those
-    K + 1 evaluations would take longer than one at K = SERIES_MAX_K.
+    constant term; its coefficients of t^1..t^(K+1) solve the linear system
+    of its values at t = 1..K+1, the first of which is the total. K is
+    refused when those K + 1 evaluations would take longer than one at
+    K = SERIES_MAX_K.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
     check_series_size(K, evaluations=K + 1)
     points = range(1, K + 2)
     values = [_tree_series(K, t) for t in points]
-    coeffs = interpolate(points, [v / t for v, t in zip(values, points)])
-    return values[0], {k + 1: c for k, c in enumerate(coeffs)}
+    coeffs = solve_exact([[t**k for k in points] for t in points], values, K + 1)
+    return values[0], dict(zip(points, coeffs))
 
 
 # one evaluation of the series takes about 12 s at K = 40 on a 2-CPU VM, and

@@ -11,7 +11,7 @@ from .covers import (
     NAIVE_MAX_DEGREE,
     Cell,
     _multiset_values,
-    connected_counts,
+    connected_from_sums,
     cover_profiles,
     naive_enumerate,
     zeros_and_poles,
@@ -66,7 +66,7 @@ def run_verification(
     up to min(cover_n_max, NAIVE_MAX_DEGREE): per profile, the four-way
     character sum that the cover counts are built from (_multiset_values),
     and per (degree, zeros, poles) cell, the connected counts that `covers
-    count` prints (connected_counts).
+    count` prints, taken from the same sums (connected_from_sums).
     """
     results: list[CheckResult] = []
 
@@ -111,8 +111,9 @@ def run_verification(
 
     n_cap = max(min(cover_n_max, NAIVE_MAX_DEGREE), 0)
     # K = 2 truncates the shipped table at z <= 2 and p <= 6, the bounds of the walk
-    shipped = connected_counts(2, n_cap) if n_cap >= 1 else {}
-    for n, values in _multiset_values(n_cap, 2, 6):
+    four_way = list(_multiset_values(n_cap, 2, 6))
+    shipped = connected_from_sums(2, four_way)
+    for n, values in four_way:
         # the sums are kept once per multiset of classes, and 0 is left out
         sums = {tuple(sorted(combo)): value for combo, value in values.items()}
         all_ok = True

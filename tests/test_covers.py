@@ -218,6 +218,13 @@ def test_connected_counts_against_naive_per_profile():
     assert connected_counts(16, 5) == naive_connected_counts(16, 5)
 
 
+def test_connected_counts_at_zero_K_or_degree():
+    """K = 0 or degree 0 is estimated, not divided by: K = 0 gives the
+    table of the direct enumeration, and degree 0 an empty table."""
+    assert connected_counts(0, 5) == naive_connected_counts(0, 5)
+    assert connected_counts(1, 0) == {}
+
+
 def test_multiset_values_match_frobenius():
     """The four-way character sum, once per 4-multiset of corner classes of
     degree at most 5, equals the direct enumeration, and is absent exactly

@@ -18,30 +18,55 @@ from pillowcount.rationals import (
     capped_product,
     compositions,
     factorial,
-    interpolate,
     multinomial,
     size_text,
+    solve_exact,
     zeta_even,
 )
 
 
+def _vandermonde(xs):
+    return [[x**p for p in range(len(xs))] for x in xs]
+
+
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=8), st.data())
-def test_interpolate_recovers_integer_polynomials(coeffs, data):
+def test_solve_exact_recovers_integer_polynomials(coeffs, data):
     xs = data.draw(st.lists(st.integers(-40, 40), min_size=len(coeffs), max_size=len(coeffs), unique=True))
     ys = [sum(c * x**p for p, c in enumerate(coeffs)) for x in xs]
-    assert interpolate(xs, ys) == coeffs
+    assert solve_exact(_vandermonde(xs), ys, len(xs)) == coeffs
 
 
-def test_interpolate_spaced_points_and_degree_zero():
+def test_solve_exact_spaced_points_and_degree_zero():
     # 3 - 2t + t^3 through unevenly spaced points, listed out of order
     xs = [11, -3, 2, 0, 7]
     ys = [3 - 2 * x + x**3 for x in xs]
-    assert interpolate(xs, ys) == [3, -2, 0, 1, 0]
-    assert interpolate([5], [Fraction(7, 3)]) == [Fraction(7, 3)]
-    with pytest.raises(ValueError):
-        interpolate([1, 1], [2, 3])
-    with pytest.raises(ValueError):
-        interpolate([1, 2], [2])
+    assert solve_exact(_vandermonde(xs), ys, 5) == [3, -2, 0, 1, 0]
+    assert solve_exact([[1]], [Fraction(7, 3)], 1) == [Fraction(7, 3)]
+    # integer entries divide exactly, never into floats
+    (half,) = solve_exact([[2]], [1], 1)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+
+
+def test_solve_exact_rows_past_the_rank_are_checks():
+    # the cubic's five points fit four unknowns, and the fifth row checks them
+    xs = [11, -3, 2, 0, 7]
+    rows = [[x**p for p in range(4)] for x in xs]
+    ys = [3 - 2 * x + x**3 for x in xs]
+    assert solve_exact(rows, ys, 4) == [3, -2, 0, 1]
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_exact(rows, ys[:-1] + [ys[-1] + 1], 4)
+
+
+def test_solve_exact_refuses_underdetermined_and_misshapen_systems():
+    # a repeated point leaves one unknown undetermined
+    with pytest.raises(ValueError, match="does not determine"):
+        solve_exact(_vandermonde([1, 1]), [2, 3], 2)
+    with pytest.raises(ValueError, match="does not determine"):
+        solve_exact([[1, 2]], [3], 2)
+    with pytest.raises(ValueError, match="one value per row"):
+        solve_exact(_vandermonde([1, 2]), [2], 2)
+    with pytest.raises(ValueError, match="one entry per unknown"):
+        solve_exact([[1, 2]], [3], 1)
 
 
 def test_factorial_small_values():

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from itertools import permutations, product
 
 import pytest
 
+from pillowcount import ribbon as ribbon_mod
 from pillowcount.layers import LayerSignature, f_closed
 from pillowcount.polynomials import Polynomial, RationalFunction, laplace_of_polynomial, rf_equal
 from pillowcount.ribbon import (
@@ -331,6 +333,23 @@ def test_sample_directions_pinned(key: tuple[int, int]):
 @pytest.mark.parametrize("mn", [(0, 2), (1, 1), (1, 3)])
 def test_leading_part_fit_small(mn: tuple[int, int]):
     assert leading_part_fit(*mn) == f_closed(LayerSignature(*mn))
+
+
+def test_leading_part_fit_checks_each_ray(monkeypatch):
+    """A count that misses only at a ray's last sample, the second of the
+    two samples past the 2a + 1 unknowns, fails the fit."""
+    m, n = 1, 1
+    a = LayerSignature(m, n).half_degree
+    t_last = max(2, (3 * m + n) // 2) + 2 * (2 * a + 2)
+    real = ribbon_mod.exact_lattice_count
+
+    def missing(g, widths):
+        # the rays are t * u for primitive u, so the gcd of the widths is t
+        return real(g, widths) + (math.gcd(*widths) == t_last)
+
+    monkeypatch.setattr(ribbon_mod, "exact_lattice_count", missing)
+    with pytest.raises(ValueError, match="inconsistent"):
+        leading_part_fit(m, n)
 
 
 def test_fully_labelled_totals():

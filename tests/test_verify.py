@@ -63,16 +63,17 @@ def test_detects_series_disagreeing_with_tree_sum(monkeypatch):
 
 
 def test_cover_check_compares_the_shipped_connected_counts(monkeypatch):
-    """verify's connected-cover check reads connected_counts, the table that
-    `covers count` prints: weight moved between two degree-3 cells fails
-    that degree alone, and the failure names both cells."""
-    real = verify_mod.connected_counts
+    """verify's connected-cover check reads connected_from_sums, the log
+    behind the table that `covers count` prints: weight moved between two
+    degree-3 cells fails that degree alone, and the failure names both
+    cells."""
+    real = verify_mod.connected_from_sums
 
-    def shifted(k, max_degree):
-        counts = real(k, max_degree)
+    def shifted(k, sums):
+        counts = real(k, sums)
         return {**counts, (3, 1, 5): counts[3, 1, 5] + 1, (3, 2, 6): counts[3, 2, 6] - 1}
 
-    monkeypatch.setattr(verify_mod, "connected_counts", shifted)
+    monkeypatch.setattr(verify_mod, "connected_from_sums", shifted)
     results = run_verification(k_max=0, mn_max=0, cover_n_max=5)
     failed = [r for r in results if not r.passed]
     assert [r.name for r in failed] == ["cover counts character sum = direct enumeration, degree 3"]
@@ -81,9 +82,10 @@ def test_cover_check_compares_the_shipped_connected_counts(monkeypatch):
 
 
 def test_cover_check_reads_the_shipped_four_way_sums(monkeypatch):
-    """verify's per-profile check reads _multiset_values, the sums that the
-    cover counts are built from: one degree-3 value moved fails that degree
-    alone, and the failure names the first profile of that multiset."""
+    """verify's per-profile check and its connected counts read one stream
+    of _multiset_values, the sums that the cover counts are built from: one
+    degree-3 value moved fails that degree, naming the first profile of that
+    multiset, and through the log the degree-5 cell it reaches."""
     from fractions import Fraction
 
     from pillowcount.covers import cover_profiles
@@ -101,7 +103,10 @@ def test_cover_check_reads_the_shipped_four_way_sums(monkeypatch):
     monkeypatch.setattr(verify_mod, "_multiset_values", shifted)
     results = run_verification(k_max=0, mn_max=0, cover_n_max=5)
     failed = [r for r in results if not r.passed]
-    assert [r.name for r in failed] == ["cover counts character sum = direct enumeration, degree 3"]
+    assert [r.name for r in failed] == [
+        f"cover counts character sum = direct enumeration, degree {n}" for n in (3, 5)
+    ]
     profile = next(p for p in cover_profiles(3, 2, 6) if sorted(p) == sorted(moved))
     assert failed[0].lhs == f"{profile}: 4/3"
     assert failed[0].rhs == f"{profile}: 1"
+    assert (failed[1].lhs, failed[1].rhs) == ("(5, 1, 5): 106", "(5, 1, 5): 108")
