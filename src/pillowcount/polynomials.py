@@ -1,30 +1,16 @@
-"""Sparse exact multivariate polynomials and rational functions.
+"""Sparse exact multivariate polynomials and the integration operator D.
 
 Variables are positional: index i stands for the width variable w_{i+1} or,
-on the transform side, the pole variable lambda_{i+1}. Exponent tuples are
-stored with trailing zeros stripped, so (2, 0) and (2,) denote the same
-monomial. Rational functions are never reduced; equality goes through
-cross-multiplication.
+when ribbon.same_transform multiplies out a transform, the pole variable
+lambda_{i+1}. Exponent tuples are stored with trailing zeros stripped, so
+(2, 0) and (2,) denote the same monomial.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .rationals import factorial
-
-__all__ = [
-    "Polynomial",
-    "RationalFunction",
-    "apply_D",
-    "laplace_of_polynomial",
-    "rf_add",
-    "rf_mul",
-    "rf_scale",
-    "rf_equal",
-    "rf_partial",
-]
+__all__ = ["Polynomial", "apply_D"]
 
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -170,17 +156,6 @@ class Polynomial:
                     return False
         return True
 
-    def partial(self, var: int) -> "Polynomial":
-        """Partial derivative with respect to variable index var."""
-        acc: dict[Exponents, Fraction] = {}
-        for exps, coeff in self._terms.items():
-            if var >= len(exps) or exps[var] == 0:
-                continue
-            e = exps[var]
-            key = exps[:var] + (e - 1,) + exps[var + 1:]
-            acc[key] = acc.get(key, 0) + coeff * e
-        return Polynomial(acc)
-
     def remap_variables(self, mapping: Sequence[int]) -> "Polynomial":
         """Send variable i to variable mapping[i]; targets must be distinct."""
         if len(set(mapping)) != len(mapping):
@@ -259,68 +234,3 @@ def apply_D(p: Polynomial, variables: Iterable[int]) -> Polynomial:
             key = padded[:i] + (n + 2,) + padded[i + 1:]
             acc[key] = acc.get(key, 0) + coeff / (n + 2)
     return Polynomial(acc)
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """Quotient of two polynomials in the lambda variables, kept unreduced."""
-
-    num: Polynomial
-    den: Polynomial
-
-    def __post_init__(self) -> None:
-        if self.den.is_zero():
-            raise ValueError("rational function with identically zero denominator")
-
-    def __str__(self) -> str:
-        return f"({self.num.to_text(var='l')}) / ({self.den.to_text(var='l')})"
-
-
-def rf_add(f: RationalFunction, g: RationalFunction) -> RationalFunction:
-    return RationalFunction(f.num * g.den + g.num * f.den, f.den * g.den)
-
-
-def rf_mul(f: RationalFunction, g: RationalFunction) -> RationalFunction:
-    return RationalFunction(f.num * g.num, f.den * g.den)
-
-
-def rf_scale(f: RationalFunction, c: Scalar) -> RationalFunction:
-    return RationalFunction(f.num * c, f.den)
-
-
-def rf_equal(f: RationalFunction, g: RationalFunction) -> bool:
-    return f.num * g.den == g.num * f.den
-
-
-def rf_partial(f: RationalFunction, var: int) -> RationalFunction:
-    """d/d lambda_var by the quotient rule, without reduction."""
-    return RationalFunction(
-        f.num.partial(var) * f.den - f.num * f.den.partial(var),
-        f.den * f.den,
-    )
-
-
-def laplace_of_polynomial(p: Polynomial, arity: int) -> RationalFunction:
-    """Transform of a width polynomial, variable by variable.
-
-    A monomial factor w^k turns into k!/lambda^{k+1}; a variable that does not
-    appear in a term still contributes 1/lambda. The result is assembled over
-    the common denominator prod lambda_i^{max_i + 1}.
-    """
-    if arity < p.arity():
-        raise ValueError("transform arity smaller than the number of variables")
-    if p.is_zero():
-        return RationalFunction(Polynomial.zero(), Polynomial.one())
-    maxes = [0] * arity
-    for exps, _ in p.items():
-        for i, e in enumerate(exps):
-            maxes[i] = max(maxes[i], e)
-    num = Polynomial.zero()
-    for exps, coeff in p.items():
-        full = _pad(_strip(exps), arity)
-        c = coeff
-        for e in full:
-            c *= factorial(e)
-        num = num + Polynomial.monomial(tuple(m - e for m, e in zip(maxes, full)), c)
-    den = Polynomial.monomial(tuple(m + 1 for m in maxes))
-    return RationalFunction(num, den)

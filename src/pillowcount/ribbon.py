@@ -13,18 +13,22 @@ can only rotate each trivalent triple; dropping vertex labels (faces-only
 mode) additionally permutes trivalent triples among themselves and univalent
 darts among themselves. Face labels are preserved in both modes. Each class
 is represented by its least member, comparing alpha and then the face labels.
+
+A Laplace transform is a list of terms (c, forms), each c / prod L^forms[L]
+over primitive linear forms L in the face poles lambda_i.  Only
+same_transform multiplies terms out into polynomials.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from math import gcd, inf, prod
 from typing import Iterator, Sequence
 
 from .layers import LayerSignature
-from .polynomials import Polynomial, RationalFunction, rf_add, rf_equal, rf_mul, rf_partial, rf_scale
+from .polynomials import Polynomial
 from .rationals import binomial, capped_product, compositions, factorial, seconds_text, size_text, solve_exact
 
 # enumerate_graphs refuses signatures with more labelled pairings than this
@@ -40,6 +44,8 @@ __all__ = [
     "check_lattice_size",
     "exact_lattice_count",
     "laplace_transform",
+    "laplace_of_polynomial",
+    "same_transform",
     "hat_F",
     "verify_pole_recurrence",
     "leading_part_fit",
@@ -326,18 +332,34 @@ def _edge_forms(g: RibbonGraph) -> list[tuple[int, ...]]:
     return forms
 
 
-def _factored_transform(g: RibbonGraph) -> tuple[Fraction, Counter[tuple[int, ...]]]:
-    """Transform as coefficient / product of primitive linear forms."""
+Form = tuple[int, ...]
+Term = tuple[Fraction, Counter[Form]]
+
+
+def laplace_transform(g: RibbonGraph) -> Term:
+    """2^{m+n-1} times the product over edges of 1/(sum of the two bordering
+    face poles), a face bordering an edge twice counting twice: one term."""
     coeff = Fraction(2 ** (g.m + g.n - 1))
-    denom: Counter[tuple[int, ...]] = Counter()
+    forms: Counter[Form] = Counter()
     for vec in _edge_forms(g):
         prim = _primitive(vec)
         coeff /= sum(vec) // sum(prim)  # the content of vec
-        denom[prim] += 1
-    return coeff, denom
+        forms[prim] += 1
+    return coeff, forms
 
 
-def _form_product(powers: dict[tuple[int, ...], int]) -> Polynomial:
+def laplace_of_polynomial(p: Polynomial, arity: int) -> list[Term]:
+    """Transform of a width polynomial, variable by variable: a monomial
+    factor w_i^k turns into k!/lambda_i^{k+1}, so a variable absent from a
+    monomial still contributes 1/lambda_i."""
+    units = [tuple(int(j == i) for j in range(arity)) for i in range(arity)]
+    return [
+        (coeff * prod(map(factorial, exps)), Counter({u: k + 1 for u, k in zip(units, exps)}))
+        for exps, coeff in p.sorted_terms(arity)
+    ]
+
+
+def _form_product(powers: Counter[Form]) -> Polynomial:
     out = Polynomial.one()
     for vec, mult in powers.items():
         linear = Polynomial({(0,) * i + (1,): c for i, c in enumerate(vec) if c})
@@ -346,21 +368,29 @@ def _form_product(powers: dict[tuple[int, ...], int]) -> Polynomial:
     return out
 
 
-def _assemble(parts: list[tuple[Fraction, Counter[tuple[int, ...]]]]) -> RationalFunction:
-    """Sum of factored transforms over their least common denominator."""
-    common: Counter[tuple[int, ...]] = Counter()
-    for _, denom in parts:
-        common |= denom
+def same_transform(f: Sequence[Term], g: Sequence[Term]) -> bool:
+    """Whether two transforms are the same rational function.
+
+    f - g is multiplied out over the least common multiple of its
+    denominators, after merging terms over the same forms, and equal
+    transforms leave the numerator zero.  A zero form would zero that
+    multiple and pass any comparison, so it is refused.
+    """
+    merged: dict[tuple[tuple[Form, int], ...], Fraction] = {}
+    for sign, terms in ((1, f), (-1, g)):
+        for c, forms in terms:
+            if not all(any(form) for form in forms):
+                raise ValueError("a transform term divides by the zero form")
+            key = tuple(sorted(forms.items()))
+            merged[key] = merged.get(key, 0) + sign * c
+    parts = [(c, Counter(dict(key))) for key, c in merged.items() if c]
+    common: Counter[Form] = Counter()
+    for _, forms in parts:
+        common |= forms
     num = Polynomial.zero()
-    for coeff, denom in parts:
-        num = num + coeff * _form_product(common - denom)
-    return RationalFunction(num, _form_product(common))
-
-
-def laplace_transform(g: RibbonGraph) -> RationalFunction:
-    """2^{m+n-1} times the product over edges of 1/(sum of the two bordering
-    face poles), a face bordering an edge twice counting twice."""
-    return _assemble([_factored_transform(g)])
+    for c, forms in parts:
+        num = num + c * _form_product(common - forms)
+    return num.is_zero()
 
 
 def _column_classes(graphs: Sequence[RibbonGraph]) -> list[tuple[RibbonGraph, int]]:
@@ -372,62 +402,60 @@ def _column_classes(graphs: Sequence[RibbonGraph]) -> list[tuple[RibbonGraph, in
     return [(g, size) for g, size in classes.values()]
 
 
-def hat_F(m: int, n: int) -> RationalFunction:
-    """Sum of the transforms over the fully labelled enumeration, once per
-    edge-column class times its size."""
-    parts = []
+def hat_F(m: int, n: int) -> list[Term]:
+    """Sum of the transforms over the fully labelled enumeration, one term
+    per edge-column class weighted by its size."""
+    terms = []
     for g, size in _column_classes(enumerate_graphs(m, n, "full")):
-        coeff, denom = _factored_transform(g)
-        parts.append((size * coeff, denom))
-    return _assemble(parts)
+        c, forms = laplace_transform(g)
+        terms.append((size * c, forms))
+    return terms
 
 
 def verify_pole_recurrence(m: int, n: int) -> bool:
-    """Check hat_F_{m+1,n+1} = 2(m+1) sum_i (-1/lambda_i) d/dlambda_i hat_F_{m,n}."""
-    lhs = hat_F(m + 1, n + 1)
-    base = hat_F(m, n)
+    """Check hat_F_{m+1,n+1} = 2(m+1) sum_i (-1/lambda_i) d/dlambda_i hat_F_{m,n}.
+
+    Term by term, since d/dlambda_i L^-k = -k L_i L^-(k+1): each term
+    c/prod L^k and each form L with L_i != 0 give the term
+    2(m+1) c k L_i / (lambda_i L prod L^k).
+    """
     l = LayerSignature(m, n).faces
-    rhs = None
-    for i in range(l):
-        term = rf_mul(
-            RationalFunction(Polynomial.constant(-1), Polynomial.variable(i)),
-            rf_partial(base, i),
-        )
-        rhs = term if rhs is None else rf_add(rhs, term)
-    rhs = rf_scale(rhs, 2 * (m + 1))
-    return rf_equal(lhs, rhs)
+    units = [tuple(int(j == i) for j in range(l)) for i in range(l)]
+    rhs = []
+    for c, forms in hat_F(m, n):
+        for form, k in forms.items():
+            for i, unit in enumerate(units):
+                if form[i]:
+                    # Counter([form, unit]), as Counter({form: 1, unit: 1})
+                    # keeps one entry when form is the unit form itself
+                    rhs.append((2 * (m + 1) * c * k * form[i], forms + Counter([form, unit])))
+    return same_transform(hat_F(m + 1, n + 1), rhs)
 
 
 # -- leading-term fit --------------------------------------------------
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, expanded along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]]) for j, a in enumerate(rows[0]) if a)
 
 
 def _wall_normals(graphs: Sequence[RibbonGraph], l: int) -> set[tuple[int, ...]]:
     """Normals of the cone walls where any graph's count changes regime.
 
     Walls of a vector partition function are spanned by subsets of incidence
-    columns of rank l-1; for l <= 3, the faces leading_part_fit accepts,
-    these come from single columns (l = 2) or pairs of columns (l = 3).
+    columns of rank l-1.  Each (l-1)-subset of a graph's distinct columns
+    gives the normal with entries (-1)^i det(the columns without coordinate
+    i), which is zero when the subset has lower rank.
     """
     normals: set[tuple[int, ...]] = set()
-    if l == 1:
-        return normals
     for g in graphs:
-        cols = list(set(_edge_forms(g)))
-        if l == 2:
-            for (c1, c2) in cols:
-                nu = (c2, -c1)
+        for subset in combinations(set(_edge_forms(g)), l - 1):
+            nu = [(-1) ** i * _det([c[:i] + c[i + 1:] for c in subset]) for i in range(l)]
+            if any(nu):
                 normals.add(_primitive(nu))
-        else:
-            for i in range(len(cols)):
-                for j in range(i + 1, len(cols)):
-                    a, b = cols[i], cols[j]
-                    nu = (
-                        a[1] * b[2] - a[2] * b[1],
-                        a[2] * b[0] - a[0] * b[2],
-                        a[0] * b[1] - a[1] * b[0],
-                    )
-                    if any(nu):
-                        normals.add(_primitive(nu))
     return normals
 
 

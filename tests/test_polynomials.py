@@ -1,4 +1,4 @@
-"""Sparse exact polynomials, the D operator, and Laplace transforms."""
+"""Sparse exact polynomials and the D operator."""
 
 from __future__ import annotations
 
@@ -8,17 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pillowcount.polynomials import (
-    Polynomial,
-    RationalFunction,
-    apply_D,
-    laplace_of_polynomial,
-    rf_add,
-    rf_equal,
-    rf_mul,
-    rf_partial,
-    rf_scale,
-)
+from pillowcount.polynomials import Polynomial, apply_D
 
 
 def small_polynomials():
@@ -93,13 +83,6 @@ def test_is_symmetric_padding():
     assert Polynomial.monomial((2,)).is_symmetric(1)
 
 
-def test_partial_derivative():
-    p = Polynomial({(3, 1): 2})
-    assert p.partial(0) == Polynomial({(2, 1): 6})
-    assert p.partial(1) == Polynomial({(3,): 2})
-    assert p.partial(2) == Polynomial.zero()
-
-
 def test_remap_variables():
     p = Polynomial({(2, 1): 3})
     assert p.remap_variables((2, 0)) == Polynomial({(1, 0, 2): 3})
@@ -171,61 +154,3 @@ def test_apply_D_monomial_rule():
 @given(small_polynomials(), small_polynomials())
 def test_apply_D_is_linear(p: Polynomial, q: Polynomial):
     assert apply_D(p + q, [0, 1, 2]) == apply_D(p, [0, 1, 2]) + apply_D(q, [0, 1, 2])
-
-
-def test_rational_function_equality_is_cross_multiplication():
-    lam = Polynomial.variable(0)
-    one = Polynomial.one()
-    f = RationalFunction(lam, lam * lam)
-    g = RationalFunction(one, lam)
-    assert rf_equal(f, g)
-    assert not rf_equal(f, RationalFunction(one, lam * lam))
-
-
-def test_rational_function_zero_denominator_rejected():
-    with pytest.raises(ValueError):
-        RationalFunction(Polynomial.one(), Polynomial.zero())
-
-
-def test_rational_function_arithmetic():
-    lam1 = Polynomial.variable(0)
-    lam2 = Polynomial.variable(1)
-    one = Polynomial.one()
-    f = RationalFunction(one, lam1)
-    g = RationalFunction(one, lam2)
-    s = rf_add(f, g)
-    assert rf_equal(s, RationalFunction(lam1 + lam2, lam1 * lam2))
-    p = rf_mul(f, g)
-    assert rf_equal(p, RationalFunction(one, lam1 * lam2))
-    assert rf_equal(rf_scale(f, 3), RationalFunction(Polynomial.constant(3), lam1))
-
-
-def test_rf_partial_quotient_rule():
-    lam = Polynomial.variable(0)
-    one = Polynomial.one()
-    # d/dl (1/l) = -1/l^2
-    d = rf_partial(RationalFunction(one, lam), 0)
-    assert rf_equal(d, RationalFunction(-one, lam * lam))
-    # d/dl (l^2/1) = 2l
-    d2 = rf_partial(RationalFunction(lam * lam, one), 0)
-    assert rf_equal(d2, RationalFunction(2 * lam, one))
-
-
-def test_laplace_of_polynomial_monomial_rule():
-    # w^k -> k!/lambda^{k+1}; absent variables contribute 1/lambda
-    p = Polynomial.monomial((2,))
-    f = laplace_of_polynomial(p, 1)
-    assert rf_equal(f, RationalFunction(Polynomial.constant(2), Polynomial.monomial((3,))))
-    g = laplace_of_polynomial(Polynomial.one(), 2)
-    assert rf_equal(g, RationalFunction(Polynomial.one(), Polynomial.monomial((1, 1))))
-    with pytest.raises(ValueError):
-        laplace_of_polynomial(Polynomial.monomial((1, 1)), 1)
-
-
-def test_laplace_of_polynomial_is_additive():
-    p = Polynomial({(2, 0): 1})
-    q = Polynomial({(0, 2): 1})
-    both = laplace_of_polynomial(p + q, 2)
-    assert rf_equal(
-        both, rf_add(laplace_of_polynomial(p, 2), laplace_of_polynomial(q, 2))
-    )
