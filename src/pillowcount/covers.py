@@ -16,13 +16,14 @@ bead masks, each factor p_r adds every r-border strip, and a class of
 degree N + 2 is one p_2 step from its class of degree N.  That step is
 taken once per degree for all classes of the degree's parity, their values
 packed side by side into one int per shape.  The two parities share only
-the cheap seed columns, so the odd degrees run in a forked child process
-while the caller runs the even ones; each degree's columns are unpacked
-into lists aligned to its shapes, and the four-way sums over them run as
-map/sum chains in C.  `character` removes strips from a single shape's
-bead mask top-down and is the reference route.  `verify` checks these
-four-way sums, per profile, against direct enumeration, and the connected
-counts it takes from the same sums (connected_from_sums) per cell.
+the cheap seed columns, so the degrees of the top degree's parity run in
+a forked child process while the caller runs the others; each degree's
+columns are unpacked into lists aligned to its shapes, and the four-way
+sums over them run as map/sum chains in C.  `character` removes strips
+from a single shape's bead mask top-down and is the reference route.
+`verify` checks these four-way sums, per profile, against direct
+enumeration, and the connected counts it takes from the same sums
+(connected_from_sums) per cell.
 
 A cycle of length c in a corner monodromy sits over that corner as a point
 where the induced quadratic differential has order c - 2: fixed points are
@@ -323,20 +324,24 @@ def _multiset_values(
     """Yield (n, values) for n = 1..max_degree, in order: the Frobenius
     counts of degree n by multiset of corner classes (_parity_values).
 
-    The odd degrees run in a forked child, which sends each degree's values
-    down a pipe as one pickle, while this process computes the even ones.
+    The degrees of the top degree's parity run in a forked child, which
+    sends each degree's values down a pipe as one pickle, while this
+    process computes the others (and, under connected_counts, takes the
+    log as the degrees come): the top degree's half costs the most, so the
+    child takes it.
     Fork, not a spawned pool: a spawn pool's round trip took 0.09-0.20 s on
-    a 2-CPU VM, against 2-5 ms to fork and reap, more than the odd half of
-    a benchmark-sized request costs.  Where os.fork is missing, or other
+    a 2-CPU VM, against 2-5 ms to fork and reap, more than the forked half
+    of a benchmark-sized request costs.  Where os.fork is missing, or other
     threads run (fork copies only the calling thread), both halves run in
     this process.  A child that fails or sends short raises RuntimeError,
     and closing the generator early kills and reaps the child.
     """
-    even = _parity_values(max_degree, max_threes, max_ones, 0)
+    forked = max_degree % 2
+    own = _parity_values(max_degree, max_threes, max_ones, 1 - forked)
     if not hasattr(os, "fork") or threading.active_count() > 1:
-        odd = _parity_values(max_degree, max_threes, max_ones, 1)
+        other = _parity_values(max_degree, max_threes, max_ones, forked)
         for n in range(1, max_degree + 1):
-            yield next(odd if n % 2 else even)
+            yield next(other if n % 2 == forked else own)
         return
     read_end, write_end = os.pipe()
     try:
@@ -350,7 +355,7 @@ def _multiset_values(
         try:
             os.close(read_end)
             with os.fdopen(write_end, "wb") as sink:
-                for item in _parity_values(max_degree, max_threes, max_ones, 1):
+                for item in _parity_values(max_degree, max_threes, max_ones, forked):
                     pickle.dump(item, sink)
                     sink.flush()
             status = 0
@@ -365,18 +370,18 @@ def _multiset_values(
     try:
         with os.fdopen(read_end, "rb") as source:
             for n in range(1, max_degree + 1):
-                if not n % 2:
-                    yield next(even)
+                if n % 2 != forked:
+                    yield next(own)
                     continue
                 try:
                     item = pickle.load(source)
                 except (EOFError, pickle.UnpicklingError) as exc:
-                    raise RuntimeError(f"the odd-degree cover counts stopped before degree {n}") from exc
+                    raise RuntimeError(f"the forked cover counts stopped before degree {n}") from exc
                 yield item
         _, status = os.waitpid(pid, 0)
         pid = 0
         if status:
-            raise RuntimeError(f"the odd-degree cover counts ended with wait status {status}")
+            raise RuntimeError(f"the forked cover counts ended with wait status {status}")
     finally:
         if pid:
             import signal  # only a caller that stops early needs it
@@ -397,7 +402,10 @@ def check_cover_size(k: int, max_degree: int) -> None:
     the least worst ratio, to the in-process times of connected_counts on
     a 2-CPU VM, the odd degrees running in the second process: the 68
     requests of 0.25 s or more among K = 1..20 at N = 16..54 and K = 30..60
-    at N = 12..18.  It is within a factor of 1.93 of each of them.
+    at N = 12..18.  It is within a factor of 1.93 of each of them.  The
+    second process now takes the top degree's parity, the same split at
+    odd N and a more even one at even N, so there the estimate errs on the
+    slow side.
     k_s = (K^-2 + (N/2)^-2)^(-1/2), a smooth min(K, N/2), is K while K is
     small against N/2 and approaches N/2 as K grows, so the estimate stops
     growing with K: at N = 16 it is at most 1.6 s.  It is 0 when K or N is

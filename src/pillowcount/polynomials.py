@@ -8,7 +8,7 @@ lambda_{i+1}. Exponent tuples are stored with trailing zeros stripped, so
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 __all__ = ["Polynomial", "apply_D"]
 
@@ -58,10 +58,6 @@ class Polynomial:
         return Polynomial.constant(1)
 
     @staticmethod
-    def variable(i: int) -> "Polynomial":
-        return Polynomial.monomial((0,) * i + (1,))
-
-    @staticmethod
     def monomial(exps: Iterable[int], coeff: Scalar = 1) -> "Polynomial":
         return Polynomial({tuple(exps): coeff})
 
@@ -70,27 +66,12 @@ class Polynomial:
     def items(self):
         return self._terms.items()
 
-    def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self._terms.get(_strip(exps), Fraction(0))
-
     def is_zero(self) -> bool:
         return not self._terms
 
     def arity(self) -> int:
         """Number of leading variables actually appearing."""
         return max((len(k) for k in self._terms), default=0)
-
-    def total_degree(self) -> int:
-        return max((sum(k) for k in self._terms), default=0)
-
-    def homogeneous_degree(self) -> int | None:
-        """The common total degree of all terms, or None if inhomogeneous."""
-        degs = {sum(k) for k in self._terms}
-        if not degs:
-            return 0
-        if len(degs) == 1:
-            return degs.pop()
-        return None
 
     # -- ring operations ----------------------------------------------
 
@@ -138,39 +119,6 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
-
-    # -- analysis -----------------------------------------------------
-
-    def is_symmetric(self, l: int) -> bool:
-        """Invariance under all permutations of the first l variables."""
-        if l <= 1:
-            return True
-        width = max(l, self.arity())
-        base = {_pad(k, width): c for k, c in self._terms.items()}
-        # adjacent transpositions generate the symmetric group
-        for i in range(l - 1):
-            for k, c in base.items():
-                swapped = list(k)
-                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                if base.get(tuple(swapped), Fraction(0)) != c:
-                    return False
-        return True
-
-    def remap_variables(self, mapping: Sequence[int]) -> "Polynomial":
-        """Send variable i to variable mapping[i]; targets must be distinct."""
-        if len(set(mapping)) != len(mapping):
-            raise ValueError("variable remapping must be injective")
-        acc: dict[Exponents, Fraction] = {}
-        for exps, coeff in self._terms.items():
-            if len(exps) > len(mapping):
-                raise ValueError("remapping does not cover all variables")
-            width = max((mapping[i] for i in range(len(exps))), default=-1) + 1
-            out = [0] * width
-            for i, e in enumerate(exps):
-                out[mapping[i]] = e
-            key = tuple(out)
-            acc[key] = acc.get(key, 0) + coeff
-        return Polynomial(acc)
 
     # -- rendering ----------------------------------------------------
 

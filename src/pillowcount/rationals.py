@@ -178,8 +178,8 @@ def bernoulli(n: int) -> Fraction:
 class PiValue:
     """An exact rational multiple of an even power of pi.
 
-    Addition is only defined between values of the same pi power, except that
-    an exact zero combines with anything. Multiplication adds the powers.
+    Addition is only defined between values of the same pi power, a zero
+    included. Multiplication adds the powers.
     """
 
     coefficient: Fraction
@@ -191,31 +191,14 @@ class PiValue:
         if self.pi_power < 0 or self.pi_power % 2 != 0:
             raise ValueError(f"pi power must be even and nonnegative, got {self.pi_power}")
 
-    @staticmethod
-    def zero() -> "PiValue":
-        return PiValue(Fraction(0), 0)
-
-    def is_zero(self) -> bool:
-        return self.coefficient == 0
-
     def __add__(self, other: "PiValue") -> "PiValue":
         if not isinstance(other, PiValue):
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
         if self.pi_power != other.pi_power:
             raise ValueError(
                 f"cannot add pi^{self.pi_power} and pi^{other.pi_power} terms"
             )
         return PiValue(self.coefficient + other.coefficient, self.pi_power)
-
-    def __neg__(self) -> "PiValue":
-        return PiValue(-self.coefficient, self.pi_power)
-
-    def __sub__(self, other: "PiValue") -> "PiValue":
-        return self + (-other)
 
     def __mul__(self, other: Union["PiValue", Scalar]) -> "PiValue":
         if isinstance(other, PiValue):
@@ -226,22 +209,6 @@ class PiValue:
 
     def __rmul__(self, other: Scalar) -> "PiValue":
         return self.__mul__(other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PiValue):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.coefficient == other.coefficient and self.pi_power == other.pi_power
-
-    def __hash__(self) -> int:
-        if self.is_zero():
-            return hash((Fraction(0), -1))
-        return hash((self.coefficient, self.pi_power))
-
-    def to_float(self) -> float:
-        """Decimal approximation; display layer only."""
-        return float(self.coefficient) * math.pi ** self.pi_power
 
     def __str__(self) -> str:
         c = self.coefficient

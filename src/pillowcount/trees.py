@@ -421,7 +421,7 @@ def tree_contribution(t: DecoratedTree, K: int) -> TreeContribution:
     ns = [t.layer(v).n for v in range(t.vertices)]
     c_factor = Fraction(multinomial(K, ms) * multinomial(K + 4, ns), aut)
     scale = 2**k * c_factor
-    value = PiValue.zero()
+    value = PiValue(Fraction(0), 2 * K + 2)
     zeta_terms = []
     for key in sorted(classes):
         if sum(key) != 2 * K + 2 - k:

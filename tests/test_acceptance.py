@@ -87,7 +87,7 @@ def test_criterion_2_per_tree_contributions():
     got_k2 = {t.layer_text(): value for t, value in contributions_k2}
     subtotals: dict[int, PiValue] = {}
     for t, value in contributions_k2:
-        subtotals[t.k] = subtotals.get(t.k, PiValue.zero()) + value
+        subtotals[t.k] = subtotals.get(t.k, PiValue(Fraction(0), 6)) + value
     passed = got_k1 == expected_k1 and got_k2 == expected_k2 and subtotals == expected_subtotals
     _report(
         2,

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -484,6 +485,27 @@ def test_verify_fails_on_corruption(runner, monkeypatch):
     assert result.exit_code == 1
     assert "FAIL" in result.output
     assert "first failure:" in result.output
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_print_what_the_readme_shows(runner):
+    """Every `$ pillowcount ...` example of the README whose stdout is shown
+    in full prints exactly those lines; an example shown cut short (`...`),
+    a refusal (`Usage:`) or one with no output shown is skipped."""
+    checked = []
+    for block in README.read_text(encoding="utf-8").split("```")[1::2]:
+        for example in block.split("\n$ ")[1:]:
+            command, _, shown = example.partition("\n")
+            prog, *args = shlex.split(command, comments=True)
+            if prog != "pillowcount" or not shown.strip() or "..." in shown or "Usage:" in shown:
+                continue
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, command
+            assert result.stdout.splitlines() == shown.rstrip("\n").splitlines(), command
+            checked.append(command)
+    assert checked
 
 
 def test_root_help_lists_every_command(capsys):

@@ -390,44 +390,50 @@ def _forked_children(monkeypatch) -> list[int]:
     ],
     ids=["raises", "exits", "stops-short", "exits-after-the-last-degree"],
 )
-def test_failed_odd_half_raises(monkeypatch, sent, failure):
-    """An odd-degree worker that raises, exits with status 3, or stops early
-    in the child makes connected_counts raise: no table comes back short."""
+def test_failed_forked_half_raises(monkeypatch, sent, failure):
+    """A forked worker that raises, exits with status 3, or stops early in
+    the child makes connected_counts raise, at an even and at an odd top
+    degree: no table comes back short."""
     parent = os.getpid()
     real = covers_mod._parity_values
 
-    def odd_half_fails(max_degree, max_threes, max_ones, parity):
+    def forked_half_fails(max_degree, max_threes, max_ones, parity):
         values = real(max_degree, max_threes, max_ones, parity)
-        if not parity:
+        if parity != max_degree % 2:
             yield from values
             return
-        assert os.getpid() != parent, "the odd degrees ran in the calling process"
+        assert os.getpid() != parent, "the top degree's parity ran in the calling process"
         yield from itertools.islice(values, sent)
         failure()
 
-    monkeypatch.setattr(covers_mod, "_parity_values", odd_half_fails)
+    monkeypatch.setattr(covers_mod, "_parity_values", forked_half_fails)
     children = _forked_children(monkeypatch)
-    with pytest.raises(RuntimeError, match="odd-degree"):
-        connected_counts(1, 8)
-    assert len(children) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(children[0], 0)
+    for max_degree in (8, 9):
+        with pytest.raises(RuntimeError, match="forked cover counts"):
+            connected_counts(1, max_degree)
+    assert len(children) == 2
+    for pid in children:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, 0)
 
 
-def test_closing_early_reaps_the_odd_half(monkeypatch):
+def test_closing_early_reaps_the_forked_half(monkeypatch):
     children = _forked_children(monkeypatch)
-    values = _multiset_values(12, 1, 5)
-    assert next(values)[0] == 1
-    values.close()
-    assert len(children) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(children[0], 0)
+    for max_degree in (12, 13):
+        values = _multiset_values(max_degree, 1, 5)
+        assert next(values)[0] == 1
+        values.close()
+    assert len(children) == 2
+    for pid in children:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, 0)
 
 
-@pytest.mark.parametrize("k, max_degree", [(1, 16), (2, 12)])
+@pytest.mark.parametrize("k, max_degree", [(1, 16), (2, 12), (1, 15)])
 def test_in_process_halves_match_the_fork(monkeypatch, k, max_degree):
     """Without os.fork, and while another thread runs, both parities run in
-    the calling process, with the same table, in the same order."""
+    the calling process, with the same table, in the same order, at an even
+    and at an odd top degree, so with either parity forked."""
     with monkeypatch.context() as patch:
         children = _forked_children(patch)
         forked = list(connected_counts(k, max_degree).items())

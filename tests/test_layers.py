@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -110,8 +111,9 @@ def test_routes_refuse_oversized_signature():
 def test_structural_properties(mn: tuple[int, int]):
     sig = LayerSignature(*mn)
     poly = f_closed(sig)
-    assert poly.homogeneous_degree() == 2 * sig.half_degree
-    assert poly.is_symmetric(sig.faces)
+    terms = {exps + (0,) * (sig.faces - len(exps)): c for exps, c in poly.items()}
+    assert {sum(exps) for exps in terms} == {2 * sig.half_degree}
+    assert all(terms.get(p) == c for exps, c in terms.items() for p in itertools.permutations(exps))
     assert all(c > 0 for _, c in poly.items())
     assert all(all(e % 2 == 0 for e in k) for k, _ in poly.items())
 
@@ -132,7 +134,7 @@ def test_closed_form_normalization():
     sig = LayerSignature(5, 1)
     a = sig.half_degree
     poly = f_closed(sig)
-    lead = poly.coefficient((2 * a,) + (0,) * (sig.faces - 1))
+    lead = dict(poly.items())[(2 * a,)]
     assert lead == Fraction(120, 2)  # 5!/2!
 
 

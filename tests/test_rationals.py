@@ -170,10 +170,7 @@ def test_pivalue_addition_rules():
     a = PiValue(Fraction(1, 3), 4)
     b = PiValue(Fraction(1, 6), 4)
     assert a + b == PiValue(Fraction(1, 2), 4)
-    assert a - a == PiValue(Fraction(0), 4)
-    # an exact zero combines with any power
-    assert PiValue.zero() + a == a
-    assert a + PiValue(Fraction(0), 8) == a
+    assert a + PiValue(Fraction(-1, 3), 4) == PiValue(Fraction(0), 4)
     with pytest.raises(ValueError):
         a + PiValue(Fraction(1), 2)
 
@@ -195,12 +192,8 @@ def test_pivalue_validation_and_rendering():
     assert str(PiValue(Fraction(-5, 9), 6)) == "pi^6 * -5/9"
 
 
-def test_pivalue_zero_equality_across_powers():
-    assert PiValue(Fraction(0), 4) == PiValue(Fraction(0), 8)
-    assert hash(PiValue(Fraction(0), 4)) == hash(PiValue(Fraction(0), 8))
-
-
-def test_pivalue_to_float():
-    import math
-
-    assert PiValue(Fraction(1, 6), 2).to_float() == pytest.approx(math.pi**2 / 6)
+def test_pivalue_zero_keeps_its_power():
+    """A zero of the wrong power is a wrong term, not a neutral one."""
+    assert PiValue(Fraction(0), 4) != PiValue(Fraction(0), 8)
+    with pytest.raises(ValueError, match="cannot add pi\\^4 and pi\\^8"):
+        PiValue(Fraction(1, 3), 4) + PiValue(Fraction(0), 8)

@@ -239,16 +239,19 @@ def per_monomial_contribution(t: DecoratedTree, K: int) -> tuple:
     k = t.k
     local = Polynomial.one()
     for v in range(t.vertices):
+        # F's variable j is the width of the vertex's j-th incident edge
         incident = [i for i, e in enumerate(t.edges) if v in e]
-        local = local * layers.f_closed(t.layer(v)).remap_variables(incident)
+        f = layers.f_closed(t.layer(v))
+        placed = {tuple(dict(zip(incident, exps)).get(i, 0) for i in range(k)): c for exps, c in f.items()}
+        local = local * Polynomial(placed)
     poly = Polynomial.monomial((1,) * k) * local
-    assert poly.homogeneous_degree() == 2 * K + 2 - k
+    assert {sum(exps) for exps, _ in poly.items()} == {2 * K + 2 - k}
     aut = aut_order(t)
     ms = [t.layer(v).m for v in range(t.vertices)]
     ns = [t.layer(v).n for v in range(t.vertices)]
     c_factor = Fraction(multinomial(K, ms) * multinomial(K + 4, ns), aut)
     scale = 2**k * c_factor
-    value = PiValue.zero()
+    value = PiValue(Fraction(0), 2 * K + 2)
     zeta_acc: dict[tuple[int, ...], Fraction] = {}
     for exps, coeff in poly.items():
         value = value + scale * coeff * zeta_operator(exps, K)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import pi, prod
 from typing import Sequence
 
 from pillowcount.rationals import bernoulli, binomial, factorial, zeta_even
@@ -60,7 +60,7 @@ def zeta_lemma_ratio(exponents: Sequence[int], bound: int) -> float:
     if k not in (1, 2):
         raise ValueError("only k = 1 or 2 supported")
     # zeta_even refuses an odd exponent here, before the finite sum starts
-    scale = prod(zeta_even(a + 2).to_float() for a in exponents)
+    scale = prod(float(zeta_even(a + 2).coefficient) * pi ** (a + 2) for a in exponents)
     s = zeta_lemma_sum_k1(exponents[0], bound) if k == 1 else zeta_lemma_sum_k2(exponents[0], exponents[1], bound)
     dim = sum(exponents) + 2 * k
     predicted = Fraction(bound) ** dim / factorial(dim) * prod(factorial(a + 1) for a in exponents)
