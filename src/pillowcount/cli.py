@@ -47,8 +47,7 @@ def ribbon_enumerate(opts: argparse.Namespace) -> None:
     from .ribbon import enumerate_graphs
 
     _or_usage(LayerSignature, opts.m, opts.n)
-    mode = "full" if opts.full_labels else "faces-only"
-    graphs = _or_usage(enumerate_graphs, opts.m, opts.n, label_mode=mode)
+    graphs = _or_usage(enumerate_graphs, opts.m, opts.n)
     records = [{"id": f"{opts.m}-{opts.n}-{index}", **g.to_json_dict()} for index, g in enumerate(graphs)]
     print(_json(records))
 
@@ -67,7 +66,7 @@ def ribbon_count(opts: argparse.Namespace) -> None:
     except ValueError:
         raise UsageError(f"malformed width list {opts.widths!r}") from None
     _or_usage(LayerSignature, m, n)
-    graphs = _or_usage(enumerate_graphs, m, n, label_mode="faces-only")
+    graphs = _or_usage(enumerate_graphs, m, n)
     if not 0 <= index < len(graphs):
         raise UsageError(f"graph id {opts.graph_id!r} out of range; {len(graphs)} graphs exist")
     print(_or_usage(exact_lattice_count, graphs[index], width_list))
@@ -382,11 +381,8 @@ def _parser(prog: str | None) -> argparse.ArgumentParser:
     cmd = _command(ribbon, "enumerate", ribbon_enumerate)
     cmd.add_argument("--m", type=int, required=True)
     cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--full-labels", action="store_true", help="Label trivalent vertices and their dart triples too.")
     cmd = _command(ribbon, "count", ribbon_count)
-    cmd.add_argument(
-        "--graph-id", required=True, help="Graph id m-n-i as printed by `ribbon enumerate` (faces-only labelling)."
-    )
+    cmd.add_argument("--graph-id", required=True, help="Graph id m-n-i as printed by `ribbon enumerate`.")
     cmd.add_argument("--widths", required=True, help="Comma-separated positive face widths, one per face.")
     cmd = _command(ribbon, "fit", ribbon_fit)
     cmd.add_argument("--m", type=int, required=True)

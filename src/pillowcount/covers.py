@@ -595,14 +595,20 @@ def naive_enumerate(classes: Sequence[Partition]) -> tuple[Fraction, Fraction]:
     return weight * count, weight * connected
 
 
+def naive_profile_counts(n: int, max_threes: int, max_ones: int) -> Iterator[tuple[Profile, Fraction, Fraction]]:
+    """(profile, all tuples, transitive tuples) by naive_enumerate, for each
+    profile of cover_profiles(n, max_threes, max_ones)."""
+    for profile in cover_profiles(n, max_threes, max_ones):
+        yield (profile, *naive_enumerate(profile))
+
+
 def naive_connected_counts(k: int, max_degree: int) -> dict[Cell, Fraction]:
     """connected_counts(k, max_degree) by direct enumeration of the
     transitive monodromy tuples of every profile, for max_degree <=
     NAIVE_MAX_DEGREE."""
     table: dict[Cell, Fraction] = {}
     for n in range(1, max_degree + 1):
-        for profile in cover_profiles(n, k, k + 4):
-            value = naive_enumerate(profile)[1]
+        for profile, _, value in naive_profile_counts(n, k, k + 4):
             if value != 0:
                 key = (n, *zeros_and_poles(profile))
                 table[key] = table.get(key, Fraction(0)) + value

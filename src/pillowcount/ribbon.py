@@ -8,11 +8,12 @@ alpha pairing the darts, together with a labelling of the faces, which are
 the cycles of d -> sigma(alpha(d)).
 
 Two labelled graphs are isomorphic when a dart relabelling preserving sigma
-carries one to the other. With vertex labels kept (full mode) the relabelling
-can only rotate each trivalent triple; dropping vertex labels (faces-only
-mode) additionally permutes trivalent triples among themselves and univalent
-darts among themselves. Face labels are preserved in both modes. Each class
-is represented by its least member, comparing alpha and then the face labels.
+carries one to the other: it rotates each trivalent triple, permutes the
+triples among themselves and the univalent darts among themselves, and keeps
+the face labels. Each class is represented by its least member, comparing
+alpha and then the face labels, and stands for m! n! / |Aut| graphs with
+labelled vertices, the weight of its transform and lattice count in hat_F
+and leading_part_fit.
 
 A Laplace transform is a list of terms (c, forms), each c / prod L^forms[L]
 over primitive linear forms L in the face poles lambda_i.  Only
@@ -68,6 +69,8 @@ class RibbonGraph:
     n: int
     alpha: tuple[int, ...]
     face_of_dart: tuple[int, ...]
+    # the number of relabellings that carry the graph to itself
+    aut: int
 
     @property
     def darts(self) -> int:
@@ -157,29 +160,24 @@ def _check_pairings(m: int, n: int) -> None:
         )
 
 
-def enumerate_graphs(m: int, n: int, label_mode: str = "faces-only") -> list[RibbonGraph]:
+def enumerate_graphs(m: int, n: int) -> list[RibbonGraph]:
     """All isomorphism classes of connected genus-0 graphs with labelled faces.
-
-    label_mode "full" keeps vertex labels as well; "faces-only" drops them.
 
     Each labelled pairing is keyed by its rooted code (Weinberg's canonical
     form): darts renumbered along a breadth-first walk from a root, taking the
-    least code over a root set the mode's relabellings map to itself, so
-    equal codes mean isomorphic graphs.  Each class is printed as its least
-    member (alpha, then face labels), the first one met.
+    least code over the univalent darts (every dart when n = 0), a root set
+    every relabelling maps to itself, so equal codes mean isomorphic graphs.
+    The automorphisms act freely on the darts, and the roots that reach the
+    least code are the images of one of them, so they number |Aut|.  Each
+    class is printed as its least member (alpha, then face labels), the first
+    one met.
     """
-    if label_mode not in ("faces-only", "full"):
-        raise ValueError(f"unknown label mode {label_mode!r}")
     l = LayerSignature(m, n).faces
     _check_pairings(m, n)
     d = 3 * m + n
-    full = label_mode == "full"
     sigma = _sigma(m, n)
-    if full:
-        roots = [0, 1, 2] if m else [0]
-    else:
-        roots = list(range(3 * m, d)) if n else list(range(d))
-    classes: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    roots = list(range(3 * m, d)) if n else list(range(d))
+    classes: dict[tuple, RibbonGraph] = {}
     for pairing in _pairings(list(range(d))):
         alpha = [0] * d
         for a, b in pairing:
@@ -200,24 +198,20 @@ def enumerate_graphs(m: int, n: int, label_mode: str = "faces-only") -> list[Rib
             number = [0] * d
             for i, x in enumerate(order):
                 number[x] = i
-            # full mode names each dart's vertex by its least dart
-            shape = (
-                tuple(number[sigma[x]] for x in order),
-                tuple(number[alpha[x]] for x in order),
-                tuple(x - x % 3 if x < 3 * m else x for x in order) if full else (),
-            )
+            shape = (tuple(number[sigma[x]] for x in order), tuple(number[alpha[x]] for x in order))
             codes.append((shape, order))
         # a root whose label-free shape is not least cannot give the least key
         least = min(shape for shape, _ in codes)
         least_orders = [order for shape, order in codes if shape == least]
         for perm in permutations(range(l)):
             labels = tuple(perm[c] for c in cycle_of)
-            key = (least, min(tuple(labels[x] for x in order) for order in least_orders))
+            rooted = [tuple(labels[x] for x in order) for order in least_orders]
+            key = (least, min(rooted))
             # pairings and labellings come in ascending order, so the first
             # member met is the least in its class
-            classes.setdefault(key, (alpha, labels))
-    found = sorted(classes.values())
-    return [RibbonGraph(m, n, a, f) for a, f in found]
+            if key not in classes:
+                classes[key] = RibbonGraph(m, n, alpha, labels, rooted.count(key[1]))
+    return sorted(classes.values(), key=lambda g: (g.alpha, g.face_of_dart))
 
 
 def _counting_order(columns: Sequence[tuple[int, ...]], l: int) -> list[tuple[int, ...]]:
@@ -393,22 +387,26 @@ def same_transform(f: Sequence[Term], g: Sequence[Term]) -> bool:
     return num.is_zero()
 
 
-def _column_classes(graphs: Sequence[RibbonGraph]) -> list[tuple[RibbonGraph, int]]:
-    """(first member, size) of each class of graphs with the same multiset of
-    edge columns, on which a graph's lattice count and transform depend."""
+def _column_classes(graphs: Sequence[RibbonGraph]) -> list[tuple[RibbonGraph, Fraction]]:
+    """(first member, weight) of each class of graphs with the same multiset
+    of edge columns, on which a graph's lattice count and transform depend.
+    Each graph weighs m! n! / |Aut|, the vertex-labelled graphs it stands for
+    up to rotating the trivalent vertices."""
     classes: dict[tuple[tuple[int, ...], ...], list] = {}
     for g in graphs:
-        classes.setdefault(tuple(sorted(_edge_forms(g))), [g, 0])[1] += 1
-    return [(g, size) for g, size in classes.values()]
+        weight = Fraction(factorial(g.m) * factorial(g.n), g.aut)
+        classes.setdefault(tuple(sorted(_edge_forms(g))), [g, 0])[1] += weight
+    return [(g, weight) for g, weight in classes.values()]
 
 
 def hat_F(m: int, n: int) -> list[Term]:
-    """Sum of the transforms over the fully labelled enumeration, one term
-    per edge-column class weighted by its size."""
+    """Sum of the graph transforms over the vertex-labelled graphs: one term
+    per edge-column class of the enumeration, weighted as _column_classes
+    weighs it."""
     terms = []
-    for g, size in _column_classes(enumerate_graphs(m, n, "full")):
+    for g, weight in _column_classes(enumerate_graphs(m, n)):
         c, forms = laplace_transform(g)
-        terms.append((size * c, forms))
+        terms.append((weight * c, forms))
     return terms
 
 
@@ -493,14 +491,13 @@ def leading_part_fit(m: int, n: int) -> Polynomial:
     _check_pairings(m, n)
     if l > 3:
         raise ValueError("leading-term fit supports at most 3 faces")
-    graphs = enumerate_graphs(m, n, "full")
-    if not graphs:
+    classes = _column_classes(enumerate_graphs(m, n))
+    if not classes:
         raise ValueError(f"no graphs for signature ({m},{n})")
-    walls = _wall_normals(graphs, l)
-    classes = _column_classes(graphs)
+    walls = _wall_normals([g for g, _ in classes], l)
 
-    def total_count(widths: tuple[int, ...]) -> int:
-        return sum(size * exact_lattice_count(g, widths) for g, size in classes)
+    def total_count(widths: tuple[int, ...]) -> Fraction:
+        return sum(weight * exact_lattice_count(g, widths) for g, weight in classes)
 
     def leading_along(u: tuple[int, ...]) -> Fraction:
         # t steps by 2: an edge with one face on both sides adds a column

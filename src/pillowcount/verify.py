@@ -12,8 +12,7 @@ from .covers import (
     Cell,
     _multiset_values,
     connected_from_sums,
-    cover_profiles,
-    naive_enumerate,
+    naive_profile_counts,
     zeros_and_poles,
 )
 from .layers import LayerSignature, check_local_size, f_closed, f_kontsevich_base, f_recurrence
@@ -28,6 +27,7 @@ FIT_SIGNATURES = ((0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1))
 class CheckResult:
     name: str
     passed: bool
+    # the two sides of a failing check; empty for a passing one
     lhs: str
     rhs: str
 
@@ -70,8 +70,11 @@ def run_verification(
     """
     results: list[CheckResult] = []
 
+    def record(name: str, passed: bool, lhs: object, rhs: object) -> None:
+        results.append(CheckResult(name, passed, "" if passed else str(lhs), "" if passed else str(rhs)))
+
     def same(name: str, lhs: object, rhs: object) -> None:
-        results.append(CheckResult(name, lhs == rhs, str(lhs), str(rhs)))
+        record(name, lhs == rhs, lhs, rhs)
 
     for sig in _valid_signatures(mn_max):
         same(
@@ -106,8 +109,7 @@ def run_verification(
         total, series = volume_series(k)
         enumerated = tree_subtotals(k)
         passed = series == enumerated and total == sum(enumerated.values())
-        name = f"volume({k}) series = tree sum, in total and per cylinder count"
-        results.append(CheckResult(name, passed, str(series), str(enumerated)))
+        record(f"volume({k}) series = tree sum, in total and per cylinder count", passed, series, enumerated)
 
     n_cap = max(min(cover_n_max, NAIVE_MAX_DEGREE), 0)
     # K = 2 truncates the shipped table at z <= 2 and p <= 6, the bounds of the walk
@@ -117,11 +119,10 @@ def run_verification(
         # the sums are kept once per multiset of classes, and 0 is left out
         sums = {tuple(sorted(combo)): value for combo, value in values.items()}
         all_ok = True
-        lhs = rhs = f"all profile counts at degree {n}"
+        lhs = rhs = ""
         enumerated: dict[Cell, Fraction] = {}
-        for classes in cover_profiles(n, max_threes=2, max_ones=6):
+        for classes, naive_all, naive_conn in naive_profile_counts(n, max_threes=2, max_ones=6):
             summed = sums.get(tuple(sorted(classes)), Fraction(0))
-            naive_all, naive_conn = naive_enumerate(classes)
             if summed != naive_all:
                 all_ok, lhs, rhs = False, f"{classes}: {summed}", f"{classes}: {naive_all}"
                 break
@@ -135,7 +136,6 @@ def run_verification(
             all_ok = False
             lhs = ", ".join(f"{cell}: {cells.get(cell, 0)}" for cell in wrong)
             rhs = ", ".join(f"{cell}: {enumerated.get(cell, 0)}" for cell in wrong)
-        name = f"cover counts character sum = direct enumeration, degree {n}"
-        results.append(CheckResult(name, all_ok, lhs, rhs))
+        record(f"cover counts character sum = direct enumeration, degree {n}", all_ok, lhs, rhs)
 
     return results

@@ -199,8 +199,10 @@ def test_ribbon_enumerate(runner):
     assert all(r["darts"] == 4 for r in records)
     multisets = {tuple(sorted(r["labels"]["faces"])) for r in records}
     assert multisets == {(0, 0, 0, 1), (0, 1, 1, 1)}
-    full = runner.invoke(main, ["ribbon", "enumerate", "--m", "2", "--n", "2", "--full-labels"])
-    assert len(json.loads(full.output)) == 16
+    # the fully labelled listing is gone: fit and hat_F weight these classes
+    removed = runner.invoke(main, ["ribbon", "enumerate", "--m", "2", "--n", "2", "--full-labels"])
+    assert removed.exit_code == 2
+    assert "unrecognized arguments: --full-labels" in removed.output
 
 
 def test_ribbon_count(runner):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -32,8 +33,10 @@ from pillowcount.ribbon import (
     verify_pole_recurrence,
 )
 
-# isomorphism class counts frozen from this enumeration (cross-checked by the
-# (2,2) worked example: five face-labelled classes, sixteen fully labelled)
+# (face-labelled classes, vertex-labelled classes up to rotating the
+# trivalent vertices), frozen while each was enumerated on its own
+# (cross-checked by the (2,2) worked example: five and sixteen); the second
+# is the sum of m! n! / |Aut| over the first
 CLASS_COUNTS = {
     (0, 2): (1, 1),
     (1, 1): (2, 2),
@@ -42,15 +45,17 @@ CLASS_COUNTS = {
     (2, 0): (4, 8),
     (3, 1): (24, 144),
     (2, 4): (1, 24),
+    (3, 3): (12, 384),
+    (4, 0): (64, 1536),
 }
 
-# sha256 prefixes of the serialised enumerations, frozen before the rooted-map
-# canonical form replaced the per-labelling gauge minimum
+# sha256 prefixes of the serialised enumerations; (3,1) and (2,4) were frozen
+# before the rooted-map canonical form replaced the per-labelling gauge minimum
 ENUMERATION_DIGESTS = {
-    (3, 1, "faces-only"): "6915affc5dcb1001",
-    (3, 1, "full"): "ebfdf2881d844288",
-    (3, 3, "full"): "c953b23bf2c75e51",
-    (2, 4, "faces-only"): "19f70dc6d7f10786",
+    (3, 1): "6915affc5dcb1001",
+    (2, 4): "19f70dc6d7f10786",
+    (3, 3): "046f0b83f2c60773",
+    (4, 0): "8deba63795fa3ecb",
 }
 
 # sha256 prefixes of repr(list(_directions(l, radius))), frozen while each
@@ -69,25 +74,33 @@ DIRECTION_DIGESTS = {
 }
 
 
+@functools.cache
+def graphs_of(mn: tuple[int, int]) -> tuple[RibbonGraph, ...]:
+    return tuple(enumerate_graphs(*mn))
+
+
+def weight(g: RibbonGraph) -> Fraction:
+    """The vertex-labelled graphs g stands for."""
+    return Fraction(math.factorial(g.m) * math.factorial(g.n), g.aut)
+
+
 @pytest.mark.parametrize("mn", sorted(CLASS_COUNTS))
 def test_frozen_class_counts(mn: tuple[int, int]):
-    faces_only, full = CLASS_COUNTS[mn]
-    assert len(enumerate_graphs(*mn, label_mode="faces-only")) == faces_only
-    assert len(enumerate_graphs(*mn, label_mode="full")) == full
+    faces_only, vertex_labelled = CLASS_COUNTS[mn]
+    assert len(graphs_of(mn)) == faces_only
+    assert sum(map(weight, graphs_of(mn))) == vertex_labelled
 
 
 @pytest.mark.parametrize("key", sorted(ENUMERATION_DIGESTS))
-def test_enumeration_bytes_pinned(key: tuple[int, int, str]):
-    m, n, mode = key
-    graphs = enumerate_graphs(m, n, label_mode=mode)
-    blob = json.dumps([[list(g.alpha), list(g.face_of_dart)] for g in graphs], separators=(",", ":"))
+def test_enumeration_bytes_pinned(key: tuple[int, int]):
+    blob = json.dumps([[list(g.alpha), list(g.face_of_dart)] for g in graphs_of(key)], separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == ENUMERATION_DIGESTS[key]
 
 
 def gauge_images(g: RibbonGraph, full: bool):
     """Every (alpha, face labels) a sigma-preserving dart relabelling carries
-    g to: each trivalent triple rotated, and in faces-only mode the triples
-    and the univalent darts permuted among themselves."""
+    g to: each trivalent triple rotated, and unless vertex labels are kept
+    (full) the triples and the univalent darts permuted among themselves."""
     m, n, d = g.m, g.n, g.darts
     blocks = [tuple(range(m))] if full else permutations(range(m))
     unis = [tuple(range(n))] if full else permutations(range(n))
@@ -101,20 +114,28 @@ def gauge_images(g: RibbonGraph, full: bool):
         yield tuple(alpha), tuple(labels)
 
 
-# every valid signature with m + n <= 4
-ORBIT_SIGNATURES = [(0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (4, 0)]
+# every valid signature with m + n <= 4, then the two where one class
+# stands for the most vertex-labelled graphs
+ORBIT_SIGNATURES = [(0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (4, 0), (2, 4), (3, 3)]
 
 
 @pytest.mark.parametrize("mode", ["faces-only", "full"])
 @pytest.mark.parametrize("mn", ORBIT_SIGNATURES)
 def test_each_printed_graph_is_least_in_its_orbit(mn: tuple[int, int], mode: str):
-    graphs = enumerate_graphs(*mn, label_mode=mode)
+    """Each printed graph is the least of its orbit under every relabelling,
+    which fixes it g.aut times ("faces-only"), and so under the rotations of
+    the trivalent triples alone, which fix it once ("full").  Its orbit of
+    3^m m! n! / |Aut| graphs then splits into m! n! / |Aut| rotation orbits,
+    the vertex-labelled graphs it stands for in hat_F and the fit."""
+    graphs = graphs_of(mn)
     printed = [(g.alpha, g.face_of_dart) for g in graphs]
     # each is the least of its orbit and no two are equal, so no two
     # printed graphs share an orbit
     assert printed == sorted(set(printed))
     for g, own in zip(graphs, printed):
-        assert min(gauge_images(g, mode == "full")) == own
+        images = list(gauge_images(g, mode == "full"))
+        assert min(images) == own
+        assert images.count(own) == (1 if mode == "full" else g.aut)
 
 
 def test_enumerate_refuses_oversized_signature():
@@ -126,8 +147,6 @@ def test_enumerate_refuses_oversized_signature():
 
 def test_enumerate_rejects_bad_input():
     with pytest.raises(ValueError):
-        enumerate_graphs(2, 2, label_mode="partial")
-    with pytest.raises(ValueError):
         enumerate_graphs(1, 2)  # odd m - n
 
 
@@ -135,7 +154,7 @@ def test_enumerate_rejects_bad_input():
 def test_graph_structural_invariants(mn: tuple[int, int]):
     m, n = mn
     l = LayerSignature(m, n).faces
-    for g in enumerate_graphs(m, n):
+    for g in graphs_of(mn):
         d = g.darts
         assert d == 3 * m + n
         # alpha is a fixed-point-free involution
@@ -194,23 +213,25 @@ def test_lattice_count_matches_brute_force(mn: tuple[int, int]):
     # (3,1) needs widths summing to at least 5 and counts zero on all of {1,2}^3
     sizes = (2, 3, 4) if mn == (3, 1) else (1, 2, 3)
     nonzero = 0
-    for mode in ("faces-only", "full"):
-        for g in enumerate_graphs(*mn, label_mode=mode):
-            for widths in product(sizes, repeat=l):
-                count = exact_lattice_count(g, widths)
-                assert count == brute_lattice_count(g, widths)
-                nonzero += count > 0
+    for g in graphs_of(mn):
+        for widths in product(sizes, repeat=l):
+            count = exact_lattice_count(g, widths)
+            assert count == brute_lattice_count(g, widths)
+            nonzero += count > 0
     assert nonzero > 0
 
 
 def test_lattice_count_depends_only_on_edge_columns():
     """Relabelling darts at random permutes the edges, those with equal
     columns among them, and leaves the count alone; graphs sharing their
-    edge-column multiset share their counts (what leading_part_fit uses)."""
+    edge-column multiset, among them the images of each graph under vertex
+    relabellings, share their counts (what leading_part_fit uses)."""
     rng = random.Random(3)
     by_columns: dict[tuple, list[RibbonGraph]] = {}
-    for g in enumerate_graphs(3, 1, label_mode="full"):
-        by_columns.setdefault(edge_form_multiset(g), []).append(g)
+    for g in graphs_of((3, 1)):
+        images = rng.sample(sorted(set(gauge_images(g, False))), 6)
+        members = [g] + [RibbonGraph(g.m, g.n, alpha, labels, g.aut) for alpha, labels in images]
+        by_columns.setdefault(edge_form_multiset(g), []).extend(members)
     assert len(by_columns) == 21
     nonzero = 0
     for members in by_columns.values():
@@ -221,7 +242,7 @@ def test_lattice_count_depends_only_on_edge_columns():
         for x in range(g.darts):
             alpha[pi[x]] = pi[g.alpha[x]]
             faces[pi[x]] = g.face_of_dart[x]
-        shuffled = RibbonGraph(g.m, g.n, tuple(alpha), tuple(faces))
+        shuffled = RibbonGraph(g.m, g.n, tuple(alpha), tuple(faces), g.aut)
         for widths in product((3, 4, 6), repeat=3):
             counts = {exact_lattice_count(h, widths) for h in members + [shuffled]}
             assert len(counts) == 1
@@ -359,7 +380,7 @@ def test_pole_recurrence_small(mn: tuple[int, int]):
 @pytest.mark.parametrize("mn", [(0, 2), (1, 1), (2, 0), (1, 3), (2, 2), (3, 1), (3, 3), (2, 4)])
 def test_transform_of_local_polynomial_is_hat_F(mn: tuple[int, int]):
     # Kontsevich's identity: the Laplace transform of F_{m,n} is the sum of
-    # the graph transforms over the fully labelled enumeration
+    # the graph transforms over the vertex-labelled graphs
     sig = LayerSignature(*mn)
     assert same_transform(laplace_of_polynomial(f_closed(sig), sig.faces), hat_F(*mn))
 
@@ -394,12 +415,13 @@ def test_leading_part_fit_checks_each_ray(monkeypatch):
 
 
 def test_fully_labelled_totals():
-    """Frozen totals of the fully labelled count at (2,2); relabelling the
+    """Frozen totals of the vertex-labelled count at (2,2), each class
+    weighted by the vertex-labelled graphs it stands for; relabelling the
     faces permutes the classes, so the total is symmetric in the widths."""
-    graphs = enumerate_graphs(2, 2, "full")
+    graphs = graphs_of((2, 2))
 
-    def total(w1: int, w2: int) -> int:
-        return sum(exact_lattice_count(g, (w1, w2)) for g in graphs)
+    def total(w1: int, w2: int) -> Fraction:
+        return sum(weight(g) * exact_lattice_count(g, (w1, w2)) for g in graphs)
 
     assert total(11, 13) == 442
     assert total(13, 11) == 442

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import pillowcount.covers as covers_mod
 import pillowcount.verify as verify_mod
 from pillowcount.polynomials import Polynomial
 from pillowcount.verify import run_verification
@@ -39,7 +40,7 @@ def test_detects_corrupted_route(monkeypatch):
 def test_cover_check_reports_failure_details(monkeypatch):
     from fractions import Fraction
 
-    monkeypatch.setattr(verify_mod, "naive_enumerate", lambda classes: (Fraction(7), Fraction(7)))
+    monkeypatch.setattr(covers_mod, "naive_enumerate", lambda classes: (Fraction(7), Fraction(7)))
     results = run_verification(k_max=1, mn_max=2, cover_n_max=1)
     cover = [r for r in results if "direct enumeration" in r.name]
     assert cover and not cover[0].passed
