@@ -9,7 +9,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NoReturn
 
 # each command imports the layers it runs inside its handler, so that a
-# process loads only those: `volume` never compiles covers, ribbon or verify
+# process loads only those: `volume` loads series and rationals, and the
+# per-tree route only under --per-tree or latex-table
 if TYPE_CHECKING:
     from .polynomials import Polynomial
     from .rationals import PiValue
@@ -202,12 +203,14 @@ def volume_cmd(opts: argparse.Namespace) -> None:
     latex-table enumerate every decorated tree.
     """
     from .rationals import PiValue
-    from .trees import check_per_tree_size, check_series_size, enumerate_decorated_trees, tree_contribution, volume
+    from .series import check_series_size, volume
 
     big_k, per_tree, fmt = opts.big_k, opts.per_tree, opts.fmt
     if big_k < 1:
         raise UsageError("--K must be a positive integer")
     if per_tree or fmt == "latex-table":
+        from .trees import check_per_tree_size, enumerate_decorated_trees, tree_contribution
+
         try:
             check_per_tree_size(big_k)
         except ValueError as exc:

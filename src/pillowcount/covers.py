@@ -16,11 +16,12 @@ bead masks, each factor p_r adds every r-border strip, and a class of
 degree N + 2 is one p_2 step from its class of degree N.  That step is
 taken once per degree for all classes of the degree's parity, their values
 packed side by side into one int per shape.  The two parities share only
-the cheap seed columns, so the degrees of the top degree's parity run in
-a forked child process while the caller runs the others; each degree's
-columns are unpacked into lists aligned to its shapes, and the four-way
-sums over them run as map/sum chains in C.  `character` removes strips
-from a single shape's bead mask top-down and is the reference route.
+the cheap seed columns, so from degree FORK_MIN_DEGREE on the degrees of
+the top degree's parity run in a forked child process while the caller
+runs the others; each degree's columns are unpacked into lists aligned to
+its shapes, and the four-way sums over them run as map/sum chains in C.
+`character` removes strips from a single shape's bead mask top-down and is
+the reference route.
 `verify` checks these four-way sums, per profile, against direct
 enumeration, and the connected counts it takes from the same sums
 (connected_from_sums) per cell.
@@ -318,27 +319,35 @@ def _parity_values(
         yield n, out
 
 
+# the top degree from which _multiset_values forks.  In process on a 2-CPU
+# VM, connected_counts(k, N) for k = 1 and 2 took 1-3 ms without the fork
+# and 4 ms with it at N = 5 to 7; the two were within noise of each other
+# from N = 12 to 15, and from N = 16 to 20 the fork saved 2-11 ms each time
+FORK_MIN_DEGREE = 16
+
+
 def _multiset_values(
     max_degree: int, max_threes: int, max_ones: int
 ) -> Iterator[tuple[int, dict[tuple[Partition, ...], Fraction]]]:
     """Yield (n, values) for n = 1..max_degree, in order: the Frobenius
     counts of degree n by multiset of corner classes (_parity_values).
 
-    The degrees of the top degree's parity run in a forked child, which
-    sends each degree's values down a pipe as one pickle, while this
-    process computes the others (and, under connected_counts, takes the
-    log as the degrees come): the top degree's half costs the most, so the
-    child takes it.
+    From max_degree = FORK_MIN_DEGREE on, the degrees of the top degree's
+    parity run in a forked child, which sends each degree's values down a
+    pipe as one pickle, while this process computes the others (and, under
+    connected_counts, takes the log as the degrees come): the top degree's
+    half costs the most, so the child takes it.
     Fork, not a spawned pool: a spawn pool's round trip took 0.09-0.20 s on
     a 2-CPU VM, against 2-5 ms to fork and reap, more than the forked half
-    of a benchmark-sized request costs.  Where os.fork is missing, or other
-    threads run (fork copies only the calling thread), both halves run in
-    this process.  A child that fails or sends short raises RuntimeError,
-    and closing the generator early kills and reaps the child.
+    of a benchmark-sized request costs.  Below FORK_MIN_DEGREE, where
+    os.fork is missing, or while other threads run (fork copies only the
+    calling thread), both halves run in this process.  A child that fails
+    or sends short raises RuntimeError, and closing the generator early
+    kills and reaps the child.
     """
     forked = max_degree % 2
     own = _parity_values(max_degree, max_threes, max_ones, 1 - forked)
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    if max_degree < FORK_MIN_DEGREE or not hasattr(os, "fork") or threading.active_count() > 1:
         other = _parity_values(max_degree, max_threes, max_ones, forked)
         for n in range(1, max_degree + 1):
             yield next(other if n % 2 == forked else own)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -174,22 +173,47 @@ def bernoulli(n: int) -> Fraction:
     return _BERNOULLI[n]
 
 
-@dataclass(frozen=True)
 class PiValue:
     """An exact rational multiple of an even power of pi.
 
     Addition is only defined between values of the same pi power, a zero
-    included. Multiplication adds the powers.
+    included. Multiplication adds the powers. A value is immutable and
+    equals only another PiValue with the same coefficient and power. It is
+    a plain slotted class, not a dataclass, because every command imports
+    this module and `dataclasses` costs each process its import.
     """
 
+    __slots__ = ("coefficient", "pi_power")
     coefficient: Fraction
     pi_power: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.coefficient, Fraction):
-            object.__setattr__(self, "coefficient", Fraction(self.coefficient))
-        if self.pi_power < 0 or self.pi_power % 2 != 0:
-            raise ValueError(f"pi power must be even and nonnegative, got {self.pi_power}")
+    def __init__(self, coefficient: Scalar, pi_power: int) -> None:
+        if not isinstance(coefficient, Fraction):
+            coefficient = Fraction(coefficient)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "pi_power", pi_power)
+        if pi_power < 0 or pi_power % 2 != 0:
+            raise ValueError(f"pi power must be even and nonnegative, got {pi_power}")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return PiValue, (self.coefficient, self.pi_power)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coefficient, self.pi_power) == (other.coefficient, other.pi_power)
+
+    def __hash__(self) -> int:
+        return hash((self.coefficient, self.pi_power))
+
+    def __repr__(self) -> str:
+        return f"PiValue(coefficient={self.coefficient!r}, pi_power={self.pi_power!r})"
 
     def __add__(self, other: "PiValue") -> "PiValue":
         if not isinstance(other, PiValue):

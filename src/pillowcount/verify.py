@@ -18,7 +18,8 @@ from .covers import (
 from .layers import LayerSignature, check_local_size, f_closed, f_kontsevich_base, f_recurrence
 from .rationals import PiValue
 from .ribbon import leading_part_fit
-from .trees import tree_subtotals, volume, volume_series
+from .series import volume, volume_series
+from .trees import tree_subtotals
 
 FIT_SIGNATURES = ((0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1))
 

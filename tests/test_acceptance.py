@@ -31,7 +31,8 @@ from pillowcount.ribbon import (
     same_transform,
     verify_pole_recurrence,
 )
-from pillowcount.trees import enumerate_decorated_trees, tree_contribution, volume
+from pillowcount.series import volume
+from pillowcount.trees import enumerate_decorated_trees, tree_contribution
 from zeta_lemma import zeta_lemma_ratio
 
 

@@ -18,6 +18,7 @@ import pytest
 
 import pillowcount.covers as covers_mod
 import pillowcount.ribbon as ribbon_mod
+import pillowcount.series as series_mod
 import pillowcount.trees as trees_mod
 import pillowcount.verify as verify_mod
 from pillowcount.cli import main
@@ -177,7 +178,7 @@ def test_volume_refuses_per_tree_above_limit(runner, monkeypatch, args):
 
 
 def test_volume_refuses_series_above_limit(runner, monkeypatch):
-    monkeypatch.setattr(trees_mod, "volume", _refuse_work)
+    monkeypatch.setattr(series_mod, "volume", _refuse_work)
     result = runner.invoke(main, ["volume", "--K", "41"])
     assert result.exit_code == 2
     assert "K <= 40" in result.output
@@ -290,7 +291,7 @@ def test_ribbon_count_refuses_long_counts_at_once(runner, monkeypatch, widths, m
     ],
 )
 def test_huge_K_is_refused_at_once(runner, monkeypatch, args, message):
-    monkeypatch.setattr(trees_mod, "volume", _refuse_work)
+    monkeypatch.setattr(series_mod, "volume", _refuse_work)
     monkeypatch.setattr(verify_mod, "run_verification", _refuse_work)
     start = time.perf_counter()
     result = runner.invoke(main, args)
@@ -549,26 +550,25 @@ def test_cli_import_loads_no_click():
     assert out == "False\n"
 
 
-LAYERS = ("covers", "layers", "polynomials", "rationals", "ribbon", "trees", "verify")
+LAYERS = ("covers", "layers", "polynomials", "rationals", "ribbon", "series", "trees", "verify")
+# what a dataclass costs a process to import
+DATACLASSES = ("dataclasses", "inspect")
 
 
-@pytest.mark.parametrize(
-    "args, absent",
-    [
-        (["volume", "--K", "1"], ("covers", "layers", "polynomials", "ribbon", "verify")),
-        (["covers", "ratio", "--K", "1", "--degrees", "4"], ("trees", "layers", "polynomials", "ribbon", "verify")),
-        (["--help"], LAYERS),
-    ],
-)
-def test_each_command_imports_only_the_layers_it_runs(args, absent):
+def _fresh_interpreter_modules(*args: str) -> tuple[str, set[str]]:
+    """The exit code and sys.modules of a fresh interpreter that ran
+    main(args), or of a bare one when no args are given."""
     src = Path(__file__).resolve().parent.parent / "src"
     probe = (
         "import sys\n"
-        "from pillowcount.cli import main\n"
-        "try:\n"
-        "    main(sys.argv[1:])\n"
-        "except SystemExit as done:\n"
-        "    print(done.code, *sorted(m for m in sys.modules if m.startswith('pillowcount.')), file=sys.stderr)\n"
+        "code = None\n"
+        "if sys.argv[1:]:\n"
+        "    from pillowcount.cli import main\n"
+        "    try:\n"
+        "        main(sys.argv[1:])\n"
+        "    except SystemExit as done:\n"
+        "        code = done.code\n"
+        "print(code, *sorted(sys.modules), file=sys.stderr)\n"
     )
     err = subprocess.run(
         [sys.executable, "-c", probe, *args],
@@ -578,6 +578,26 @@ def test_each_command_imports_only_the_layers_it_runs(args, absent):
         env={**os.environ, "PYTHONPATH": str(src)},
     ).stderr
     code, *loaded = err.split()
+    return code, set(loaded)
+
+
+@pytest.mark.parametrize(
+    "args, absent",
+    [
+        (["volume", "--K", "3", "--format", "json"], ("covers", "layers", "polynomials", "ribbon", "trees", "verify")),
+        (["covers", "ratio", "--K", "1", "--degrees", "4"], ("series", "trees", "layers", "polynomials", "ribbon", "verify")),
+        (["--help"], LAYERS),
+        (["covers", "count", "--K", "1", "--max-degree", "5"], ("series", "trees", "layers", "polynomials", "ribbon", "verify")),
+    ],
+)
+def test_each_command_imports_only_the_layers_it_runs(args, absent):
+    """The import budget: a command loads none of the other layers, and
+    neither the series nor the cover commands load dataclasses.  Modules a
+    bare interpreter already holds, such as a site hook's, do not count."""
+    code, loaded = _fresh_interpreter_modules(*args)
+    _, bare = _fresh_interpreter_modules()
+    added = loaded - bare
     assert code == "0"
-    assert "pillowcount.cli" in loaded
-    assert not {f"pillowcount.{name}" for name in absent} & set(loaded)
+    assert "pillowcount.cli" in added
+    assert not {f"pillowcount.{name}" for name in absent} & added
+    assert not set(DATACLASSES) & added

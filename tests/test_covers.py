@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from pillowcount import covers as covers_mod
 from pillowcount.covers import (
+    FORK_MIN_DEGREE,
     _character_columns,
     _mask_hook_product,
     _multiset_values,
@@ -408,7 +409,7 @@ def test_failed_forked_half_raises(monkeypatch, sent, failure):
 
     monkeypatch.setattr(covers_mod, "_parity_values", forked_half_fails)
     children = _forked_children(monkeypatch)
-    for max_degree in (8, 9):
+    for max_degree in (FORK_MIN_DEGREE, FORK_MIN_DEGREE + 1):
         with pytest.raises(RuntimeError, match="forked cover counts"):
             connected_counts(1, max_degree)
     assert len(children) == 2
@@ -419,7 +420,7 @@ def test_failed_forked_half_raises(monkeypatch, sent, failure):
 
 def test_closing_early_reaps_the_forked_half(monkeypatch):
     children = _forked_children(monkeypatch)
-    for max_degree in (12, 13):
+    for max_degree in (FORK_MIN_DEGREE, FORK_MIN_DEGREE + 1):
         values = _multiset_values(max_degree, 1, 5)
         assert next(values)[0] == 1
         values.close()
@@ -429,7 +430,7 @@ def test_closing_early_reaps_the_forked_half(monkeypatch):
             os.waitpid(pid, 0)
 
 
-@pytest.mark.parametrize("k, max_degree", [(1, 16), (2, 12), (1, 15)])
+@pytest.mark.parametrize("k, max_degree", [(1, 16), (2, 16), (1, 17)])
 def test_in_process_halves_match_the_fork(monkeypatch, k, max_degree):
     """Without os.fork, and while another thread runs, both parities run in
     the calling process, with the same table, in the same order, at an even
@@ -453,3 +454,16 @@ def test_in_process_halves_match_the_fork(monkeypatch, k, max_degree):
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def test_small_requests_run_in_process(monkeypatch):
+    """Below FORK_MIN_DEGREE both parities run in the calling process,
+    with the table the forked split gives from there on."""
+    children = _forked_children(monkeypatch)
+    for k in (1, 2):
+        small = connected_counts(k, FORK_MIN_DEGREE - 1)
+        assert children == []
+        wide = connected_counts(k, FORK_MIN_DEGREE)
+        assert len(children) == 1
+        children.clear()
+        assert small == {cell: value for cell, value in wide.items() if cell[0] < FORK_MIN_DEGREE}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -197,3 +198,31 @@ def test_pivalue_zero_keeps_its_power():
     assert PiValue(Fraction(0), 4) != PiValue(Fraction(0), 8)
     with pytest.raises(ValueError, match="cannot add pi\\^4 and pi\\^8"):
         PiValue(Fraction(1, 3), 4) + PiValue(Fraction(0), 8)
+
+
+def test_pivalue_is_an_immutable_value():
+    """A frozen value: no field is assigned or deleted, it equals only a
+    PiValue with equal fields, its hash agrees, its coefficient is coerced
+    to Fraction and it prints as a dataclass would."""
+    a = PiValue(Fraction(1, 2), 4)
+    for attack in (
+        lambda: setattr(a, "pi_power", 2),
+        lambda: setattr(a, "coefficient", Fraction(1)),
+        lambda: setattr(a, "extra", 1),
+        lambda: delattr(a, "coefficient"),
+    ):
+        with pytest.raises(AttributeError):
+            attack()
+    assert (a.coefficient, a.pi_power) == (Fraction(1, 2), 4)
+    assert a != (Fraction(1, 2), 4)
+    assert not a == (Fraction(1, 2), 4)
+    b = PiValue(Fraction(2, 4), 4)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, PiValue(Fraction(1, 2), 6)}) == 2
+    assert repr(a) == "PiValue(coefficient=Fraction(1, 2), pi_power=4)"
+    coerced = PiValue(3, 2)
+    assert type(coerced.coefficient) is Fraction
+    assert coerced == PiValue(Fraction(3), 2)
+    assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(ValueError, match="pi power must be even and nonnegative, got 3"):
+        PiValue(Fraction(1), 3)

@@ -13,22 +13,20 @@ import pytest
 from pillowcount import layers
 from pillowcount.polynomials import Polynomial
 from pillowcount.rationals import PiValue, factorial, multinomial, zeta_even
+import pillowcount.series as series_mod
 import pillowcount.trees as trees_mod
+from pillowcount.series import SERIES_MAX_K, check_series_size, volume, volume_series
 from pillowcount.trees import (
     PER_TREE_MAX_K,
-    SERIES_MAX_K,
     DecoratedTree,
     _free_trees,
     aut_order,
     canonical_key,
     check_per_tree_size,
-    check_series_size,
     enumerate_decorated_trees,
     local_product,
     tree_contribution,
     tree_subtotals,
-    volume,
-    volume_series,
     zeta_operator,
 )
 
@@ -379,7 +377,7 @@ def test_series_subtotals_refused_above_limit(monkeypatch):
     # K + 1 evaluations at K = 20 cost about what one costs at K = 40
     check_series_size(20, evaluations=21)
     evaluated = []
-    monkeypatch.setattr(trees_mod, "_tree_series", lambda K, t: evaluated.append(t))
+    monkeypatch.setattr(series_mod, "_tree_series", lambda K, t: evaluated.append(t))
     with pytest.raises(ValueError, match=f"K <= {SERIES_MAX_K} in one evaluation.*K=21 evaluated 22 times"):
         volume_series(21)
     assert not evaluated
