@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import pickle
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -352,6 +351,8 @@ def _multiset_values(
         for n in range(1, max_degree + 1):
             yield next(other if n % 2 == forked else own)
         return
+    import pickle  # only the forked path sends pickles
+
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -523,10 +524,14 @@ def cover_ratios(k: int, degrees: Iterable[int]) -> dict[int, float]:
 
 
 @lru_cache(maxsize=None)
-def _cycle_types(n: int) -> dict[tuple[int, ...], Partition]:
-    """The cycle type of every permutation of range(n)."""
-    types = {}
-    for perm in itertools.permutations(range(n)):
+def _symmetric_group(n: int) -> tuple[list[tuple[int, ...]], list[Partition], list[list[int]]]:
+    """S_n as (perms, types, table), shared by every caller: the
+    permutations, the cycle type of each, and table[i][j], the index of
+    x -> perms[i][perms[j][x]]."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    types = []
+    for perm in perms:
         seen = [False] * n
         parts = []
         for i in range(n):
@@ -538,8 +543,9 @@ def _cycle_types(n: int) -> dict[tuple[int, ...], Partition]:
                 j = perm[j]
                 length += 1
             parts.append(length)
-        types[perm] = tuple(sorted(parts, reverse=True))
-    return types
+        types.append(tuple(sorted(parts, reverse=True)))
+    table = [[index[tuple(map(p.__getitem__, q))] for q in perms] for p in perms]
+    return perms, types, table
 
 
 def naive_enumerate(classes: Sequence[Partition]) -> tuple[Fraction, Fraction]:
@@ -551,8 +557,9 @@ def naive_enumerate(classes: Sequence[Partition]) -> tuple[Fraction, Fraction]:
     The first factor is pinned to a single representative and reweighted by
     |C1|, which is valid because conjugation acts on the solution set.
     g4 = (g1 g2 g3)^-1 is never built: it has the cycle type of g1 g2 g3,
-    and it lies in the group g1, g2, g3 generate, so transitivity is an
-    orbit walk over those three.
+    read from the product table of _symmetric_group by index, and it lies
+    in the group g1, g2, g3 generate, so transitivity is an orbit walk over
+    those three.
     """
     if not classes:
         return Fraction(0), Fraction(0)
@@ -565,42 +572,27 @@ def naive_enumerate(classes: Sequence[Partition]) -> tuple[Fraction, Fraction]:
     if len(classes) != 4:
         raise ValueError("the direct enumeration handles exactly four classes")
     normalized = [tuple(sorted(cls, reverse=True)) for cls in classes]
-    types = _cycle_types(n)
+    perms, types, table = _symmetric_group(n)
+    c1, c2, c3, c4 = normalized
+    g1 = types.index(c1)
+    in_3 = [i for i, t in enumerate(types) if t == c3]
 
-    def rep_of_type(cls: Partition) -> tuple[int, ...]:
-        perm = list(range(n))
-        pos = 0
-        for part in cls:
-            for i in range(part):
-                perm[pos + i] = pos + (i + 1) % part
-            pos += part
-        return tuple(perm)
-
-    def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-        # (p q)(x) = p(q(x))
-        return tuple(p[q[x]] for x in range(n))
-
-    def transitive(*perms: tuple[int, ...]) -> bool:
+    def transitive(*gens: tuple[int, ...]) -> bool:
         orbit = [0]
         for x in orbit:
-            for p in perms:
+            for p in gens:
                 if p[x] not in orbit:
                     orbit.append(p[x])
         return len(orbit) == n
 
-    in_class = {cls: [p for p, t in types.items() if t == cls] for cls in set(normalized)}
-    g1 = rep_of_type(normalized[0])
-    target = normalized[3]
     count = connected = 0
-    for g2 in in_class[normalized[1]]:
-        h = compose(g1, g2)
-        for g3 in in_class[normalized[2]]:
-            if types[compose(h, g3)] != target:
-                continue
-            count += 1
-            if transitive(g1, g2, g3):
-                connected += 1
-    weight = Fraction(class_size(normalized[0]), math.factorial(n))
+    for g2 in (i for i, t in enumerate(types) if t == c2):
+        row = table[table[g1][g2]]
+        for g3 in in_3:
+            if types[row[g3]] == c4:
+                count += 1
+                connected += transitive(perms[g1], perms[g2], perms[g3])
+    weight = Fraction(class_size(c1), math.factorial(n))
     return weight * count, weight * connected
 
 

@@ -9,12 +9,11 @@ diagonals. All routes must agree exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .polynomials import Polynomial, apply_D
-from .rationals import binomial, capped_binomial, compositions, factorial, multinomial, size_text
+from .rationals import Record, binomial, capped_binomial, compositions, factorial, multinomial, size_text
 
 __all__ = [
     "MAX_LOCAL_TERMS",
@@ -27,10 +26,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LayerSignature:
+class LayerSignature(Record):
     """Counts of trivalent (m) and univalent (n) vertices of one layer."""
 
+    __slots__ = _fields = ("m", "n")
     m: int
     n: int
 

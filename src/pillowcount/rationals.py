@@ -26,6 +26,7 @@ __all__ = [
     "solve_exact",
     "bernoulli",
     "zeta_even",
+    "Record",
     "PiValue",
 ]
 
@@ -173,27 +174,29 @@ def bernoulli(n: int) -> Fraction:
     return _BERNOULLI[n]
 
 
-class PiValue:
-    """An exact rational multiple of an even power of pi.
+class Record:
+    """An immutable value with the named _fields: equal to another of its
+    class with equal fields, hashed and printed by them, and rebuilt from
+    them by pickle.  The package's value classes derive from it, not from
+    dataclasses, because importing `dataclasses` costs a process 9-17 ms.
+    A subclass lists its fields, and any cached attributes, in __slots__,
+    and checks its fields in __post_init__, which runs once they are set."""
 
-    Addition is only defined between values of the same pi power, a zero
-    included. Multiplication adds the powers. A value is immutable and
-    equals only another PiValue with the same coefficient and power. It is
-    a plain slotted class, not a dataclass, because every command imports
-    this module and `dataclasses` costs each process its import.
-    """
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    __slots__ = ("coefficient", "pi_power")
-    coefficient: Fraction
-    pi_power: int
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{self.__class__.__name__} takes the fields {', '.join(self._fields)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
-    def __init__(self, coefficient: Scalar, pi_power: int) -> None:
-        if not isinstance(coefficient, Fraction):
-            coefficient = Fraction(coefficient)
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "pi_power", pi_power)
-        if pi_power < 0 or pi_power % 2 != 0:
-            raise ValueError(f"pi power must be even and nonnegative, got {pi_power}")
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -202,18 +205,41 @@ class PiValue:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return PiValue, (self.coefficient, self.pi_power)
+        return self.__class__, self._values()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.coefficient, self.pi_power) == (other.coefficient, other.pi_power)
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash((self.coefficient, self.pi_power))
+        return hash(self._values())
 
     def __repr__(self) -> str:
-        return f"PiValue(coefficient={self.coefficient!r}, pi_power={self.pi_power!r})"
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__name__}({fields})"
+
+
+class PiValue(Record):
+    """An exact rational multiple of an even power of pi.
+
+    Addition is only defined between values of the same pi power, a zero
+    included. Multiplication adds the powers. A value is immutable and
+    equals only another PiValue with the same coefficient and power.
+    """
+
+    __slots__ = _fields = ("coefficient", "pi_power")
+    coefficient: Fraction
+    pi_power: int
+
+    def __init__(self, coefficient: Scalar, pi_power: int) -> None:
+        if not isinstance(coefficient, Fraction):
+            coefficient = Fraction(coefficient)
+        super().__init__(coefficient, pi_power)
+
+    def __post_init__(self) -> None:
+        if self.pi_power < 0 or self.pi_power % 2 != 0:
+            raise ValueError(f"pi power must be even and nonnegative, got {self.pi_power}")
 
     def __add__(self, other: "PiValue") -> "PiValue":
         if not isinstance(other, PiValue):

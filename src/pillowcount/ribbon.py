@@ -22,15 +22,14 @@ same_transform multiplies terms out into polynomials.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations
-from math import gcd, inf, prod
-from typing import Iterator, Sequence
+from math import comb, gcd, inf, prod
+from typing import Callable, Iterator, Sequence
 
 from .layers import LayerSignature
 from .polynomials import Polynomial
-from .rationals import binomial, capped_product, compositions, factorial, seconds_text, size_text, solve_exact
+from .rationals import Record, capped_product, compositions, factorial, seconds_text, size_text, solve_exact
 
 # enumerate_graphs refuses signatures with more labelled pairings than this
 MAX_LABELLED_PAIRINGS = 1_000_000
@@ -61,10 +60,10 @@ def _sigma(m: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RibbonGraph:
+class RibbonGraph(Record):
     """One labelled connected genus-0 ribbon graph."""
 
+    __slots__ = _fields = ("m", "n", "alpha", "face_of_dart", "aut")
     m: int
     n: int
     alpha: tuple[int, ...]
@@ -104,44 +103,72 @@ class RibbonGraph:
         }
 
 
-def _pairings(darts: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect matchings of the dart list."""
-    if not darts:
-        yield ()
-        return
-    first, rest = darts[0], darts[1:]
-    for i, other in enumerate(rest):
-        head = (first, other)
-        for tail in _pairings(rest[:i] + rest[i + 1:]):
-            yield (head,) + tail
+def _pairings(d: int) -> Iterator[list[int]]:
+    """All perfect matchings of the darts 0..d-1, as one list alpha filled in
+    place: the least unpaired dart is paired with each later one in turn, so
+    the matchings come in ascending order.  Read each before the next."""
+    alpha = [-1] * d
+
+    def fill(first: int) -> Iterator[list[int]]:
+        if first == d:
+            yield alpha
+            return
+        for other in range(first + 1, d):
+            if alpha[other] < 0:
+                alpha[first], alpha[other] = other, first
+                nxt = first + 1
+                while nxt < d and alpha[nxt] >= 0:
+                    nxt += 1
+                yield from fill(nxt)
+                alpha[other] = -1
+        alpha[first] = -1
+
+    return fill(0)
+
+
+def _face_labels(sigma: Sequence[int], alpha: Sequence[int], most: int) -> list[int] | None:
+    """The face of each dart, faces being the cycles of d -> sigma(alpha(d))
+    numbered in the order of their least darts; None past `most` faces."""
+    face = [-1] * len(alpha)
+    faces = 0
+    for start in range(len(alpha)):
+        if face[start] >= 0:
+            continue
+        if faces == most:
+            return None
+        d = start
+        while face[d] < 0:
+            face[d] = faces
+            d = sigma[alpha[d]]
+        faces += 1
+    return face
 
 
 def _face_partition(m: int, n: int, alpha: Sequence[int]) -> list[list[int]]:
-    sig = _sigma(m, n)
-    seen = [False] * len(alpha)
-    cycles = []
-    for start in range(len(alpha)):
-        if seen[start]:
-            continue
-        cyc = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            cyc.append(d)
-            d = sig[alpha[d]]
-        cycles.append(cyc)
+    """The faces as lists of darts, in the order of _face_labels."""
+    face = _face_labels(_sigma(m, n), alpha, len(alpha))
+    cycles: list[list[int]] = [[] for _ in range(max(face, default=-1) + 1)]
+    for d, f in enumerate(face):
+        cycles[f].append(d)
     return cycles
 
 
-def _walk(sigma: Sequence[int], alpha: Sequence[int], root: int) -> list[int]:
-    """Darts in the order a breadth-first walk along sigma and alpha meets them."""
-    order, seen = [root], {root}
+def _rooted_shape(sigma: Sequence[int], alpha: Sequence[int], root: int) -> tuple[tuple, list[int]] | None:
+    """(shape, order): the darts in the order a breadth-first walk along
+    sigma and alpha meets them from root, and (sigma, alpha) renumbered in
+    that order; None when the walk misses a dart."""
+    d = len(alpha)
+    number = [-1] * d
+    number[root] = 0
+    order = [root]
     for x in order:
         for y in (sigma[x], alpha[x]):
-            if y not in seen:
-                seen.add(y)
+            if number[y] < 0:
+                number[y] = len(order)
                 order.append(y)
-    return order
+    if len(order) < d:
+        return None
+    return (tuple([number[sigma[x]] for x in order]), tuple([number[alpha[x]] for x in order])), order
 
 
 def _labelled_pairings(m: int, n: int) -> int:
@@ -167,50 +194,47 @@ def enumerate_graphs(m: int, n: int) -> list[RibbonGraph]:
     form): darts renumbered along a breadth-first walk from a root, taking the
     least code over the univalent darts (every dart when n = 0), a root set
     every relabelling maps to itself, so equal codes mean isomorphic graphs.
-    The automorphisms act freely on the darts, and the roots that reach the
+    The label-free part of the code, the least shape, keys the unlabelled
+    map, and only the roots that reach it can give the least key.  The
+    automorphisms act freely on the darts, and the roots that reach the
     least code are the images of one of them, so they number |Aut|.  Each
     class is printed as its least member (alpha, then face labels), the first
-    one met.
+    one met: pairings and labellings come in ascending order.
+
+    The l! face labellings are walked only at the first pairing of each
+    least shape.  A later pairing with that shape is the same unlabelled
+    map, carried onto the first by the two walk orders, so its labelled keys
+    are the first one's, all met already, and met at their least members.
+    The same holds for a pairing whose shape from its first root is the
+    shape from any root of such a first pairing, so the walks from every
+    root are taken only when the first root's shape is new.
     """
     l = LayerSignature(m, n).faces
     _check_pairings(m, n)
     d = 3 * m + n
     sigma = _sigma(m, n)
-    roots = list(range(3 * m, d)) if n else list(range(d))
+    roots = range(3 * m, d) if n else range(d)
+    # the shapes from every root of each unlabelled map met so far
+    met: set[tuple] = set()
     classes: dict[tuple, RibbonGraph] = {}
-    for pairing in _pairings(list(range(d))):
-        alpha = [0] * d
-        for a, b in pairing:
-            alpha[a], alpha[b] = b, a
-        alpha = tuple(alpha)
-        cycles = _face_partition(m, n, alpha)
-        if len(cycles) != l:
-            continue
-        orders = [_walk(sigma, alpha, root) for root in roots]
-        if len(orders[0]) != d:
-            continue  # disconnected
-        cycle_of = [0] * d
-        for ci, cyc in enumerate(cycles):
-            for x in cyc:
-                cycle_of[x] = ci
-        codes = []
-        for order in orders:
-            number = [0] * d
-            for i, x in enumerate(order):
-                number[x] = i
-            shape = (tuple(number[sigma[x]] for x in order), tuple(number[alpha[x]] for x in order))
-            codes.append((shape, order))
-        # a root whose label-free shape is not least cannot give the least key
+    for alpha in _pairings(d):
+        face = _face_labels(sigma, alpha, l)
+        if face is None or max(face) < l - 1:
+            continue  # a face too many or too few for genus 0
+        first = _rooted_shape(sigma, alpha, roots[0])
+        if first is None or first[0] in met:
+            continue  # disconnected, or a map met already
+        codes = [first] + [_rooted_shape(sigma, alpha, root) for root in roots[1:]]
+        met.update(shape for shape, _ in codes)
         least = min(shape for shape, _ in codes)
         least_orders = [order for shape, order in codes if shape == least]
+        graph = tuple(alpha)
         for perm in permutations(range(l)):
-            labels = tuple(perm[c] for c in cycle_of)
-            rooted = [tuple(labels[x] for x in order) for order in least_orders]
+            labels = tuple([perm[f] for f in face])
+            rooted = [tuple([labels[x] for x in order]) for order in least_orders]
             key = (least, min(rooted))
-            # pairings and labellings come in ascending order, so the first
-            # member met is the least in its class
             if key not in classes:
-                classes[key] = RibbonGraph(m, n, alpha, labels, rooted.count(key[1]))
+                classes[key] = RibbonGraph(m, n, graph, labels, rooted.count(key[1]))
     return sorted(classes.values(), key=lambda g: (g.alpha, g.face_of_dart))
 
 
@@ -240,14 +264,15 @@ def check_lattice_size(free_totals: Sequence[int]) -> None:
     exact_lattice_count loops over every total of each free column up to
     its largest, free_totals, and the totals of f free columns that share
     faces fill about a simplex, so it visits about prod / f! of them.  At
-    1e-5 s each, the estimate was 0.6 to 6.6 times the in-process time of
+    4e-6 s each, the estimate was 1.0 to 5.1 times the in-process time of
     each of the 137 faces-only graphs of (2,0), (2,2), (3,1), (3,3), (4,0)
-    and (4,2) with a free column, at widths estimated near 1 s; it errs
-    on the side of refusing.  Graph 3-1-21 at widths near 10^6 took 14-16 s
-    (estimate 20 s), and 4-0-62 at width 100 took 11-15 s (estimate 13 s).
+    and (4,2) with a free column, at widths estimated near 0.4 s, on a
+    2-CPU VM; it errs on the side of refusing.  Graph 3-1-21 at widths
+    near 10^6 took 4.0-5.0 s (estimate 8 s), and 4-0-62 at width 100 took
+    4.0-4.1 s (estimate 5 s).
     """
     try:
-        seconds = 1e-5 * prod(free_totals) / factorial(len(free_totals))
+        seconds = 4e-6 * prod(free_totals) / factorial(len(free_totals))
     except OverflowError:  # a product past the float range
         seconds = inf
     if seconds > LATTICE_MAX_SECONDS:
@@ -255,6 +280,74 @@ def check_lattice_size(free_totals: Sequence[int]) -> None:
             f"lattice counts handle requests of up to about {LATTICE_MAX_SECONDS} s; "
             f"these widths would take {seconds_text(seconds)}"
         )
+
+
+def _lattice_counter(g: RibbonGraph) -> Callable[[Sequence[int]], int]:
+    """exact_lattice_count(g, .) with its set-up done once: the columns in
+    _counting_order, their multiplicities, the face each forced column
+    forces, and what the columns from each one on need of each face."""
+    l = g.faces
+    mult = Counter(_edge_forms(g))
+    cols = _counting_order(list(mult), l)
+    mus = [mult[c] for c in cols]
+    supports = [[f for f in range(l) if c[f]] for c in cols]
+    # need[k][f]: the least that columns k.. put on face f
+    need = [[0] * l]
+    for col, mu in zip(reversed(cols), reversed(mus)):
+        need.append([r + mu * c for r, c in zip(need[-1], col)])
+    need.reverse()
+    # a face whose last column is k forces column k's total; the free
+    # columns force none and lead the order
+    last = {f: k for k, support in enumerate(supports) for f in support}
+    forcing = [next((f for f in support if last[f] == k), None) for k, support in enumerate(supports)]
+    free = [(cols[k], mus[k], supports[k], need[k + 1]) for k, f in enumerate(forcing) if f is None]
+    forced = [
+        (f, cols[k][f], mus[k], [(e, cols[k][e], need[k + 1][e]) for e in supports[k]])
+        for k, f in enumerate(forcing)
+        if f is not None
+    ]
+
+    def count(widths: Sequence[int]) -> int:
+        if len(widths) != l:
+            raise ValueError(f"expected {l} widths, got {len(widths)}")
+        if any(w <= 0 for w in widths):
+            raise ValueError("widths must be positive")
+        remaining = [2 * w for w in widths]
+        if any(r < lo for r, lo in zip(remaining, need[0])):
+            return 0
+        # each free column loops up to its largest total
+        check_lattice_size([min((remaining[e] - rest[e]) // col[e] for e in support) for col, _, support, rest in free])
+
+        def solve_forced() -> int:
+            left = remaining[:]
+            total = 1
+            for f, cf, mu, room in forced:
+                t, r = divmod(left[f], cf)
+                if r or t < mu:
+                    return 0
+                for e, ce, lo in room:
+                    left[e] -= t * ce
+                    if left[e] < lo:
+                        return 0
+                total *= comb(t - 1, mu - 1)
+            return 0 if any(left) else total
+
+        def loop_free(i: int) -> int:
+            if i == len(free):
+                return solve_forced()
+            col, mu, support, rest = free[i]
+            total = 0
+            for t in range(mu, min((remaining[e] - rest[e]) // col[e] for e in support) + 1):
+                for e in support:
+                    remaining[e] -= t * col[e]
+                total += comb(t - 1, mu - 1) * loop_free(i + 1)
+                for e in support:
+                    remaining[e] += t * col[e]
+            return total
+
+        return loop_free(0)
+
+    return count
 
 
 def exact_lattice_count(g: RibbonGraph, widths: Sequence[int]) -> int:
@@ -266,52 +359,15 @@ def exact_lattice_count(g: RibbonGraph, widths: Sequence[int]) -> int:
     through their total t, which they split in C(t-1, mu-1) ways, so the
     count is sum over t_c >= mu_c with sum_c t_c col_c = 2w of
     prod_c C(t_c-1, mu_c-1), taken over the distinct columns c.
+
+    The free columns lead _counting_order, and the count loops over their
+    totals.  Each forced column then follows in one straight pass: its
+    total is what is left on the face it forces, divided by its entry
+    there, which must divide exactly, reach mu and leave every face of the
+    column what the later columns need.  _lattice_counter does the set-up,
+    once per graph for leading_part_fit and once per call here.
     """
-    l = g.faces
-    if len(widths) != l:
-        raise ValueError(f"expected {l} widths, got {len(widths)}")
-    if any(w <= 0 for w in widths):
-        raise ValueError("widths must be positive")
-    mult = Counter(_edge_forms(g))
-    cols = _counting_order(list(mult), l)
-    mus = [mult[c] for c in cols]
-    supports = [[f for f in range(l) if c[f]] for c in cols]
-    # forcing[k]: a face whose last column is k; need[k][f]: the least that
-    # columns k.. put on face f
-    last = {f: k for k, support in enumerate(supports) for f in support}
-    forcing = [next((f for f in support if last[f] == k), None) for k, support in enumerate(supports)]
-    need = [[0] * l]
-    for col, mu in zip(reversed(cols), reversed(mus)):
-        need.append([r + mu * c for r, c in zip(need[-1], col)])
-    need.reverse()
-    remaining = [2 * w for w in widths]
-    if any(r < lo for r, lo in zip(remaining, need[0])):
-        return 0
-    # the free columns lead the order, each looping up to its largest total
-    free = [k for k, f in enumerate(forcing) if f is None]
-    check_lattice_size([min((remaining[e] - need[k + 1][e]) // cols[k][e] for e in supports[k]) for k in free])
-
-    def count(k: int) -> int:
-        if k == len(cols):
-            return 0 if any(remaining) else 1
-        col, mu, support, f = cols[k], mus[k], supports[k], forcing[k]
-        hi = min((remaining[e] - need[k + 1][e]) // col[e] for e in support)
-        if f is None:
-            lo = mu
-        elif remaining[f] % col[f]:
-            return 0
-        else:
-            lo = remaining[f] // col[f]
-        total = 0
-        for t in range(lo, hi + 1):
-            for e in support:
-                remaining[e] -= t * col[e]
-            total += binomial(t - 1, mu - 1) * count(k + 1)
-            for e in support:
-                remaining[e] += t * col[e]
-        return total
-
-    return count(0)
+    return _lattice_counter(g)(widths)
 
 
 def _edge_forms(g: RibbonGraph) -> list[tuple[int, ...]]:
@@ -496,8 +552,10 @@ def leading_part_fit(m: int, n: int) -> Polynomial:
         raise ValueError(f"no graphs for signature ({m},{n})")
     walls = _wall_normals([g for g, _ in classes], l)
 
+    counters = [(weight, _lattice_counter(g)) for g, weight in classes]
+
     def total_count(widths: tuple[int, ...]) -> Fraction:
-        return sum(weight * exact_lattice_count(g, widths) for g, weight in classes)
+        return sum(weight * count(widths) for weight, count in counters)
 
     def leading_along(u: tuple[int, ...]) -> Fraction:
         # t steps by 2: an edge with one face on both sides adds a column

@@ -11,7 +11,6 @@ the same sum as a labelled-tree series, in time polynomial in K.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, prod
@@ -21,6 +20,7 @@ from . import layers
 from .polynomials import Polynomial
 from .rationals import (
     PiValue,
+    Record,
     compositions,
     factorial,
     multinomial,
@@ -43,21 +43,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DecoratedTree:
-    """A tree on vertices 0..vertices-1 with a decoration a_v per vertex.
+class DecoratedTree(Record):
+    """A tree on vertices 0..vertices-1 with a decoration a_v per vertex,
+    its edges stored sorted.
 
     _canon, the canonical form and automorphism count, is computed unless
-    the caller has just computed it for the same tree.
+    the caller has just computed it for the same tree.  It and _layers are
+    cached, not fields: they take no part in equality, hash or repr.
     """
 
+    _fields = ("vertices", "edges", "decorations")
+    __slots__ = _fields + ("_layers", "_canon")
     vertices: int
     edges: tuple[tuple[int, int], ...]
     decorations: tuple[int, ...]
-    _layers: tuple[layers.LayerSignature, ...] = field(init=False, repr=False, compare=False)
-    _canon: tuple[tuple, int] | None = field(default=None, kw_only=True, repr=False, compare=False)
+    _layers: tuple[layers.LayerSignature, ...]
+    _canon: tuple[tuple, int] | None
+
+    def __init__(
+        self,
+        vertices: int,
+        edges: Sequence[tuple[int, int]],
+        decorations: tuple[int, ...],
+        *,
+        _canon: tuple[tuple, int] | None = None,
+    ) -> None:
+        object.__setattr__(self, "_canon", _canon)
+        super().__init__(vertices, edges, decorations)
 
     def __post_init__(self) -> None:
+        """Check the tree, sort its edges and fill the cached attributes."""
         v = self.vertices
         if v < 2:
             raise ValueError("a decorated tree needs at least two vertices")
@@ -337,10 +352,10 @@ def zeta_operator(exponents: Sequence[int], K: int) -> PiValue:
     return out
 
 
-@dataclass(frozen=True)
-class TreeContribution:
+class TreeContribution(Record):
     """One decorated tree's summand of the volume."""
 
+    __slots__ = _fields = ("tree", "K", "aut", "multinomial_factor", "zeta_terms", "value")
     tree: DecoratedTree
     K: int
     aut: int

@@ -3,7 +3,6 @@ than one method is recomputed both ways and compared exactly."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -16,7 +15,7 @@ from .covers import (
     zeros_and_poles,
 )
 from .layers import LayerSignature, check_local_size, f_closed, f_kontsevich_base, f_recurrence
-from .rationals import PiValue
+from .rationals import PiValue, Record
 from .ribbon import leading_part_fit
 from .series import volume, volume_series
 from .trees import tree_subtotals
@@ -24,8 +23,8 @@ from .trees import tree_subtotals
 FIT_SIGNATURES = ((0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "passed", "lhs", "rhs")
     name: str
     passed: bool
     # the two sides of a failing check; empty for a passing one

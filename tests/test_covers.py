@@ -246,6 +246,59 @@ def test_naive_enumerate_pinned_values():
     assert naive_enumerate(((2,),) * 4) == (Fraction(1, 2), Fraction(1, 2))
 
 
+def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+    seen, parts = set(), []
+    for start in range(len(perm)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = perm[x]
+            length += 1
+        if length:
+            parts.append(length)
+    return tuple(sorted(parts, reverse=True))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_naive_enumerate_against_every_triple(n: int):
+    """Every (g1, g2, g3) in S_n^3 with g4 = (g1 g2 g3)^-1, bucketed by the
+    four cycle types and by transitivity, with no pinned g1 and no table:
+    naive_enumerate must read the same counts for every four-class profile."""
+    group = list(itertools.permutations(range(n)))
+    all_tuples: dict[tuple, int] = {}
+    transitive: dict[tuple, int] = {}
+    for g1, g2, g3 in itertools.product(group, repeat=3):
+        g4 = [0] * n
+        for x in range(n):
+            g4[g1[g2[g3[x]]]] = x
+        key = tuple(map(_cycle_type, (g1, g2, g3, g4)))
+        all_tuples[key] = all_tuples.get(key, 0) + 1
+        orbit = {0}
+        while True:
+            grown = orbit | {g[x] for g in (g1, g2, g3, g4) for x in orbit}
+            if grown == orbit:
+                break
+            orbit = grown
+        transitive[key] = transitive.get(key, 0) + (len(orbit) == n)
+    for profile in itertools.product(list(partitions(n)), repeat=4):
+        expected = (Fraction(all_tuples.get(profile, 0), math.factorial(n)), Fraction(transitive.get(profile, 0), math.factorial(n)))
+        assert naive_enumerate(profile) == expected, profile
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_table_composes_right_to_left(n: int):
+    """table[i][j] is perms[i] after perms[j].  A transposed table gives
+    the same counts, since inverting g1, g2 and g3 maps the tuples with
+    g1 g2 g3 in a class onto those with g3 g2 g1 in it, so only this test
+    sees it."""
+    perms, types, table = covers_mod._symmetric_group(n)
+    assert sorted(perms) == list(itertools.permutations(range(n)))
+    assert types == [_cycle_type(p) for p in perms]
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            assert perms[table[i][j]] == tuple(p[q[x]] for x in range(n))
+
+
 def test_sq_count_values():
     counts = connected_counts(1, 4)
     assert sq_count(counts, 1, 2) == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,21 @@ def test_signature_derived_quantities():
     assert LayerSignature(0, 2).faces == 1
     assert LayerSignature(0, 2).half_degree == 0
     assert LayerSignature(2, 2).faces == 2
+
+
+def test_signature_is_a_frozen_value():
+    """A plain slotted value, not a dataclass: the same equality, hash,
+    repr and immutability, and pickled by its fields."""
+    sig = LayerSignature(3, 1)
+    assert repr(sig) == "LayerSignature(m=3, n=1)"
+    assert sig == LayerSignature(3, 1) and hash(sig) == hash((3, 1))
+    assert sig != LayerSignature(1, 3) and sig != (3, 1)
+    assert pickle.loads(pickle.dumps(sig)) == sig
+    with pytest.raises(AttributeError):
+        sig.m = 5
+    with pytest.raises(AttributeError):
+        del sig.n
+    assert not hasattr(sig, "__dict__")
 
 
 # the reference table of F_{m,n} for valences 1..3, checked entry by entry

@@ -207,11 +207,14 @@ def brute_lattice_count(g: RibbonGraph, widths: tuple[int, ...]) -> int:
     return count(0)
 
 
-@pytest.mark.parametrize("mn", [(0, 2), (1, 1), (1, 3), (2, 2), (2, 0), (3, 1)])
+@pytest.mark.parametrize("mn", [(0, 2), (1, 1), (1, 3), (2, 2), (2, 0), (3, 1), (3, 3), (4, 0)])
 def test_lattice_count_matches_brute_force(mn: tuple[int, int]):
+    """(4,0) has graphs with 2 and 3 free columns, each counted by the
+    loop over free totals and the one pass over the forced columns."""
     l = LayerSignature(*mn).faces
-    # (3,1) needs widths summing to at least 5 and counts zero on all of {1,2}^3
-    sizes = (2, 3, 4) if mn == (3, 1) else (1, 2, 3)
+    # (3,1) needs widths summing to at least 5 and counts zero on all of
+    # {1,2}^3, and (3,3) counts zero on all of {1,2,3}^2
+    sizes = (2, 3, 4) if mn in ((3, 1), (3, 3)) else (1, 2, 3)
     nonzero = 0
     for g in graphs_of(mn):
         for widths in product(sizes, repeat=l):
@@ -259,12 +262,12 @@ def test_lattice_count_input_validation():
 
 
 def test_lattice_size_estimate():
-    """About 1e-5 s per tuple of free totals, prod / f! tuples for f free
+    """About 4e-6 s per tuple of free totals, prod / f! tuples for f free
     columns, refused above 15 s."""
     check_lattice_size([])
-    check_lattice_size([10**6])
-    check_lattice_size([200, 200, 200])
-    for free_totals, estimate in [([2 * 10**6], "about 20 s"), ([2000, 2000], "about 20 s"), ([10**200] * 2, "more than 10^308 s")]:
+    check_lattice_size([3 * 10**6])
+    check_lattice_size([250, 250, 250])
+    for free_totals, estimate in [([5 * 10**6], "about 20 s"), ([3000, 3000], "about 18 s"), ([10**200] * 2, "more than 10^308 s")]:
         with pytest.raises(ValueError) as refused:
             check_lattice_size(free_totals)
         assert str(refused.value).endswith(f"would take {estimate}")
@@ -403,15 +406,68 @@ def test_leading_part_fit_checks_each_ray(monkeypatch):
     m, n = 1, 1
     a = LayerSignature(m, n).half_degree
     t_last = max(2, (3 * m + n) // 2) + 2 * (2 * a + 2)
-    real = ribbon_mod.exact_lattice_count
+    real = ribbon_mod._lattice_counter
 
-    def missing(g, widths):
+    def missing(g):
+        count = real(g)
         # the rays are t * u for primitive u, so the gcd of the widths is t
-        return real(g, widths) + (math.gcd(*widths) == t_last)
+        return lambda widths: count(widths) + (math.gcd(*widths) == t_last)
 
-    monkeypatch.setattr(ribbon_mod, "exact_lattice_count", missing)
+    monkeypatch.setattr(ribbon_mod, "_lattice_counter", missing)
     with pytest.raises(ValueError, match="inconsistent"):
         leading_part_fit(m, n)
+
+
+def test_leading_part_fit_prepares_one_counter_per_column_class(monkeypatch):
+    """The fit sets up one lattice counter for each of the 21 column
+    classes of (3,1) and counts every width through them."""
+    prepared = []
+    real = ribbon_mod._lattice_counter
+
+    def counting(g):
+        prepared.append(edge_form_multiset(g))
+        return real(g)
+
+    def unused(g, widths):
+        raise AssertionError("the fit counts through its prepared counters")
+
+    monkeypatch.setattr(ribbon_mod, "_lattice_counter", counting)
+    monkeypatch.setattr(ribbon_mod, "exact_lattice_count", unused)
+    assert leading_part_fit(3, 1) == f_closed(LayerSignature(3, 1))
+    assert len(prepared) == len(set(prepared)) == 21
+
+
+@pytest.mark.parametrize("mn", [(2, 2), (3, 1), (4, 0)])
+def test_labellings_walked_once_per_unlabelled_map(monkeypatch, mn: tuple[int, int]):
+    """enumerate_graphs walks the l! face labellings once per least
+    unlabelled shape: as often as there are unlabelled maps, which are
+    the printed graphs up to relabelling darts and faces."""
+    walks = []
+    real = ribbon_mod.permutations
+
+    def counting(items):
+        walks.append(items)
+        return real(items)
+
+    monkeypatch.setattr(ribbon_mod, "permutations", counting)
+    graphs = enumerate_graphs(*mn)
+    maps = {min(alpha for alpha, _ in gauge_images(g, False)) for g in graphs}
+    assert len(walks) == len(maps)
+
+
+def test_ribbon_graph_is_a_frozen_value():
+    g = graphs_of((1, 1))[1]
+    assert repr(g) == "RibbonGraph(m=1, n=1, alpha=(1, 0, 3, 2), face_of_dart=(1, 0, 1, 1), aut=1)"
+    same = RibbonGraph(1, 1, (1, 0, 3, 2), (1, 0, 1, 1), 1)
+    assert same == g and hash(same) == hash(g) == hash((1, 1, (1, 0, 3, 2), (1, 0, 1, 1), 1))
+    assert g != RibbonGraph(1, 1, (1, 0, 3, 2), (1, 0, 1, 1), 2)
+    assert g != (1, 1, (1, 0, 3, 2), (1, 0, 1, 1), 1)
+    with pytest.raises(AttributeError):
+        g.aut = 2
+    with pytest.raises(AttributeError):
+        del g.alpha
+    with pytest.raises(TypeError):
+        RibbonGraph(1, 1, (1, 0, 3, 2), (1, 0, 1, 1))
 
 
 def test_fully_labelled_totals():

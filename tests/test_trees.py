@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -52,6 +53,33 @@ def test_decorated_tree_validation():
     with pytest.raises(ValueError):
         DecoratedTree(5, star_edges, (0, 0, 0, 0, 0))
     DecoratedTree(5, star_edges, (1, 0, 0, 0, 0))
+
+
+def test_tree_values_are_frozen():
+    """DecoratedTree and TreeContribution keep the equality, hash, repr,
+    immutability and checks they had as dataclasses; the cached canonical
+    form takes no part in them."""
+    t = DecoratedTree(3, ((2, 1), (1, 0)), (1, 0, 0))
+    assert repr(t) == "DecoratedTree(vertices=3, edges=((0, 1), (1, 2)), decorations=(1, 0, 0))"
+    same = DecoratedTree(3, ((0, 1), (1, 2)), (1, 0, 0), _canon=(("other",), 7))
+    assert same == t and hash(same) == hash(t) == hash((3, ((0, 1), (1, 2)), (1, 0, 0)))
+    assert t != DecoratedTree(3, ((0, 1), (1, 2)), (0, 0, 1))
+    assert pickle.loads(pickle.dumps(t)) == t
+    with pytest.raises(AttributeError):
+        t.vertices = 4
+    with pytest.raises(AttributeError):
+        del t._canon
+    c = tree_contribution(DecoratedTree(2, ((0, 1),), (1, 0)), 1)
+    assert repr(c) == (
+        "TreeContribution(tree=DecoratedTree(vertices=2, edges=((0, 1),), decorations=(1, 0)), K=1, aut=1, "
+        "multinomial_factor=Fraction(10, 1), zeta_terms=(((4,), Fraction(40, 1)),), "
+        "value=PiValue(coefficient=Fraction(4, 9), pi_power=4))"
+    )
+    assert c == tree_contribution(DecoratedTree(2, ((0, 1),), (1, 0)), 1) and hash(c) == hash(tree_contribution(c.tree, 1))
+    with pytest.raises(AttributeError):
+        c.K = 2
+    with pytest.raises(ValueError, match="wrong pi power"):
+        type(c)(c.tree, 2, c.aut, c.multinomial_factor, c.zeta_terms, c.value)
 
 
 def test_layer_signatures_from_decorations():

@@ -18,6 +18,15 @@ def test_all_checks_pass():
     assert len(names) == len(set(names))
 
 
+def test_check_result_is_a_frozen_value():
+    r = verify_mod.CheckResult("name", False, "1", "2")
+    assert repr(r) == "CheckResult(name='name', passed=False, lhs='1', rhs='2')"
+    assert r == verify_mod.CheckResult("name", False, "1", "2") and hash(r) == hash(("name", False, "1", "2"))
+    assert r != verify_mod.CheckResult("name", True, "", "")
+    with pytest.raises(AttributeError):
+        r.passed = True
+
+
 def test_detects_corrupted_route(monkeypatch):
     """If one route silently changes, the harness must flag it."""
     real = verify_mod.f_closed
