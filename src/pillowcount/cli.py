@@ -200,57 +200,61 @@ def volume_cmd(opts: argparse.Namespace) -> None:
     """Masur-Veech volume of Q(1^K, -1^(K+4)) assembled over decorated trees.
 
     The total alone comes from the labelled-tree series; --per-tree and
-    latex-table enumerate every decorated tree.
+    latex-table enumerate every decorated tree.  --per-tree prints each text
+    row as it comes and keeps each JSON row only as compact text.
     """
-    from .rationals import PiValue
     from .series import check_series_size, volume
 
     big_k, per_tree, fmt = opts.big_k, opts.per_tree, opts.fmt
     if big_k < 1:
         raise UsageError("--K must be a positive integer")
-    if per_tree or fmt == "latex-table":
-        from .trees import check_per_tree_size, enumerate_decorated_trees, tree_contribution
-
-        try:
-            check_per_tree_size(big_k)
-        except ValueError as exc:
-            raise UsageError(f"{exc}; without --per-tree and latex-table the total comes from the series") from None
-        contributions = [tree_contribution(t, big_k) for t in enumerate_decorated_trees(big_k)]
-        total = sum((c.value for c in contributions), PiValue(Fraction(0), 2 * big_k + 2))
-    else:
+    if not (per_tree or fmt == "latex-table"):
         _or_usage(check_series_size, big_k)
         total = volume(big_k)
+        print(_json({"K": big_k, **_pi_value_json(total)}) if fmt == "json" else total)
+        return
+    from .rationals import PiValue
+    from .trees import check_per_tree_size, enumerate_decorated_trees, tree_contribution
+
+    try:
+        check_per_tree_size(big_k)
+    except ValueError as exc:
+        raise UsageError(f"{exc}; without --per-tree and latex-table the total comes from the series") from None
+    contributions = (tree_contribution(t, big_k) for t in enumerate_decorated_trees(big_k))
     if fmt == "latex-table":
-        print(_volume_latex(big_k, contributions, opts.no_meta))
+        print(_volume_latex(big_k, list(contributions), opts.no_meta))
         return
+    total = PiValue(Fraction(0), 2 * big_k + 2)
+    rows = []
+    for c in contributions:
+        total = total + c.value
+        if fmt == "json":
+            rows.append(
+                _json(
+                    {
+                        "tree": c.tree.layer_text(),
+                        "aut": c.aut,
+                        "c": _fraction_json(c.multinomial_factor),
+                        "zeta_terms": [{"args": list(args), **_fraction_json(coeff)} for args, coeff in c.zeta_terms],
+                        "value": _pi_value_json(c.value),
+                    }
+                )
+            )
+            continue
+        zeta_text = " + ".join(
+            f"{coeff} * zeta({','.join(map(str, args))})"
+            for args, coeff in c.zeta_terms
+            if coeff != 0
+        )
+        print(
+            f"tree {c.tree.layer_text()}  aut={c.aut}  c={c.multinomial_factor}  "
+            f"{zeta_text}  -> {c.value}"
+        )
     if fmt == "json":
-        payload: dict = {"K": big_k}
-        payload.update(_pi_value_json(total))
-        if per_tree:
-            payload["trees"] = [
-                {
-                    "tree": c.tree.layer_text(),
-                    "aut": c.aut,
-                    "c": _fraction_json(c.multinomial_factor),
-                    "zeta_terms": [{"args": list(args), **_fraction_json(coeff)} for args, coeff in c.zeta_terms],
-                    "value": _pi_value_json(c.value),
-                }
-                for c in contributions
-            ]
-        print(_json(payload))
-        return
-    if per_tree:
-        for c in contributions:
-            zeta_text = " + ".join(
-                f"{coeff} * zeta({','.join(map(str, args))})"
-                for args, coeff in c.zeta_terms
-                if coeff != 0
-            )
-            print(
-                f"tree {c.tree.layer_text()}  aut={c.aut}  c={c.multinomial_factor}  "
-                f"{zeta_text}  -> {c.value}"
-            )
-    print(total)
+        # the compact separators let the rows join the object as text
+        print(_json({"K": big_k, **_pi_value_json(total)})[:-1] + ',"trees":[' + ",".join(rows) + "]}")
+    else:
+        print(total)
 
 
 def covers_count(opts: argparse.Namespace) -> None:

@@ -20,8 +20,8 @@ the cheap seed columns, so from degree FORK_MIN_DEGREE on the degrees of
 the top degree's parity run in a forked child process while the caller
 runs the others; each degree's columns are unpacked into lists aligned to
 its shapes, and the four-way sums over them run as map/sum chains in C.
-`character` removes strips from a single shape's bead mask top-down and is
-the reference route.
+The tests' reference route (tests/oracles.py) removes strips from a single
+shape's bead mask top-down instead.
 `verify` checks these four-way sums, per profile, against direct
 enumeration, and the connected counts it takes from the same sums
 (connected_from_sums) per cell.
@@ -59,71 +59,12 @@ Cell = tuple[int, int, int]
 NAIVE_MAX_DEGREE = 5
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """Yield the partitions of n in decreasing-part form."""
-    if n < 0:
-        return
-    if n == 0:
-        yield ()
-        return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
-
-
 def class_size(cycle_type: Partition) -> int:
     """Number of permutations of the given cycle type, |C| = N!/z."""
     z = 1
     for part, m in Counter(cycle_type).items():
         z *= part**m * math.factorial(m)
     return math.factorial(sum(cycle_type)) // z
-
-
-def _mask(shape: Partition) -> int:
-    """The bead mask of shape, one bead per row at shape[i] + rows - 1 - i."""
-    rows = len(shape)
-    return sum(1 << (part + rows - 1 - i) for i, part in enumerate(shape))
-
-
-def dimension(shape: Partition) -> int:
-    """Dimension of the irreducible S_N representation labelled by shape."""
-    return math.factorial(sum(shape)) // _mask_hook_product(_mask(shape))
-
-
-# bounded, so that a call far past the small degrees it serves cannot grow
-# the cache without limit
-@lru_cache(maxsize=1 << 16)
-def _mn_value(mask: int, parts: Partition) -> int:
-    """chi^shape(parts) for the shape with this bead mask, parts decreasing.
-    Removing an r-border strip moves a bead x >= r to the empty x - r."""
-    if not parts or parts[0] == 1:
-        # remaining cycles are all fixed points
-        return math.factorial(len(parts)) // _mask_hook_product(mask)
-    r, rest = parts[0], parts[1:]
-    total = 0
-    # the beads x whose position x - r is empty
-    movable = (mask >> r & ~mask) << r
-    while movable:
-        low = movable & -movable
-        movable ^= low
-        value = _mn_value(mask ^ low ^ (low >> r), rest)
-        # signed by the beads at x - r + 1 .. x - 1, as x - r is empty
-        total += -value if (mask & (low - (low >> r))).bit_count() & 1 else value
-    return total
-
-
-def character(irrep: Partition, cls: Partition) -> int:
-    """Character value of the irreducible representation labelled by irrep on
-    the class of cycle type cls, by Murnaghan-Nakayama recursion (largest
-    cycle consumed first).  The reference route: the cover counts build
-    whole character columns with _character_columns instead."""
-    irrep = tuple(sorted(irrep, reverse=True))
-    cls = tuple(sorted(cls, reverse=True))
-    if sum(irrep) != sum(cls):
-        raise ValueError("irrep and class label different symmetric groups")
-    return _mn_value(_mask(irrep), cls)
 
 
 def corner_types(n: int, max_threes: int, max_ones: int) -> list[Partition]:
@@ -155,17 +96,6 @@ def cover_profiles(n: int, max_threes: int, max_ones: int) -> Iterator[Profile]:
         threes, ones = zeros_and_poles(profile)
         if threes <= max_threes and ones <= max_ones:
             yield profile  # type: ignore[misc]
-
-
-def genus(classes: Sequence[Partition]) -> int:
-    """Genus of a connected cover of the sphere with the given four (or more)
-    branch classes: 2 - 2g = -(r - 2) N + sum_i #cycles(g_i)."""
-    n = sum(classes[0])
-    r = len(classes)
-    euler = sum(len(cls) for cls in classes) - (r - 2) * n
-    if euler % 2:
-        raise ValueError("branching data has odd Euler characteristic")
-    return (2 - euler) // 2
 
 
 def _add_strips(column: dict[int, int], r: int) -> dict[int, int]:

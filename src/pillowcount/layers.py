@@ -4,16 +4,16 @@ A layer has m trivalent vertices (simple zeros), n univalent vertices
 (simple poles), l = (m-n)/2 + 2 boundary faces carrying the cylinder widths,
 and F_{m,n} is homogeneous of degree 2a with a = (m+n)/2 - 1. Three routes
 compute the same polynomial: the closed form, the n = 0 base case, and the
-step-up recurrence; specialized closed forms exist on the two lowest
-diagonals. All routes must agree exactly.
+step-up recurrence. All routes must agree exactly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .polynomials import Polynomial, apply_D
-from .rationals import Record, binomial, capped_binomial, compositions, factorial, multinomial, size_text
+from .rationals import Record, capped_binomial, compositions, multinomial, size_text
 
 __all__ = [
     "MAX_LOCAL_TERMS",
@@ -22,7 +22,6 @@ __all__ = [
     "f_closed",
     "f_kontsevich_base",
     "f_recurrence",
-    "f_special_diagonal",
 ]
 
 
@@ -128,22 +127,3 @@ def f_recurrence(sig: LayerSignature) -> Polynomial:
         cur_m += 1
     return poly
 
-
-def f_special_diagonal(m: int, n: int) -> Polynomial:
-    """Closed forms on the two lowest diagonals.
-
-    For n = m >= 1: m sum_i binom(m-1,i)^2 w_1^{2i} w_2^{2(m-1-i)}.
-    For n = m + 2, m >= 0: the single-variable monomial w^{2m}.
-    """
-    if n == m:
-        if m < 1:
-            raise ValueError("diagonal form needs m >= 1")
-        terms = {}
-        for i in range(m):
-            terms[(2 * i, 2 * (m - 1 - i))] = Fraction(m * binomial(m - 1, i) ** 2)
-        return Polynomial(terms)
-    if n == m + 2:
-        if m < 0:
-            raise ValueError("lowest diagonal form needs m >= 0")
-        return Polynomial.monomial((2 * m,))
-    raise ValueError(f"({m},{n}) is not on a special diagonal")

@@ -57,10 +57,6 @@ class Polynomial:
     def one() -> "Polynomial":
         return Polynomial.constant(1)
 
-    @staticmethod
-    def monomial(exps: Iterable[int], coeff: Scalar = 1) -> "Polynomial":
-        return Polynomial({tuple(exps): coeff})
-
     # -- basic queries ------------------------------------------------
 
     def items(self):

@@ -14,8 +14,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
-    "factorial",
-    "binomial",
     "SIZE_CAP",
     "capped_binomial",
     "capped_product",
@@ -31,22 +29,6 @@ __all__ = [
 ]
 
 Scalar = Union[int, Fraction]
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial of negative argument {n}")
-    return math.factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); zero outside the Pascal triangle."""
-    if n < 0:
-        raise ValueError(f"binomial with negative top index {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 # refusal messages print a size exactly up to this bound; a larger size is
@@ -100,9 +82,9 @@ def multinomial(n: int, parts: Iterable[int]) -> int:
         raise ValueError(f"negative multinomial part in {parts}")
     if sum(parts) != n:
         raise ValueError(f"multinomial parts {parts} do not sum to {n}")
-    out = factorial(n)
+    out = math.factorial(n)
     for p in parts:
-        out //= factorial(p)
+        out //= math.factorial(p)
     return out
 
 
@@ -169,7 +151,7 @@ def bernoulli(n: int) -> Fraction:
                 continue
             acc = Fraction(0)
             for j in range(m):
-                acc += binomial(m + 1, j) * _BERNOULLI[j]
+                acc += math.comb(m + 1, j) * _BERNOULLI[j]
             _BERNOULLI.append(-acc / (m + 1))
     return _BERNOULLI[n]
 
@@ -273,5 +255,5 @@ def zeta_even(s: int) -> PiValue:
     if s < 2 or s % 2 != 0:
         raise ValueError(f"unsupported zeta argument {s}")
     n = s // 2
-    coeff = Fraction((-1) ** (n + 1) * 2**s, 2 * factorial(s)) * bernoulli(s)
+    coeff = Fraction((-1) ** (n + 1) * 2**s, 2 * math.factorial(s)) * bernoulli(s)
     return PiValue(coeff, s)

@@ -23,16 +23,16 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations, permutations
-from math import comb, gcd, inf, prod
+from itertools import combinations, permutations
+from math import comb, factorial, gcd, inf, prod
 from typing import Callable, Iterator, Sequence
 
 from .layers import LayerSignature
 from .polynomials import Polynomial
-from .rationals import Record, capped_product, compositions, factorial, seconds_text, size_text, solve_exact
+from .rationals import Record, capped_product, compositions, seconds_text, size_text, solve_exact
 
-# enumerate_graphs refuses signatures with more labelled pairings than this
-MAX_LABELLED_PAIRINGS = 1_000_000
+# enumerate_graphs refuses signatures with more dart pairings than this
+MAX_PAIRINGS = 1_000_000
 # exact_lattice_count refuses widths estimated to take longer than this
 LATTICE_MAX_SECONDS = 15
 # leading_part_fit samples directions with coordinates up to this value
@@ -144,15 +144,6 @@ def _face_labels(sigma: Sequence[int], alpha: Sequence[int], most: int) -> list[
     return face
 
 
-def _face_partition(m: int, n: int, alpha: Sequence[int]) -> list[list[int]]:
-    """The faces as lists of darts, in the order of _face_labels."""
-    face = _face_labels(_sigma(m, n), alpha, len(alpha))
-    cycles: list[list[int]] = [[] for _ in range(max(face, default=-1) + 1)]
-    for d, f in enumerate(face):
-        cycles[f].append(d)
-    return cycles
-
-
 def _rooted_shape(sigma: Sequence[int], alpha: Sequence[int], root: int) -> tuple[tuple, list[int]] | None:
     """(shape, order): the darts in the order a breadth-first walk along
     sigma and alpha meets them from root, and (sigma, alpha) renumbered in
@@ -171,19 +162,15 @@ def _rooted_shape(sigma: Sequence[int], alpha: Sequence[int], root: int) -> tupl
     return (tuple([number[sigma[x]] for x in order]), tuple([number[alpha[x]] for x in order])), order
 
 
-def _labelled_pairings(m: int, n: int) -> int:
-    """(3m+n-1)!! * l!, the face-labelled dart pairings enumerate_graphs walks,
-    capped at SIZE_CAP + 1."""
-    return capped_product(chain(range(3 * m + n - 1, 0, -2), range(2, LayerSignature(m, n).faces + 1)))
-
-
 def _check_pairings(m: int, n: int) -> None:
-    """Refuse a signature with more labelled pairings than MAX_LABELLED_PAIRINGS."""
-    size = _labelled_pairings(m, n)
-    if size > MAX_LABELLED_PAIRINGS:
+    """Refuse a signature with more than MAX_PAIRINGS of the (3m+n-1)!! dart
+    pairings that enumerate_graphs walks.  Its l! face labellings are walked
+    once per unlabelled map, not once per pairing, and are not priced."""
+    size = capped_product(range(3 * m + n - 1, 0, -2))
+    if size > MAX_PAIRINGS:
         raise ValueError(
-            f"signature ({m},{n}) has {size_text(size)} labelled pairings to enumerate, "
-            f"more than the limit of {MAX_LABELLED_PAIRINGS}"
+            f"signature ({m},{n}) has {size_text(size)} pairings to enumerate, "
+            f"more than the limit of {MAX_PAIRINGS}"
         )
 
 

@@ -11,9 +11,9 @@ package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import factorial, inf
 
-from .rationals import PiValue, factorial, seconds_text, solve_exact, zeta_even
+from .rationals import PiValue, seconds_text, solve_exact, zeta_even
 
 __all__ = ["SERIES_MAX_K", "check_series_size", "volume_series", "volume"]
 

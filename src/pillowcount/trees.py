@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, prod
+from math import factorial, inf, prod
 from typing import Iterator, Sequence
 
 from . import layers
@@ -22,7 +22,6 @@ from .rationals import (
     PiValue,
     Record,
     compositions,
-    factorial,
     multinomial,
     seconds_text,
     zeta_even,
@@ -31,7 +30,6 @@ from .rationals import (
 __all__ = [
     "DecoratedTree",
     "TreeContribution",
-    "canonical_key",
     "aut_order",
     "PER_TREE_MAX_K",
     "check_per_tree_size",
@@ -202,11 +200,6 @@ def _canon_and_aut(
     aut = au * av * (2 if cu == cv else 1)
     first, second = sorted([cu, cv])
     return ("b", (first, second)), aut
-
-
-def canonical_key(t: DecoratedTree) -> tuple:
-    """Hashable invariant identifying the isomorphism class of (tree, decoration)."""
-    return t._canon[0]
 
 
 def aut_order(t: DecoratedTree) -> int:

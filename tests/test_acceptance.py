@@ -33,6 +33,8 @@ from pillowcount.ribbon import (
 )
 from pillowcount.series import volume
 from pillowcount.trees import enumerate_decorated_trees, tree_contribution
+
+from oracles import valid_signatures
 from zeta_lemma import zeta_lemma_ratio
 
 
@@ -102,21 +104,21 @@ def test_criterion_2_per_tree_contributions():
 
 
 def _reference_table() -> dict[tuple[int, int], Polynomial]:
-    w2 = Polynomial.monomial((2,))
+    w2 = Polynomial({(2,): 1})
     return {
         (0, 2): Polynomial.one(),
         (1, 3): w2,
-        (2, 4): Polynomial.monomial((4,)),
-        (3, 5): Polynomial.monomial((6,)),
+        (2, 4): Polynomial({(4,): 1}),
+        (3, 5): Polynomial({(6,): 1}),
         (1, 1): Polynomial.one(),
-        (2, 2): 2 * Polynomial.monomial((2, 0)) + 2 * Polynomial.monomial((0, 2)),
-        (3, 3): 3 * Polynomial.monomial((4, 0))
-        + 12 * Polynomial.monomial((2, 2))
-        + 3 * Polynomial.monomial((0, 4)),
+        (2, 2): 2 * Polynomial({(2, 0): 1}) + 2 * Polynomial({(0, 2): 1}),
+        (3, 3): 3 * Polynomial({(4, 0): 1})
+        + 12 * Polynomial({(2, 2): 1})
+        + 3 * Polynomial({(0, 4): 1}),
         (2, 0): Polynomial.constant(2),
-        (3, 1): 6 * Polynomial.monomial((2, 0, 0))
-        + 6 * Polynomial.monomial((0, 2, 0))
-        + 6 * Polynomial.monomial((0, 0, 2)),
+        (3, 1): 6 * Polynomial({(2, 0, 0): 1})
+        + 6 * Polynomial({(0, 2, 0): 1})
+        + 6 * Polynomial({(0, 0, 2): 1}),
     }
 
 
@@ -137,18 +139,8 @@ def test_criterion_3_reference_table():
     assert not mismatches
 
 
-def _valid_signatures(total_max: int) -> list[LayerSignature]:
-    out = []
-    for m in range(total_max + 1):
-        for n in range(total_max + 1 - m):
-            if (m, n) == (0, 0) or (m - n) % 2 != 0 or m - n < -2:
-                continue
-            out.append(LayerSignature(m, n))
-    return out
-
-
 def test_criterion_4_routes_agree():
-    signatures = _valid_signatures(12)
+    signatures = [LayerSignature(*mn) for mn in valid_signatures(12)]
     recurrence_bad = [
         (s.m, s.n) for s in signatures if f_closed(s) != f_recurrence(s)
     ]

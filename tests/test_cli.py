@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -110,6 +111,29 @@ def test_volume_per_tree_json(runner):
     values = {(t["value"]["num"], t["value"]["den"]) for t in payload["trees"]}
     assert values == {("4", "9"), ("5", "9")}
     assert {t["c"]["num"] for t in payload["trees"]} == {"10", "15"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_volume_per_tree_keeps_no_contribution(runner, monkeypatch, fmt):
+    """A tree's contribution is released once its row is out: when the next
+    one is assembled, only the one before it may still be alive."""
+
+    class Tracked(trees_mod.TreeContribution):
+        __slots__ = ("__weakref__",)
+
+    made = []
+    real = trees_mod.tree_contribution
+
+    def contribution(t, K):
+        assert all(ref() is None for ref in made[:-1])
+        c = Tracked(*real(t, K)._values())
+        made.append(weakref.ref(c))
+        return c
+
+    monkeypatch.setattr(trees_mod, "tree_contribution", contribution)
+    result = runner.invoke(main, ["volume", "--K", "3", "--per-tree", "--format", fmt])
+    assert result.exit_code == 0
+    assert len(made) == len(trees_mod.enumerate_decorated_trees(3)) > 2
 
 
 def test_volume_latex_table_subtotals(runner):
@@ -243,7 +267,7 @@ def test_ribbon_commands_refuse_oversized_signature(runner):
     ):
         result = runner.invoke(main, ["ribbon", *args])
         assert result.exit_code == 2
-        assert "48648600 labelled pairings" in result.output
+        assert "2027025 pairings" in result.output
 
 
 @pytest.mark.parametrize(
@@ -251,8 +275,8 @@ def test_ribbon_commands_refuse_oversized_signature(runner):
     [
         (["local-poly", "--m", "400000", "--n", "0"], "F_{400000,0} has over 10^18 terms"),
         (["local-poly", "--m", "1000000000", "--n", "0"], "F_{1000000000,0} has over 10^18 terms"),
-        (["ribbon", "enumerate", "--m", "100000", "--n", "0"], "(100000,0) has over 10^18 labelled pairings"),
-        (["ribbon", "enumerate", "--m", "1000000000", "--n", "0"], "(1000000000,0) has over 10^18 labelled pairings"),
+        (["ribbon", "enumerate", "--m", "100000", "--n", "0"], "(100000,0) has over 10^18 pairings"),
+        (["ribbon", "enumerate", "--m", "1000000000", "--n", "0"], "(1000000000,0) has over 10^18 pairings"),
     ],
 )
 def test_huge_signatures_are_refused_at_once(runner, args, message):
@@ -478,7 +502,7 @@ def test_verify_fails_on_corruption(runner, monkeypatch):
     def tampered(sig):
         poly = real(sig)
         if (sig.m, sig.n) == (2, 2):
-            return poly + Polynomial.monomial((2, 0))
+            return poly + Polynomial({(2, 0): 1})
         return poly
 
     monkeypatch.setattr(verify_mod, "f_closed", tampered)

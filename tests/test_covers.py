@@ -20,20 +20,18 @@ from pillowcount.covers import (
     _mask_hook_product,
     _multiset_values,
     _unpack,
-    character,
     class_size,
     connected_counts,
     corner_types,
     cover_profiles,
     cover_ratios,
-    dimension,
-    genus,
     naive_connected_counts,
     naive_enumerate,
-    partitions,
     sq_count,
     zeros_and_poles,
 )
+
+from oracles import bead_mask, character, dimension, genus, partitions
 
 
 def test_partitions_counts_and_order():
@@ -340,11 +338,6 @@ def test_character_columns_match_reference():
 
     classes = 0
     for max_degree in range(1, 13):
-
-        def bead_mask(shape):
-            rows = shape + (0,) * (max_degree - len(shape))
-            return sum(1 << (part + max_degree - 1 - i) for i, part in enumerate(rows))
-
         bounds = ((0, 0), (1, 5), (2, 6), (max_degree // 3, max_degree))
         for row, (max_threes, max_ones) in enumerate(bounds):
             degrees = []
@@ -354,7 +347,7 @@ def test_character_columns_match_reference():
                     degrees.append(n)
                     assert list(dense) == corner_types(n, max_threes, max_ones)
                     assert sorted(dense) == bounded(n, max_threes, max_ones)
-                    shapes = {bead_mask(shape): shape for shape in partitions(n)}
+                    shapes = {bead_mask(shape + (0,) * (max_degree - len(shape))): shape for shape in partitions(n)}
                     assert len(set(masks)) == len(masks) and set(masks) <= set(shapes)
                     for cls, values in dense.items():
                         assert len(values) == len(masks)

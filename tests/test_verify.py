@@ -34,7 +34,7 @@ def test_detects_corrupted_route(monkeypatch):
     def tampered(sig):
         poly = real(sig)
         if (sig.m, sig.n) == (2, 2):
-            return poly + Polynomial.monomial((2, 0))
+            return poly + Polynomial({(2, 0): 1})
         return poly
 
     monkeypatch.setattr(verify_mod, "f_closed", tampered)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import pi, prod
+from math import comb, factorial, pi, prod
 from typing import Sequence
 
-from pillowcount.rationals import bernoulli, binomial, factorial, zeta_even
+from pillowcount.rationals import bernoulli, zeta_even
 
 
 @lru_cache(maxsize=None)
@@ -26,7 +26,7 @@ def _power_sum(p: int, m: int) -> int:
     total = Fraction(0)
     for j in range(p + 1):
         bj = Fraction(1, 2) if j == 1 else bernoulli(j)
-        total += binomial(p + 1, j) * bj * Fraction(m) ** (p + 1 - j)
+        total += comb(p + 1, j) * bj * Fraction(m) ** (p + 1 - j)
     total /= p + 1
     assert total.denominator == 1
     return total.numerator
