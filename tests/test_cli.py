@@ -25,6 +25,8 @@ import pillowcount.verify as verify_mod
 from pillowcount.cli import main
 from pillowcount.polynomials import Polynomial
 
+from oracles import valid_signatures
+
 
 @pytest.fixture()
 def runner():
@@ -67,6 +69,27 @@ def test_local_poly_text_and_methods(runner):
         main, ["local-poly", "--m", "3", "--n", "3", "--method", "recurrence"]
     )
     assert closed.output == recurred.output
+
+
+# sha256 of the local-poly output of every valid signature with m + n <= 12,
+# by m then n, in each format; both methods print these same bytes
+LOCAL_POLY_SHA256 = {
+    "json": "e4d2eb639cdf0e08b6ef6bc77ea87281a7a3f98f86124a08ed549bfc05934464",
+    "text": "82e99c9a96096e0d3875edb7c7e118dcf3b0f6370f84ce843c6900e123239ca0",
+}
+
+
+@pytest.mark.parametrize("method", ["closed", "recurrence"])
+@pytest.mark.parametrize("fmt", sorted(LOCAL_POLY_SHA256))
+def test_local_poly_bytes_pinned(runner, fmt, method):
+    outputs = []
+    for m, n in valid_signatures(12):
+        result = runner.invoke(
+            main, ["local-poly", "--m", str(m), "--n", str(n), "--format", fmt, "--method", method]
+        )
+        assert result.exit_code == 0
+        outputs.append(result.stdout_bytes)
+    assert hashlib.sha256(b"".join(outputs)).hexdigest() == LOCAL_POLY_SHA256[fmt]
 
 
 def test_local_poly_method_defaults_to_closed(runner):
@@ -329,6 +352,15 @@ def test_ribbon_fit(runner):
     result = runner.invoke(main, ["ribbon", "fit", "--m", "1", "--n", "1"])
     assert result.exit_code == 0
     assert json.loads(result.output) == [{"exponents": [0, 0], "num": "1", "den": "1"}]
+
+
+# at one and two faces the constant term still prints one exponent per face
+@pytest.mark.parametrize("m, n", [(0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3), (2, 4)])
+def test_ribbon_fit_prints_the_local_poly_bytes(runner, m, n):
+    fit = runner.invoke(main, ["ribbon", "fit", "--m", str(m), "--n", str(n)])
+    closed = runner.invoke(main, ["local-poly", "--m", str(m), "--n", str(n)])
+    assert fit.exit_code == closed.exit_code == 0
+    assert fit.stdout_bytes == closed.stdout_bytes
 
 
 def test_ribbon_fit_refuses_four_faces_before_enumerating(runner, monkeypatch):
