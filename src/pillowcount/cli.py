@@ -39,7 +39,7 @@ def local_poly(opts: argparse.Namespace) -> None:
 
     sig = _or_usage(LayerSignature, opts.m, opts.n)
     poly = _or_usage(f_recurrence if opts.method == "recurrence" else f_closed, sig)
-    print(_json(poly.to_records(sig.faces)) if opts.fmt == "json" else poly.to_text(arity=sig.faces))
+    print(_json(poly.to_records()) if opts.fmt == "json" else poly.to_text())
 
 
 def ribbon_enumerate(opts: argparse.Namespace) -> None:
@@ -75,11 +75,9 @@ def ribbon_count(opts: argparse.Namespace) -> None:
 
 def ribbon_fit(opts: argparse.Namespace) -> None:
     """Recover the leading term of F_{m,n} from raw lattice counts."""
-    from .layers import LayerSignature
     from .ribbon import leading_part_fit
 
-    sig = _or_usage(LayerSignature, opts.m, opts.n)
-    print(_json(_or_usage(leading_part_fit, opts.m, opts.n).to_records(sig.faces)))
+    print(_json(_or_usage(leading_part_fit, opts.m, opts.n).to_records()))
 
 
 def _fraction_json(f: Fraction) -> dict:
@@ -113,11 +111,11 @@ def _pi_latex(value: PiValue) -> str:
     return f"{_frac_latex(coeff)}\\,{body}"
 
 
-def _poly_latex(p: Polynomial, arity: int) -> str:
+def _poly_latex(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for exps, coeff in p.sorted_terms(arity):
+    for exps, coeff in p.sorted_terms():
         factors = "".join(
             f"w_{{{i + 1}}}" + (f"^{{{e}}}" if e > 1 else "")
             for i, e in enumerate(exps)
@@ -157,7 +155,7 @@ def _factor_latex(contribution: TreeContribution) -> str:
         args = ",".join(f"w_{{{i}}}" for i in incident)
         pieces.append(f"F_{{{sig.m},{sig.n}}}({args})")
     product = local_product(tree)
-    return "\\cdot ".join(pieces) + " = " + _poly_latex(product, tree.k)
+    return "\\cdot ".join(pieces) + " = " + _poly_latex(product)
 
 
 def _volume_latex(big_k: int, contributions: list[TreeContribution], no_meta: bool) -> str:

@@ -338,27 +338,30 @@ COVERS_MAX_SECONDS = 15
 def check_cover_size(k: int, max_degree: int) -> None:
     """Refuse a cover count that would not finish in reasonable time.
 
-    The estimate 3.9e-4 * exp(0.67 k_s + 0.183 N) seconds was fitted, with
-    the least worst ratio, to the in-process times of connected_counts on
-    a 2-CPU VM, the odd degrees running in the second process: the 68
-    requests of 0.25 s or more among K = 1..20 at N = 16..54 and K = 30..60
-    at N = 12..18.  It is within a factor of 1.93 of each of them.  The
-    second process now takes the top degree's parity, the same split at
-    odd N and a more even one at even N, so there the estimate errs on the
-    slow side.
-    k_s = (K^-2 + (N/2)^-2)^(-1/2), a smooth min(K, N/2), is K while K is
-    small against N/2 and approaches N/2 as K grows, so the estimate stops
-    growing with K: at N = 16 it is at most 1.6 s.  It is 0 when K or N is
-    0.  The worst points lie near the limit on both sides, as K = 1 grows
-    faster in N than any one slope fits: K = 1 at N = 52 and 54 took 19.6
-    and 28.4 s, and K = 20 at N = 22 took 23 s, against estimates of 10, 15
-    and 14 s, while K = 4 at N = 38 took 2.9 s against 5.6 s.  On one CPU
-    the two halves run one after the other, and the same requests take 1.0
-    to 1.7 times as long: K = 1 at N = 40 took 3.2 s against 2.0 s on two.
+    For K >= 2 the estimate 3.9e-4 * exp(0.67 k_s + 0.183 N) seconds was
+    fitted, with the least worst ratio, to the in-process times of
+    connected_counts on a 2-CPU VM, the odd degrees in the second process:
+    the 68 requests of 0.25 s or more among K = 1..20 at N = 16..54 and K =
+    30..60 at N = 12..18, each within a factor of 1.93.  The second process
+    now takes the top degree's parity, a more even split at even N, where
+    the estimate errs on the slow side.  k_s = (K^-2 + (N/2)^-2)^(-1/2), a
+    smooth min(K, N/2), is K while K is small against N/2 and approaches
+    N/2 as K grows, so at N = 16 the estimate is at most 1.6 s for any K.
+    It is 0 when K or N is 0.  K = 20 at N = 22 took 23 s against 14 s, and
+    K = 4 at N = 38 took 2.9 s against 5.6 s.  K = 1 takes about 1.5 times
+    that formula and has its own, 1.1e-3 * exp(0.184 N) seconds, fitted the
+    same way to three timings of each even N = 40..54 with the top degree's
+    parity forked, each within a factor of 1.37: N = 52 and 54, which took
+    15.1-19.2 s and 21.7-28.1 s, are refused.  On one CPU the two halves
+    run one after the other and take 1.0 to 1.7 times as long: K = 1 at
+    N = 40 took 3.2 s against 2.0 s on two.
     """
     try:
-        saturated = ((1 / k) ** 2 + (2 / max_degree) ** 2) ** -0.5 if k and max_degree else 0
-        seconds = 3.9e-4 * math.exp(0.67 * saturated + 0.183 * max_degree)
+        if k == 1:
+            seconds = 1.1e-3 * math.exp(0.184 * max_degree)
+        else:
+            saturated = ((1 / k) ** 2 + (2 / max_degree) ** 2) ** -0.5 if k and max_degree else 0
+            seconds = 3.9e-4 * math.exp(0.67 * saturated + 0.183 * max_degree)
     except OverflowError:  # an estimate past the float range, from degree about 3,900 on
         seconds = math.inf
     if seconds > COVERS_MAX_SECONDS:

@@ -106,8 +106,8 @@ def f_recurrence(sig: LayerSignature) -> Polynomial:
     """Recurrence route: F_{m+1,n+1} = 2(m+1) D(F_{m,n}) from the nearest base case.
 
     The base case is F_{m-n,0} for m > n, F_{1,1} = 1 on the diagonal, and
-    F_{0,2} = 1 on the lowest diagonal. D always runs over all l variables;
-    l never changes along the recurrence.
+    F_{0,2} = 1 on the lowest diagonal. D runs over all l variables of its
+    argument; l never changes along the recurrence.
     """
     check_local_size(sig)
     m, n, l = sig.m, sig.n, sig.faces
@@ -117,13 +117,13 @@ def f_recurrence(sig: LayerSignature) -> Polynomial:
         poly = f_kontsevich_base(m - n)
         cur_m, steps = m - n, n
     elif m == n:
-        poly = Polynomial.one()  # F_{1,1}
+        poly = Polynomial({(0,) * l: 1})  # F_{1,1}
         cur_m, steps = 1, m - 1
     else:  # m == n - 2
-        poly = Polynomial.one()  # F_{0,2}
+        poly = Polynomial({(0,) * l: 1})  # F_{0,2}
         cur_m, steps = 0, m
     for _ in range(steps):
-        poly = 2 * (cur_m + 1) * apply_D(poly, range(l))
+        poly = 2 * (cur_m + 1) * apply_D(poly)
         cur_m += 1
     return poly
 

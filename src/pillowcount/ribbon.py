@@ -385,21 +385,24 @@ def laplace_transform(g: RibbonGraph) -> Term:
     return coeff, forms
 
 
-def laplace_of_polynomial(p: Polynomial, arity: int) -> list[Term]:
+def _unit(i: int, l: int) -> Form:
+    return tuple(int(j == i) for j in range(l))
+
+
+def laplace_of_polynomial(p: Polynomial) -> list[Term]:
     """Transform of a width polynomial, variable by variable: a monomial
     factor w_i^k turns into k!/lambda_i^{k+1}, so a variable absent from a
     monomial still contributes 1/lambda_i."""
-    units = [tuple(int(j == i) for j in range(arity)) for i in range(arity)]
     return [
-        (coeff * prod(map(factorial, exps)), Counter({u: k + 1 for u, k in zip(units, exps)}))
-        for exps, coeff in p.sorted_terms(arity)
+        (coeff * prod(map(factorial, exps)), Counter({_unit(i, len(exps)): k + 1 for i, k in enumerate(exps)}))
+        for exps, coeff in p.sorted_terms()
     ]
 
 
-def _form_product(powers: Counter[Form]) -> Polynomial:
-    out = Polynomial.one()
+def _form_product(powers: Counter[Form], l: int) -> Polynomial:
+    out = Polynomial({(0,) * l: 1})
     for vec, mult in powers.items():
-        linear = Polynomial({(0,) * i + (1,): c for i, c in enumerate(vec) if c})
+        linear = Polynomial({_unit(i, l): c for i, c in enumerate(vec) if c})
         for _ in range(mult):
             out = out * linear
     return out
@@ -424,9 +427,10 @@ def same_transform(f: Sequence[Term], g: Sequence[Term]) -> bool:
     common: Counter[Form] = Counter()
     for _, forms in parts:
         common |= forms
-    num = Polynomial.zero()
+    l = len(next(iter(common), ()))
+    num = Polynomial()
     for c, forms in parts:
-        num = num + c * _form_product(common - forms)
+        num = num + c * _form_product(common - forms, l)
     return num.is_zero()
 
 
@@ -461,15 +465,14 @@ def verify_pole_recurrence(m: int, n: int) -> bool:
     2(m+1) c k L_i / (lambda_i L prod L^k).
     """
     l = LayerSignature(m, n).faces
-    units = [tuple(int(j == i) for j in range(l)) for i in range(l)]
     rhs = []
     for c, forms in hat_F(m, n):
         for form, k in forms.items():
-            for i, unit in enumerate(units):
+            for i in range(l):
                 if form[i]:
                     # Counter([form, unit]), as Counter({form: 1, unit: 1})
                     # keeps one entry when form is the unit form itself
-                    rhs.append((2 * (m + 1) * c * k * form[i], forms + Counter([form, unit])))
+                    rhs.append((2 * (m + 1) * c * k * form[i], forms + Counter([form, _unit(i, l)])))
     return same_transform(hat_F(m + 1, n + 1), rhs)
 
 

@@ -423,9 +423,11 @@ def test_covers_count_naive_degree_limit(runner):
     "args, estimate",
     [
         (["count", "--K", "20", "--max-degree", "24"], "K=20 to degree 24 would take about 31 s"),
-        (["ratio", "--K", "1", "--degrees", "10,60"], "K=1 to degree 60 would take about 45 s"),
+        (["ratio", "--K", "1", "--degrees", "10,60"], "K=1 to degree 60 would take about 69 s"),
         (["count", "--K", "1", "--max-degree", "1000000"], "K=1 to degree 1000000 would take more than 10^308 s"),
         (["ratio", "--K", "1", "--degrees", "5,100000"], "K=1 to degree 100000 would take more than 10^308 s"),
+        (["count", "--K", "1", "--max-degree", "52"], "K=1 to degree 52 would take about 16 s"),
+        (["count", "--K", "1", "--max-degree", "54"], "K=1 to degree 54 would take about 23 s"),
     ],
 )
 def test_covers_refuse_requests_above_limit(runner, monkeypatch, args, estimate):

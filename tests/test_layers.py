@@ -60,14 +60,14 @@ def test_signature_is_a_frozen_value():
 
 # the reference table of F_{m,n} for valences 1..3, checked entry by entry
 REFERENCE_TABLE = {
-    (0, 2): Polynomial.one(),
+    (0, 2): Polynomial({(0,): 1}),
     (1, 3): Polynomial({(2,): 1}),
     (2, 4): Polynomial({(4,): 1}),
     (3, 5): Polynomial({(6,): 1}),
-    (1, 1): Polynomial.one(),
+    (1, 1): Polynomial({(0, 0): 1}),
     (2, 2): Polynomial({(2, 0): 2, (0, 2): 2}),
     (3, 3): Polynomial({(4, 0): 3, (2, 2): 12, (0, 4): 3}),
-    (2, 0): Polynomial.constant(2),
+    (2, 0): Polynomial({(0, 0, 0): 2}),
     (3, 1): Polynomial({(2, 0, 0): 6, (0, 2, 0): 6, (0, 0, 2): 6}),
 }
 
@@ -118,7 +118,8 @@ def test_routes_refuse_oversized_signature():
 def test_structural_properties(mn: tuple[int, int]):
     sig = LayerSignature(*mn)
     poly = f_closed(sig)
-    terms = {exps + (0,) * (sig.faces - len(exps)): c for exps, c in poly.items()}
+    terms = dict(poly.items())
+    assert {len(exps) for exps in terms} == {sig.faces}
     assert {sum(exps) for exps in terms} == {2 * sig.half_degree}
     assert all(terms.get(p) == c for exps, c in terms.items() for p in itertools.permutations(exps))
     assert all(c > 0 for _, c in poly.items())
@@ -141,7 +142,7 @@ def test_closed_form_normalization():
     sig = LayerSignature(5, 1)
     a = sig.half_degree
     poly = f_closed(sig)
-    lead = dict(poly.items())[(2 * a,)]
+    lead = dict(poly.items())[(2 * a,) + (0,) * (sig.faces - 1)]
     assert lead == Fraction(120, 2)  # 5!/2!
 
 

@@ -263,7 +263,7 @@ def per_monomial_contribution(t: DecoratedTree, K: int) -> tuple:
     """(local product, aut, c, zeta terms, value) by multiplying Fraction
     polynomials and applying the zeta operator to every monomial."""
     k = t.k
-    local = Polynomial.one()
+    local = Polynomial({(0,) * k: 1})
     for v in range(t.vertices):
         # F's variable j is the width of the vertex's j-th incident edge
         incident = [i for i, e in enumerate(t.edges) if v in e]
