@@ -257,7 +257,7 @@ def volume_cmd(opts: argparse.Namespace) -> None:
 
 def covers_count(opts: argparse.Namespace) -> None:
     """Connected cover counts graded by degree, zeros, and poles."""
-    from .covers import NAIVE_MAX_DEGREE, connected_counts, naive_connected_counts, sq_count
+    from .covers import NAIVE_MAX_DEGREE, connected_counts, naive_counts, sq_count
 
     big_k, max_degree = opts.big_k, opts.max_degree
     if big_k < 1 or max_degree < 1:
@@ -265,7 +265,7 @@ def covers_count(opts: argparse.Namespace) -> None:
     if opts.method == "naive":
         if max_degree > NAIVE_MAX_DEGREE:
             raise UsageError(f"--method naive handles degrees up to {NAIVE_MAX_DEGREE} only")
-        table = naive_connected_counts(big_k, max_degree)
+        table = {cell: value for _, _, cells in naive_counts(big_k, max_degree) for cell, value in cells.items()}
     else:
         table = _or_usage(connected_counts, big_k, max_degree)
     sq = sq_count(table, big_k, max_degree)
@@ -294,20 +294,13 @@ def covers_ratio(opts: argparse.Namespace) -> None:
 def verify_cmd(opts: argparse.Namespace) -> int:
     """Recompute everything both ways; exit 0 only if all routes agree."""
     from .covers import NAIVE_MAX_DEGREE
-    from .trees import check_per_tree_size
     from .verify import check_verification_size, run_verification
 
     k_max, mn_max, cover_n_max = opts.k_max, opts.mn_max, opts.cover_n_max
     if cover_n_max is None:
         cover_n_max = NAIVE_MAX_DEGREE
-    try:
-        check_per_tree_size(k_max)
-    except ValueError as exc:
-        raise UsageError(f"--K-max {k_max}: {exc}") from None
-    try:
-        check_verification_size(mn_max)
-    except ValueError as exc:
-        raise UsageError(f"--mn-max {mn_max}: {exc}") from None
+    # only the refusal before any work is a usage error, not a ValueError from a check
+    _or_usage(check_verification_size, k_max, mn_max)
     if cover_n_max > NAIVE_MAX_DEGREE:
         print(
             f"note: --cover-N-max {cover_n_max} is capped at {NAIVE_MAX_DEGREE}, the largest degree "

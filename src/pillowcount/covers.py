@@ -22,9 +22,10 @@ runs the others; each degree's columns are unpacked into lists aligned to
 its shapes, and the four-way sums over them run as map/sum chains in C.
 The tests' reference route (tests/oracles.py) removes strips from a single
 shape's bead mask top-down instead.
-`verify` checks these four-way sums, per profile, against direct
-enumeration, and the connected counts it takes from the same sums
-(connected_from_sums) per cell.
+`verify` checks these four-way sums, per multiset of corner classes, and
+the connected counts taken from them (connected_from_sums), per cell,
+against naive_counts, a direct walk over the monodromy tuples of each
+multiset up to degree NAIVE_MAX_DEGREE.
 
 A cycle of length c in a corner monodromy sits over that corner as a point
 where the induced quadratic differential has order c - 2: fixed points are
@@ -51,7 +52,6 @@ from typing import Iterable, Iterator, Sequence
 from .rationals import multinomial, seconds_text
 
 Partition = tuple[int, ...]
-Profile = tuple[Partition, Partition, Partition, Partition]
 # a cell of the cover counts: (degree, 3-cycles, fixed points)
 Cell = tuple[int, int, int]
 
@@ -85,17 +85,6 @@ def zeros_and_poles(classes: Sequence[Partition]) -> tuple[int, int]:
     """(simple zeros, simple poles) over the given corner classes: their
     3-cycles and their fixed points."""
     return sum(cls.count(3) for cls in classes), sum(cls.count(1) for cls in classes)
-
-
-def cover_profiles(n: int, max_threes: int, max_ones: int) -> Iterator[Profile]:
-    """Ordered assignments of corner classes for degree n with the total
-    number of 3-cycles bounded by max_threes and of fixed points by
-    max_ones."""
-    types = corner_types(n, max_threes, max_ones)
-    for profile in itertools.product(types, repeat=4):
-        threes, ones = zeros_and_poles(profile)
-        if threes <= max_threes and ones <= max_ones:
-            yield profile  # type: ignore[misc]
 
 
 def _add_strips(column: dict[int, int], r: int) -> dict[int, int]:
@@ -333,12 +322,14 @@ def _multiset_values(
 # the cover counts for K = 1 to degree 40 take about 1.8 s on a 2-CPU VM, and
 # K = 12 to degree 24 about 11 s
 COVERS_MAX_SECONDS = 15
+# K: (a, b) of its own estimate a * exp(b * N) seconds (check_cover_size)
+OWN_COVER_FITS = {1: (1.1e-3, 0.184), 3: (1.6e-3, 0.185), 4: (2.3e-3, 0.19)}
 
 
 def check_cover_size(k: int, max_degree: int) -> None:
     """Refuse a cover count that would not finish in reasonable time.
 
-    For K >= 2 the estimate 3.9e-4 * exp(0.67 k_s + 0.183 N) seconds was
+    The shared estimate 3.9e-4 * exp(0.67 k_s + 0.183 N) seconds was
     fitted, with the least worst ratio, to the in-process times of
     connected_counts on a 2-CPU VM, the odd degrees in the second process:
     the 68 requests of 0.25 s or more among K = 1..20 at N = 16..54 and K =
@@ -347,18 +338,22 @@ def check_cover_size(k: int, max_degree: int) -> None:
     the estimate errs on the slow side.  k_s = (K^-2 + (N/2)^-2)^(-1/2), a
     smooth min(K, N/2), is K while K is small against N/2 and approaches
     N/2 as K grows, so at N = 16 the estimate is at most 1.6 s for any K.
-    It is 0 when K or N is 0.  K = 20 at N = 22 took 23 s against 14 s, and
-    K = 4 at N = 38 took 2.9 s against 5.6 s.  K = 1 takes about 1.5 times
-    that formula and has its own, 1.1e-3 * exp(0.184 N) seconds, fitted the
-    same way to three timings of each even N = 40..54 with the top degree's
-    parity forked, each within a factor of 1.37: N = 52 and 54, which took
-    15.1-19.2 s and 21.7-28.1 s, are refused.  On one CPU the two halves
-    run one after the other and take 1.0 to 1.7 times as long: K = 1 at
-    N = 40 took 3.2 s against 2.0 s on two.
+    It is 0 when K or N is 0.  K = 20 at N = 22 took 23 s against 14 s,
+    and K = 2 at N = 49 and 50 took 7.9-11.5 s, 1.22-1.47 times less.
+    A K whose times near the limit fall outside the factor of 1.93 has its
+    own estimate in OWN_COVER_FITS, fitted the same way to three timings of
+    each N with the top degree's parity forked.  K = 1, about 1.5 times
+    slower than the shared formula, at even N = 40..54, within 1.37: it
+    refuses N = 52 and 54, which took 15.1-19.2 s and 21.7-28.1 s.  K = 3
+    and 4, 1.28-2.2 times faster, at N = 43..50 and 40..47, within 1.30:
+    they refuse (3, 50) and (4, 47), which took 16.0-17.1 s and 14.2-17.1 s.
+    On one CPU the two halves run one after the other and take 1.0 to 1.7
+    times as long: K = 1 at N = 40 took 3.2 s against 2.0 s on two.
     """
     try:
-        if k == 1:
-            seconds = 1.1e-3 * math.exp(0.184 * max_degree)
+        if k in OWN_COVER_FITS:
+            a, b = OWN_COVER_FITS[k]
+            seconds = a * math.exp(b * max_degree)
         else:
             saturated = ((1 / k) ** 2 + (2 / max_degree) ** 2) ** -0.5 if k and max_degree else 0
             seconds = 3.9e-4 * math.exp(0.67 * saturated + 0.183 * max_degree)
@@ -417,7 +412,7 @@ def sq_count(counts: dict[Cell, Fraction], k: int, n_max: int) -> Fraction:
     """Weighted number of lattice surfaces of degree at most n_max in the
     stratum with k labelled simple zeros and k + 4 labelled simple poles,
     read from a table of connected counts graded by (degree, z, p) that
-    reaches degree n_max (connected_counts or naive_connected_counts).
+    reaches degree n_max (connected_counts, or the cells of naive_counts).
 
     The monodromy quadruples count covering maps, and the four half-lattice
     translations of the pillowcase act on maps (permuting the corners) with
@@ -529,21 +524,34 @@ def naive_enumerate(classes: Sequence[Partition]) -> tuple[Fraction, Fraction]:
     return weight * count, weight * connected
 
 
-def naive_profile_counts(n: int, max_threes: int, max_ones: int) -> Iterator[tuple[Profile, Fraction, Fraction]]:
-    """(profile, all tuples, transitive tuples) by naive_enumerate, for each
-    profile of cover_profiles(n, max_threes, max_ones)."""
-    for profile in cover_profiles(n, max_threes, max_ones):
-        yield (profile, *naive_enumerate(profile))
+def naive_counts(
+    k: int, max_degree: int
+) -> Iterator[tuple[int, dict[tuple[Partition, ...], Fraction], dict[Cell, Fraction]]]:
+    """Yield (n, sums, cells) for n = 1..max_degree <= NAIVE_MAX_DEGREE by
+    direct enumeration: one naive_enumerate call for each multiset of four
+    corner classes with at most k 3-cycles and k + 4 fixed points, keyed
+    and ordered as _multiset_values keys and orders it.  sums maps each
+    multiset to its count of all tuples, and cells maps each (n, z, p) to
+    its connected count, the transitive tuples of every ordering of its
+    multisets; 0 is left out of both.
 
-
-def naive_connected_counts(k: int, max_degree: int) -> dict[Cell, Fraction]:
-    """connected_counts(k, max_degree) by direct enumeration of the
-    transitive monodromy tuples of every profile, for max_degree <=
-    NAIVE_MAX_DEGREE."""
-    table: dict[Cell, Fraction] = {}
+    Both counts are the same for every ordering of the four classes: the
+    move (g1, g2, g3, g4) -> (g1, g2 g3 g2^-1, g2, g4) swaps two
+    neighbouring classes, keeps the product 1 and the generated group, and
+    is invertible.  The orderings are counted here, as distinct
+    permutations of the multiset, independently of the character route.
+    """
     for n in range(1, max_degree + 1):
-        for profile, _, value in naive_profile_counts(n, k, k + 4):
-            if value != 0:
-                key = (n, *zeros_and_poles(profile))
-                table[key] = table.get(key, Fraction(0)) + value
-    return table
+        sums: dict[tuple[Partition, ...], Fraction] = {}
+        cells: dict[Cell, Fraction] = {}
+        for combo in itertools.combinations_with_replacement(corner_types(n, k, k + 4), 4):
+            zeros, poles = zeros_and_poles(combo)
+            if zeros > k or poles > k + 4:
+                continue
+            count, connected = naive_enumerate(combo)
+            if count:
+                sums[combo] = count
+            if connected:
+                orderings = len(set(itertools.permutations(combo)))
+                cells[n, zeros, poles] = cells.get((n, zeros, poles), 0) + orderings * connected
+        yield n, sums, cells

@@ -6,19 +6,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .covers import (
-    NAIVE_MAX_DEGREE,
-    Cell,
-    _multiset_values,
-    connected_from_sums,
-    naive_profile_counts,
-    zeros_and_poles,
-)
+from .covers import NAIVE_MAX_DEGREE, _multiset_values, connected_from_sums, naive_counts
 from .layers import LayerSignature, check_local_size, f_closed, f_kontsevich_base, f_recurrence
 from .rationals import PiValue, Record
 from .ribbon import leading_part_fit
 from .series import volume, volume_series
-from .trees import tree_subtotals
+from .trees import check_per_tree_size, tree_subtotals
 
 FIT_SIGNATURES = ((0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1))
 
@@ -43,11 +36,20 @@ def _valid_signatures(mn_max: int) -> Iterator[LayerSignature]:
                 pass
 
 
-def check_verification_size(mn_max: int) -> None:
-    """Refuse, before any work, a bound mn_max that reaches a local
-    polynomial above MAX_LOCAL_TERMS, at the first one verify would build."""
-    for sig in _valid_signatures(mn_max):
-        check_local_size(sig)
+def check_verification_size(k_max: int, mn_max: int) -> None:
+    """Refuse, before any work, a k_max past the per-tree route's limit or
+    an mn_max that reaches a local polynomial above MAX_LOCAL_TERMS, at the
+    first one verify would build.  The message names the bound by its
+    `verify` option."""
+    try:
+        check_per_tree_size(k_max)
+    except ValueError as exc:
+        raise ValueError(f"--K-max {k_max}: {exc}") from None
+    try:
+        for sig in _valid_signatures(mn_max):
+            check_local_size(sig)
+    except ValueError as exc:
+        raise ValueError(f"--mn-max {mn_max}: {exc}") from None
 
 
 def run_verification(
@@ -62,19 +64,29 @@ def run_verification(
     fit from raw lattice counts on its supported signatures, volume(K)
     against the closed form and the labelled-tree series against the sum
     over enumerated trees, in total and per cylinder count, for
-    K <= k_max, and the cover counts against direct enumeration for degrees
-    up to min(cover_n_max, NAIVE_MAX_DEGREE): per profile, the four-way
-    character sum that the cover counts are built from (_multiset_values),
-    and per (degree, zeros, poles) cell, the connected counts that `covers
-    count` prints, taken from the same sums (connected_from_sums).
+    K <= k_max, and the cover counts against the direct walk (naive_counts)
+    for degrees up to min(cover_n_max, NAIVE_MAX_DEGREE), one check per
+    degree: per multiset of corner classes, the four-way character sum
+    that the cover counts are built from (_multiset_values), and per
+    (degree, zeros, poles) cell, the connected counts that `covers count`
+    prints, taken from the same sums (connected_from_sums).  A failing
+    check between two dicts names only the entries that differ.
+
+    Bounds that check_verification_size refuses raise ValueError before
+    any check runs.
     """
+    check_verification_size(k_max, mn_max)
     results: list[CheckResult] = []
 
     def record(name: str, passed: bool, lhs: object, rhs: object) -> None:
         results.append(CheckResult(name, passed, "" if passed else str(lhs), "" if passed else str(rhs)))
 
     def same(name: str, lhs: object, rhs: object) -> None:
-        record(name, lhs == rhs, lhs, rhs)
+        passed = lhs == rhs
+        if not passed and isinstance(lhs, dict) and isinstance(rhs, dict):
+            wrong = [key for key in {**lhs, **rhs} if lhs.get(key) != rhs.get(key)]
+            lhs, rhs = (", ".join(f"{key}: {side.get(key, 0)}" for key in wrong) for side in (lhs, rhs))
+        record(name, passed, lhs, rhs)
 
     for sig in _valid_signatures(mn_max):
         same(
@@ -112,30 +124,15 @@ def run_verification(
         record(f"volume({k}) series = tree sum, in total and per cylinder count", passed, series, enumerated)
 
     n_cap = max(min(cover_n_max, NAIVE_MAX_DEGREE), 0)
-    # K = 2 truncates the shipped table at z <= 2 and p <= 6, the bounds of the walk
+    # K = 2 bounds both routes at z <= 2 and p <= 6
     four_way = list(_multiset_values(n_cap, 2, 6))
     shipped = connected_from_sums(2, four_way)
-    for n, values in four_way:
-        # the sums are kept once per multiset of classes, and 0 is left out
-        sums = {tuple(sorted(combo)): value for combo, value in values.items()}
-        all_ok = True
-        lhs = rhs = ""
-        enumerated: dict[Cell, Fraction] = {}
-        for classes, naive_all, naive_conn in naive_profile_counts(n, max_threes=2, max_ones=6):
-            summed = sums.get(tuple(sorted(classes)), Fraction(0))
-            if summed != naive_all:
-                all_ok, lhs, rhs = False, f"{classes}: {summed}", f"{classes}: {naive_all}"
-                break
-            # the shipped table holds no zero cells
-            if naive_conn:
-                cell = (n, *zeros_and_poles(classes))
-                enumerated[cell] = enumerated.get(cell, Fraction(0)) + naive_conn
-        cells = {cell: value for cell, value in shipped.items() if cell[0] == n}
-        wrong = sorted(c for c in cells.keys() | enumerated.keys() if cells.get(c) != enumerated.get(c))
-        if all_ok and wrong:
-            all_ok = False
-            lhs = ", ".join(f"{cell}: {cells.get(cell, 0)}" for cell in wrong)
-            rhs = ", ".join(f"{cell}: {enumerated.get(cell, 0)}" for cell in wrong)
-        record(f"cover counts character sum = direct enumeration, degree {n}", all_ok, lhs, rhs)
+    # a multiset and a cell never share a key, so each side is one dict
+    for (n, sums), (_, walked, cells) in zip(four_way, naive_counts(2, n_cap)):
+        same(
+            f"cover counts character sum = direct enumeration, degree {n}",
+            {**sums, **{cell: value for cell, value in shipped.items() if cell[0] == n}},
+            {**walked, **cells},
+        )
 
     return results

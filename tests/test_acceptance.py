@@ -8,6 +8,7 @@ computations before being wired into the library.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import Counter
@@ -16,10 +17,9 @@ from fractions import Fraction
 from pillowcount.covers import (
     _multiset_values,
     connected_counts,
-    cover_profiles,
+    corner_types,
     cover_ratios,
-    naive_connected_counts,
-    naive_enumerate,
+    naive_counts,
 )
 from pillowcount.layers import LayerSignature, f_closed, f_kontsevich_base, f_recurrence
 from pillowcount.polynomials import Polynomial
@@ -209,13 +209,15 @@ def test_criterion_6_lattice_fit_recovers_polynomials():
 def test_criterion_7_cover_counts_match_enumeration():
     checked = 0
     bad: list[tuple] = []
-    for n, values in _multiset_values(5, 2, 6):
-        sums = {tuple(sorted(combo)): value for combo, value in values.items()}
-        for classes in cover_profiles(n, max_threes=2, max_ones=6):
-            if sums.get(tuple(sorted(classes)), 0) != naive_enumerate(classes)[0]:
-                bad.append(("disconnected", classes))
-            checked += 1
-    shipped, enumerated = connected_counts(2, 5), naive_connected_counts(2, 5)
+    enumerated: dict = {}
+    for (n, values), (_, sums, cells) in zip(_multiset_values(5, 2, 6), naive_counts(2, 5)):
+        for classes in itertools.combinations_with_replacement(corner_types(n, 2, 6), 4):
+            if sum(cls.count(3) for cls in classes) <= 2 and sum(cls.count(1) for cls in classes) <= 6:
+                if values.get(classes, 0) != sums.get(classes, 0):
+                    bad.append(("disconnected", classes))
+                checked += 1
+        enumerated.update(cells)
+    shipped = connected_counts(2, 5)
     for cell in sorted(shipped.keys() | enumerated.keys()):
         if shipped.get(cell) != enumerated.get(cell):
             bad.append(("connected", cell))
@@ -223,11 +225,12 @@ def test_criterion_7_cover_counts_match_enumeration():
     _report(
         7,
         passed,
-        f"character sums match direct enumeration for all {checked} profiles with degree <= 5, "
+        f"character sums match direct enumeration for all {checked} multisets of corner classes with degree <= 5, "
         f"and the connectivity inversion for all {len(enumerated)} (degree, zeros, poles) cells"
         + (f" (first failure {bad[0]})" if bad else ""),
     )
     assert not bad
+    assert checked == 38
 
 
 def test_criterion_8_quasimodularity_ratio():

@@ -428,6 +428,8 @@ def test_covers_count_naive_degree_limit(runner):
         (["ratio", "--K", "1", "--degrees", "5,100000"], "K=1 to degree 100000 would take more than 10^308 s"),
         (["count", "--K", "1", "--max-degree", "52"], "K=1 to degree 52 would take about 16 s"),
         (["count", "--K", "1", "--max-degree", "54"], "K=1 to degree 54 would take about 23 s"),
+        (["count", "--K", "3", "--max-degree", "50"], "K=3 to degree 50 would take about 17 s"),
+        (["count", "--K", "4", "--max-degree", "47"], "K=4 to degree 47 would take about 17 s"),
     ],
 )
 def test_covers_refuse_requests_above_limit(runner, monkeypatch, args, estimate):
@@ -437,7 +439,7 @@ def test_covers_refuse_requests_above_limit(runner, monkeypatch, args, estimate)
     assert estimate in result.output
 
 
-@pytest.mark.parametrize("big_k, max_degree", [(1, 30), (2, 24), (1, 40)])
+@pytest.mark.parametrize("big_k, max_degree", [(1, 30), (2, 24), (1, 40), (3, 49), (4, 46)])
 def test_covers_limit_allows_benchmark_and_readme_requests(big_k, max_degree):
     covers_mod.check_cover_size(big_k, max_degree)
 
@@ -508,6 +510,18 @@ def test_verify_refuses_mn_max_above_local_term_limit(runner, monkeypatch, bound
     result = runner.invoke(main, ["verify", "--mn-max", bound])
     assert result.exit_code == 2
     assert f"--mn-max {bound}: F_{{21,1}} has 352716 terms, more than the limit of 200000" in result.output
+
+
+def test_verify_reports_a_failing_check_as_an_error_not_a_usage_error(monkeypatch):
+    """Only the bounds are refused as a usage error: a ValueError raised
+    once the checks run reaches the caller."""
+
+    def broken(sig):
+        raise ValueError("broken route")
+
+    monkeypatch.setattr(verify_mod, "f_closed", broken)
+    with pytest.raises(ValueError, match="broken route"):
+        main(["verify", "--K-max", "1", "--mn-max", "4", "--cover-N-max", "0"])
 
 
 def test_verify_fails_when_no_checks_run(runner):

@@ -23,9 +23,8 @@ from pillowcount.covers import (
     class_size,
     connected_counts,
     corner_types,
-    cover_profiles,
     cover_ratios,
-    naive_connected_counts,
+    naive_counts,
     naive_enumerate,
     sq_count,
     zeros_and_poles,
@@ -138,14 +137,45 @@ def test_zeros_and_poles():
     assert zeros_and_poles(((3,), (2, 1), (2, 1), (1, 1, 1))) == (1, 5)
 
 
-def test_cover_profiles_respect_bounds():
-    profiles = list(cover_profiles(3, 1, 5))
-    assert profiles
-    for p in profiles:
-        zeros, poles = zeros_and_poles(p)
-        assert zeros <= 1
-        assert poles <= 5
-        assert all(sum(cls) == 3 for cls in p)
+def _walked_tables(k: int, max_degree: int) -> tuple[list, dict]:
+    """naive_counts(k, max_degree) as the list of (n, sums) and the table of
+    every degree's cells."""
+    sums, table = [], {}
+    for n, walked, cells in naive_counts(k, max_degree):
+        sums.append((n, walked))
+        table.update(cells)
+    return sums, table
+
+
+def test_naive_counts_visit_each_multiset_within_bounds_once(monkeypatch):
+    """The direct walk calls naive_enumerate once per multiset of corner
+    classes within the bounds, keyed as _multiset_values keys it, with no
+    parity or zero filter: multisets with an odd total of 2-cycles are
+    walked too."""
+    visited = []
+    real = covers_mod.naive_enumerate
+
+    def recording(classes):
+        visited.append(classes)
+        return real(classes)
+
+    monkeypatch.setattr(covers_mod, "naive_enumerate", recording)
+    for n, sums, _ in naive_counts(1, 3):
+        walked = [combo for combo in visited if sum(combo[0]) == n]
+        assert walked
+        for combo in walked:
+            zeros, poles = zeros_and_poles(combo)
+            assert zeros <= 1
+            assert poles <= 5
+            assert all(sum(cls) == n for cls in combo)
+        assert walked == [
+            combo
+            for combo in itertools.combinations_with_replacement(corner_types(n, 1, 5), 4)
+            if sum(cls.count(3) for cls in combo) <= 1 and sum(cls.count(1) for cls in combo) <= 5
+        ]
+        assert len({tuple(sorted(combo)) for combo in walked}) == len(walked)
+        assert list(sums) == [combo for combo in walked if combo in sums]
+    assert any(sum(cls.count(2) for cls in combo) % 2 for combo in visited)
 
 
 def test_genus_formula():
@@ -159,9 +189,9 @@ def test_genus_formula():
 def test_target_profiles_have_genus_zero():
     """z = K and p = K+4 over the four corners forces genus 0."""
     for n in (3, 4, 5):
-        for profile in cover_profiles(n, 2, 6):
+        for profile in itertools.product(corner_types(n, 2, 6), repeat=4):
             zeros, poles = zeros_and_poles(profile)
-            if zeros - poles == -4:
+            if zeros <= 2 and poles <= 6 and zeros - poles == -4:
                 assert genus(profile) == 0
 
 
@@ -191,21 +221,24 @@ def test_odd_total_of_two_cycles_counts_nothing():
     character sum skips profiles with an odd total of 2-cycles exactly."""
     odd = 0
     for n in range(1, 6):
-        for profile in cover_profiles(n, 2, 6):
-            if sum(cls.count(2) for cls in profile) % 2:
+        for profile in itertools.product(corner_types(n, 2, 6), repeat=4):
+            zeros, poles = zeros_and_poles(profile)
+            if zeros <= 2 and poles <= 6 and sum(cls.count(2) for cls in profile) % 2:
                 odd += 1
                 assert naive_enumerate(profile)[0] == 0
     assert odd == 104
-    # and the four-way sums leave every such multiset out
-    for _, values in _multiset_values(5, 2, 6):
+    # and the four-way sums leave every such multiset out, as does the
+    # direct walk, which visits them all
+    for (_, values), (_, sums, _) in zip(_multiset_values(5, 2, 6), naive_counts(2, 5)):
         assert all(sum(cls.count(2) for cls in combo) % 2 == 0 for combo in values)
+        assert all(sum(cls.count(2) for cls in combo) % 2 == 0 for combo in sums)
 
 
-def test_connected_counts_against_naive_per_profile():
+def test_connected_counts_against_naive_per_profile(monkeypatch):
     """The direct enumeration's tuples equal the four-way character sum for
-    all 979 profiles with parts in {1, 2, 3} and degree at most 5, and its
-    transitive tuples, summed by (degree, zeros, poles), equal the shipped
-    log-inversion.  The bounds z <= 16 and p <= 20 reach every profile."""
+    all 979 profiles with parts in {1, 2, 3} and degree at most 5, and the
+    direct walk visits each of their 126 multisets once.  The bounds
+    z <= 16 and p <= 20 reach every profile."""
     checked = 0
     for n, values in _multiset_values(5, 16, 20):
         by_multiset = {tuple(sorted(combo)): value for combo, value in values.items()}
@@ -213,14 +246,32 @@ def test_connected_counts_against_naive_per_profile():
             assert naive_enumerate(profile)[0] == by_multiset.get(tuple(sorted(profile)), 0)
             checked += 1
     assert checked == 979
-    assert sum(1 for n in range(1, 6) for _ in cover_profiles(n, 16, 20)) == 979
-    assert connected_counts(16, 5) == naive_connected_counts(16, 5)
+    visited = []
+    real = covers_mod.naive_enumerate
+    monkeypatch.setattr(covers_mod, "naive_enumerate", lambda classes: visited.append(classes) or real(classes))
+    _walked_tables(16, 5)
+    multisets = {tuple(sorted(profile)) for n in range(1, 6) for profile in itertools.product(partitions(n, 3), repeat=4)}
+    assert len(visited) == len(multisets) == 126
+    assert {tuple(sorted(combo)) for combo in visited} == multisets
+
+
+@pytest.mark.parametrize("k", [1, 2, 16])
+def test_naive_counts_match_the_character_route(k: int):
+    """Per degree, the direct walk's dict of multisets equals the four-way
+    sums of _multiset_values, keys and key order included, and its
+    transitive tuples, summed by (degree, zeros, poles), equal the shipped
+    log-inversion."""
+    sums, table = _walked_tables(k, 5)
+    character = list(_multiset_values(5, k, k + 4))
+    assert sums == character
+    assert [list(values) for _, values in sums] == [list(values) for _, values in character]
+    assert table == connected_counts(k, 5)
 
 
 def test_connected_counts_at_zero_K_or_degree():
     """K = 0 or degree 0 is estimated, not divided by: K = 0 gives the
     table of the direct enumeration, and degree 0 an empty table."""
-    assert connected_counts(0, 5) == naive_connected_counts(0, 5)
+    assert connected_counts(0, 5) == _walked_tables(0, 5)[1]
     assert connected_counts(1, 0) == {}
 
 

@@ -92,13 +92,12 @@ def test_cover_check_compares_the_shipped_connected_counts(monkeypatch):
 
 
 def test_cover_check_reads_the_shipped_four_way_sums(monkeypatch):
-    """verify's per-profile check and its connected counts read one stream
+    """verify's per-multiset check and its connected counts read one stream
     of _multiset_values, the sums that the cover counts are built from: one
-    degree-3 value moved fails that degree, naming the first profile of that
-    multiset, and through the log the degree-5 cell it reaches."""
+    degree-3 value moved fails that degree, naming that multiset and the
+    degree-3 cell it reaches through the log, and fails degree 5 at the
+    cell it reaches there."""
     from fractions import Fraction
-
-    from pillowcount.covers import cover_profiles
 
     real = verify_mod._multiset_values
     moved = ((3,), (2, 1), (2, 1), (1, 1, 1))
@@ -116,7 +115,47 @@ def test_cover_check_reads_the_shipped_four_way_sums(monkeypatch):
     assert [r.name for r in failed] == [
         f"cover counts character sum = direct enumeration, degree {n}" for n in (3, 5)
     ]
-    profile = next(p for p in cover_profiles(3, 2, 6) if sorted(p) == sorted(moved))
-    assert failed[0].lhs == f"{profile}: 4/3"
-    assert failed[0].rhs == f"{profile}: 1"
+    key = ((2, 1), (2, 1), (1, 1, 1), (3,))
+    assert sorted(key) == sorted(moved)
+    assert failed[0].lhs == f"{key}: 4/3, (3, 1, 5): 16"
+    assert failed[0].rhs == f"{key}: 1, (3, 1, 5): 12"
     assert (failed[1].lhs, failed[1].rhs) == ("(5, 1, 5): 106", "(5, 1, 5): 108")
+
+
+def test_cover_check_is_independent_of_the_ordering_weights(monkeypatch):
+    """The direct walk counts the orderings of each multiset itself: a
+    multinomial that is wrong for a repeated class, as if the four classes
+    were always distinct, changes the character route's connected counts
+    and fails a cover degree."""
+    import math
+
+    monkeypatch.setattr(covers_mod, "multinomial", lambda n, parts: math.factorial(n))
+    results = run_verification(k_max=0, mn_max=0, cover_n_max=5)
+    failed = [r.name for r in results if not r.passed]
+    assert "cover counts character sum = direct enumeration, degree 1" in failed
+
+
+def test_default_cover_checks_walk_each_multiset_once(monkeypatch):
+    """The default sweep calls naive_enumerate once for each of the 38
+    multisets of corner classes with degree at most 5, at most 2
+    three-cycles and at most 6 fixed points."""
+    calls = []
+    real = covers_mod.naive_enumerate
+    monkeypatch.setattr(covers_mod, "naive_enumerate", lambda classes: calls.append(classes) or real(classes))
+    results = run_verification()
+    assert len(results) == 37 and all(r.passed for r in results)
+    assert len(calls) == len({tuple(sorted(classes)) for classes in calls}) == 38
+
+
+def test_oversized_bounds_are_refused_before_any_work(monkeypatch):
+    """run_verification refuses a k_max past the per-tree limit, or an mn_max
+    past the local-term limit, before it builds any polynomial."""
+
+    def refuse(*args):
+        raise AssertionError("work started before the bounds were refused")
+
+    monkeypatch.setattr(verify_mod, "f_closed", refuse)
+    with pytest.raises(ValueError, match=r"^--K-max 12: the per-tree route handles K <= 11"):
+        run_verification(k_max=12)
+    with pytest.raises(ValueError, match=r"^--mn-max 22: F_\{21,1\} has 352716 terms"):
+        run_verification(mn_max=22)
