@@ -265,6 +265,23 @@ def test_ribbon_count(runner):
     assert zero.output == "0\n"
 
 
+# the ids m-n-i that `ribbon count` reads are the order `ribbon enumerate`
+# prints: sha256 of its (4,2) stdout, and the counts of a few (4,2) ids at
+# widths 12,10,9, frozen from the pairing walk
+RIBBON_ENUMERATE_4_2_SHA256 = "5a7f5844b5f5af02fa2465d7309d4d5ef6b5e74aab3a381d2f3f822d9de18cc6"
+RIBBON_COUNTS_4_2 = {1: 91, 78: 1929, 81: 17, 108: 2077, 119: 780}
+
+
+def test_ribbon_graph_ids_pinned(runner):
+    listing = runner.invoke(main, ["ribbon", "enumerate", "--m", "4", "--n", "2"])
+    assert listing.exit_code == 0
+    assert hashlib.sha256(listing.stdout_bytes).hexdigest() == RIBBON_ENUMERATE_4_2_SHA256
+    for index, count in RIBBON_COUNTS_4_2.items():
+        result = runner.invoke(main, ["ribbon", "count", "--graph-id", f"4-2-{index}", "--widths", "12,10,9"])
+        assert result.exit_code == 0
+        assert result.stdout == f"{count}\n"
+
+
 def test_ribbon_count_usage_errors(runner):
     bad_id = runner.invoke(main, ["ribbon", "count", "--graph-id", "nope", "--widths", "1"])
     assert bad_id.exit_code == 2

@@ -49,13 +49,22 @@ CLASS_COUNTS = {
     (4, 0): (64, 1536),
 }
 
-# sha256 prefixes of the serialised enumerations; (3,1) and (2,4) were frozen
-# before the rooted-map canonical form replaced the per-labelling gauge minimum
+# sha256 prefixes of the serialised enumerations of every valid signature
+# with at most 14 darts; (3,1) and (2,4) were frozen before the rooted-map
+# canonical form replaced the per-labelling gauge minimum, and the rest by the
+# pairing walk
 ENUMERATION_DIGESTS = {
-    (3, 1): "6915affc5dcb1001",
+    (0, 2): "e208f941670d23b6",
+    (1, 1): "0353fa64202b3c8a",
+    (1, 3): "cb874b8a71d9cdb6",
+    (2, 0): "ff30c17763fc4d47",
+    (2, 2): "e244321f5566a8b1",
     (2, 4): "19f70dc6d7f10786",
+    (3, 1): "6915affc5dcb1001",
     (3, 3): "046f0b83f2c60773",
+    (3, 5): "9058373133d15a70",
     (4, 0): "8deba63795fa3ecb",
+    (4, 2): "833e558187746047",
 }
 
 # sha256 prefixes of repr(list(_directions(l, radius))), frozen while each
