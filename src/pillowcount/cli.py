@@ -44,10 +44,8 @@ def local_poly(opts: argparse.Namespace) -> None:
 
 def ribbon_enumerate(opts: argparse.Namespace) -> None:
     """List the genus-zero ribbon graphs with m trivalent and n univalent vertices."""
-    from .layers import LayerSignature
     from .ribbon import enumerate_graphs
 
-    _or_usage(LayerSignature, opts.m, opts.n)
     graphs = _or_usage(enumerate_graphs, opts.m, opts.n)
     records = [{"id": f"{opts.m}-{opts.n}-{index}", **g.to_json_dict()} for index, g in enumerate(graphs)]
     print(_json(records))
@@ -55,7 +53,6 @@ def ribbon_enumerate(opts: argparse.Namespace) -> None:
 
 def ribbon_count(opts: argparse.Namespace) -> None:
     """Count the lattice metrics of a ribbon graph with the given face widths."""
-    from .layers import LayerSignature
     from .ribbon import enumerate_graphs, exact_lattice_count
 
     try:
@@ -66,7 +63,6 @@ def ribbon_count(opts: argparse.Namespace) -> None:
         width_list = [int(w) for w in opts.widths.split(",") if w]
     except ValueError:
         raise UsageError(f"malformed width list {opts.widths!r}") from None
-    _or_usage(LayerSignature, m, n)
     graphs = _or_usage(enumerate_graphs, m, n)
     if not 0 <= index < len(graphs):
         raise UsageError(f"graph id {opts.graph_id!r} out of range; {len(graphs)} graphs exist")

@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, Sequence, Union
 __all__ = [
     "SIZE_CAP",
     "capped_binomial",
-    "capped_product",
     "size_text",
     "seconds_text",
     "multinomial",
@@ -50,19 +49,8 @@ def capped_binomial(n: int, k: int) -> int:
     return value
 
 
-def capped_product(factors: Iterable[int]) -> int:
-    """min(product of the factors, SIZE_CAP + 1) for factors >= 1, read only
-    until the partial product passes SIZE_CAP."""
-    value = 1
-    for factor in factors:
-        value *= factor
-        if value > SIZE_CAP:
-            return SIZE_CAP + 1
-    return value
-
-
 def size_text(size: int) -> str:
-    """A size from capped_binomial or capped_product, as refusal messages print it."""
+    """A size from capped_binomial, or one capped like it, as refusal messages print it."""
     return str(size) if size <= SIZE_CAP else "over 10^18"
 
 

@@ -13,7 +13,9 @@ triples among themselves and the univalent darts among themselves, and keeps
 the face labels. Each class is represented by its least member, comparing
 alpha and then the face labels, and stands for m! n! / |Aut| graphs with
 labelled vertices, the weight of its transform and lattice count in hat_F
-and leading_part_fit.
+and leading_part_fit. The maps behind the classes are grown a trivalent
+vertex at a time from (0,2) and (1,1), by a leg hung from an edge or a leg
+closed into a face, and each is kept once, as its least member.
 
 A Laplace transform is a list of terms (c, forms), each c / prod L^forms[L]
 over primitive linear forms L in the face poles lambda_i.  Only
@@ -24,15 +26,15 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial, gcd, inf, prod
+from math import comb, exp, factorial, gcd, inf, lgamma, log, prod
 from typing import Callable, Iterator, Sequence
 
 from .layers import LayerSignature
 from .polynomials import Polynomial
-from .rationals import Record, capped_product, compositions, seconds_text, size_text, solve_exact
+from .rationals import SIZE_CAP, Record, compositions, seconds_text, size_text, solve_exact
 
-# enumerate_graphs refuses signatures with more dart pairings than this
-MAX_PAIRINGS = 1_000_000
+# enumerate_graphs refuses signatures estimated to have more classes than this
+MAX_CLASSES = 200_000
 # exact_lattice_count refuses widths estimated to take longer than this
 LATTICE_MAX_SECONDS = 15
 # leading_part_fit samples directions with coordinates up to this value
@@ -53,11 +55,7 @@ __all__ = [
 
 
 def _sigma(m: int, n: int) -> tuple[int, ...]:
-    out = []
-    for i in range(m):
-        out.extend((3 * i + 1, 3 * i + 2, 3 * i))
-    out.extend(range(3 * m, 3 * m + n))
-    return tuple(out)
+    return tuple([d - d % 3 + (d + 1) % 3 for d in range(3 * m)] + list(range(3 * m, 3 * m + n)))
 
 
 class RibbonGraph(Record):
@@ -87,55 +85,27 @@ class RibbonGraph(Record):
         """Dart pairs (d, alpha(d)) with d < alpha(d), sorted."""
         return sorted((d, a) for d, a in enumerate(self.alpha) if d < a)
 
-    def vertex_of_dart(self, d: int) -> int:
-        """Trivalent darts map to 0..m-1, univalent darts to m..m+n-1."""
-        return d // 3 if d < 3 * self.m else self.m + (d - 3 * self.m)
-
     def to_json_dict(self) -> dict:
         return {
             "darts": self.darts,
             "sigma": list(self.sigma),
             "alpha": list(self.alpha),
             "labels": {
-                "vertices": [self.vertex_of_dart(d) for d in range(self.darts)],
+                # trivalent darts name the vertices 0..m-1, univalent darts m..m+n-1
+                "vertices": [d // 3 if d < 3 * self.m else d - 2 * self.m for d in range(self.darts)],
                 "faces": list(self.face_of_dart),
             },
         }
 
 
-def _pairings(d: int) -> Iterator[list[int]]:
-    """All perfect matchings of the darts 0..d-1, as one list alpha filled in
-    place: the least unpaired dart is paired with each later one in turn, so
-    the matchings come in ascending order.  Read each before the next."""
-    alpha = [-1] * d
-
-    def fill(first: int) -> Iterator[list[int]]:
-        if first == d:
-            yield alpha
-            return
-        for other in range(first + 1, d):
-            if alpha[other] < 0:
-                alpha[first], alpha[other] = other, first
-                nxt = first + 1
-                while nxt < d and alpha[nxt] >= 0:
-                    nxt += 1
-                yield from fill(nxt)
-                alpha[other] = -1
-        alpha[first] = -1
-
-    return fill(0)
-
-
-def _face_labels(sigma: Sequence[int], alpha: Sequence[int], most: int) -> list[int] | None:
+def _face_labels(sigma: Sequence[int], alpha: Sequence[int]) -> list[int]:
     """The face of each dart, faces being the cycles of d -> sigma(alpha(d))
-    numbered in the order of their least darts; None past `most` faces."""
+    numbered in the order of their least darts."""
     face = [-1] * len(alpha)
     faces = 0
     for start in range(len(alpha)):
         if face[start] >= 0:
             continue
-        if faces == most:
-            return None
         d = start
         while face[d] < 0:
             face[d] = faces
@@ -144,84 +114,120 @@ def _face_labels(sigma: Sequence[int], alpha: Sequence[int], most: int) -> list[
     return face
 
 
-def _rooted_shape(sigma: Sequence[int], alpha: Sequence[int], root: int) -> tuple[tuple, list[int]] | None:
-    """(shape, order): the darts in the order a breadth-first walk along
-    sigma and alpha meets them from root, and (sigma, alpha) renumbered in
-    that order; None when the walk misses a dart."""
-    d = len(alpha)
-    number = [-1] * d
-    number[root] = 0
-    order = [root]
-    for x in order:
-        for y in (sigma[x], alpha[x]):
-            if number[y] < 0:
-                number[y] = len(order)
-                order.append(y)
-    if len(order) < d:
-        return None
-    return (tuple([number[sigma[x]] for x in order]), tuple([number[alpha[x]] for x in order])), order
+def _canonical(m: int, alpha: Sequence[int]) -> tuple[tuple[int, ...], list[list[int]]]:
+    """(least, orders): the map's least member, and the darts in number order
+    of each renumbering that gives it, which are the map's automorphisms.
+
+    A trivalent root is numbered 0, and the darts are taken in number order.
+    A partner with no number gets the least it can: a trivalent one the next
+    vertex slot, rotated so that it comes first, a univalent one the next leg
+    number.  So the root fixes the renumbering, dropped once it passes least.
+    """
+    sigma = _sigma(m, len(alpha) - 3 * m)
+    least: tuple[int, ...] = ()
+    orders: list[list[int]] = []
+    for root in range(3 * m):
+        order = [root, sigma[root], sigma[sigma[root]]]
+        number = [-1] * len(alpha)
+        number[order[0]], number[order[1]], number[order[2]] = 0, 1, 2
+        legs, code, bound = [], [], least
+        for x in order:
+            y = alpha[x]
+            if number[y] < 0 and y < 3 * m:
+                for z in (y, sigma[y], sigma[sigma[y]]):
+                    number[z] = len(order)
+                    order.append(z)
+            elif number[y] < 0:
+                number[y] = 3 * m + len(legs)
+                legs.append(y)
+            if bound and number[y] != bound[len(code)]:
+                if number[y] > bound[len(code)]:
+                    break
+                bound = ()
+            code.append(number[y])
+        else:
+            code += [number[alpha[x]] for x in legs]
+            if not least or tuple(code) < least:
+                least, orders = tuple(code), []
+            if tuple(code) == least:
+                orders.append(order + legs)
+    return least, orders
 
 
-def _check_pairings(m: int, n: int) -> None:
-    """Refuse a signature with more than MAX_PAIRINGS of the (3m+n-1)!! dart
-    pairings that enumerate_graphs walks.  Its l! face labellings are walked
-    once per unlabelled map, not once per pairing, and are not priced."""
-    size = capped_product(range(3 * m + n - 1, 0, -2))
-    if size > MAX_PAIRINGS:
-        raise ValueError(
-            f"signature ({m},{n}) has {size_text(size)} pairings to enumerate, "
-            f"more than the limit of {MAX_PAIRINGS}"
-        )
+def _grown(m: int, n: int, alpha: Sequence[int]) -> Iterator[list[int]]:
+    """The (m, n) maps one move grows from a smaller map alpha, the new
+    trivalent vertex taking the darts p, q, r = 3m-3, 3m-2, 3m-1.  Move A
+    (alpha an (m-1, n-1) map): p and q go on the two sides of an edge {a, b},
+    and r holds a new last leg, which hangs into b's side.  Move B (n = 0,
+    alpha an (m-1, 1) map): the leg's dart 3m-3 becomes p, and q and r close
+    a loop or subdivide an edge side a in the leg's face, splitting it."""
+    p, q, r = 3 * m - 3, 3 * m - 2, 3 * m - 1
+    if n:
+        # the old univalent darts move up past the new vertex
+        shifted = [a + 3 if a >= p else a for a in alpha]
+        base = shifted[:p] + [-1, -1, -1] + shifted[p:] + [-1]
+        for a, b in enumerate(base):
+            if b >= 0:
+                g = base[:]
+                g[a], g[p], g[b], g[q], g[r], g[-1] = p, a, q, b, len(base) - 1, r
+                yield g
+        return
+    yield list(alpha) + [r, q]
+    sigma = _sigma(m - 1, 1)
+    a = sigma[alpha[p]]
+    while a != alpha[p]:
+        g = list(alpha) + [alpha[a], a]
+        g[a], g[alpha[a]] = r, q
+        yield g
+        a = sigma[alpha[a]]
+
+
+def _maps(m: int, n: int) -> dict[tuple[int, ...], tuple[Sequence[int], list[list[int]]]]:
+    """The connected genus-0 maps with unlabelled faces, grown from (0,2) and
+    (1,1) by _grown: each as its least member, with the first map met that
+    has it and that map's orders (_canonical)."""
+    if (m, n) in ((0, 2), (1, 1)):
+        return {(1, 0): ((1, 0), [[0, 1], [1, 0]])} if m == 0 else {(1, 0, 3, 2): ((1, 0, 3, 2), [[0, 1, 2, 3]])}
+    maps: dict[tuple[int, ...], tuple[Sequence[int], list[list[int]]]] = {}
+    for alpha in _maps(m - 1, n - 1 if n else 1):
+        for g in _grown(m, n, alpha):
+            least, orders = _canonical(m, g)
+            maps.setdefault(least, (g, orders))
+    return maps
 
 
 def enumerate_graphs(m: int, n: int) -> list[RibbonGraph]:
     """All isomorphism classes of connected genus-0 graphs with labelled faces.
 
-    Each labelled pairing is keyed by its rooted code (Weinberg's canonical
-    form): darts renumbered along a breadth-first walk from a root, taking the
-    least code over the univalent darts (every dart when n = 0), a root set
-    every relabelling maps to itself, so equal codes mean isomorphic graphs.
-    The label-free part of the code, the least shape, keys the unlabelled
-    map, and only the roots that reach it can give the least key.  The
-    automorphisms act freely on the darts, and the roots that reach the
-    least code are the images of one of them, so they number |Aut|.  Each
-    class is printed as its least member (alpha, then face labels), the first
-    one met: pairings and labellings come in ascending order.
+    Each of the l! face labellings of each map from _maps is renumbered by
+    the renumberings that give the map's least member.  The least result is
+    the class's least member (alpha, then face labels), as any renumbering
+    to the least alpha is one of them, and those that give it number |Aut|.
 
-    The l! face labellings are walked only at the first pairing of each
-    least shape.  A later pairing with that shape is the same unlabelled
-    map, carried onto the first by the two walk orders, so its labelled keys
-    are the first one's, all met already, and met at their least members.
-    The same holds for a pairing whose shape from its first root is the
-    shape from any root of such a first pairing, so the walks from every
-    root are taken only when the first root's shape is new.
+    A signature is refused before any work when its estimate
+    (3m+n-1)!! l! / (3^m m! n!), the pairings with labelled faces over the
+    relabellings, passes MAX_CLASSES; it was 1.7 to 90 times the class count
+    where served.  Through lgamma, it costs nothing at any size.
     """
-    l = LayerSignature(m, n).faces
-    _check_pairings(m, n)
-    d = 3 * m + n
-    sigma = _sigma(m, n)
-    roots = range(3 * m, d) if n else range(d)
-    # the shapes from every root of each unlabelled map met so far
-    met: set[tuple] = set()
+    l, half = LayerSignature(m, n).faces, (3 * m + n) // 2
+    try:
+        log_size = lgamma(2 * half + 1) - half * log(2) - lgamma(half + 1) + lgamma(l + 1)
+        log_size -= m * log(3) + lgamma(m + 1) + lgamma(n + 1)
+    except OverflowError:  # a signature past the float range
+        log_size = inf
+    size = round(exp(log_size)) if log_size < log(SIZE_CAP) else SIZE_CAP + 1
+    if size > MAX_CLASSES:
+        raise ValueError(f"signature ({m},{n}) is estimated at {size_text(size)} graph classes, "
+                         f"more than the limit of {MAX_CLASSES}")
     classes: dict[tuple, RibbonGraph] = {}
-    for alpha in _pairings(d):
-        face = _face_labels(sigma, alpha, l)
-        if face is None or max(face) < l - 1:
-            continue  # a face too many or too few for genus 0
-        first = _rooted_shape(sigma, alpha, roots[0])
-        if first is None or first[0] in met:
-            continue  # disconnected, or a map met already
-        codes = [first] + [_rooted_shape(sigma, alpha, root) for root in roots[1:]]
-        met.update(shape for shape, _ in codes)
-        least = min(shape for shape, _ in codes)
-        least_orders = [order for shape, order in codes if shape == least]
-        graph = tuple(alpha)
+    for alpha, (g, orders) in _maps(m, n).items():
+        face = _face_labels(_sigma(m, n), g)
         for perm in permutations(range(l)):
-            labels = tuple([perm[f] for f in face])
-            rooted = [tuple([labels[x] for x in order]) for order in least_orders]
-            key = (least, min(rooted))
-            if key not in classes:
-                classes[key] = RibbonGraph(m, n, graph, labels, rooted.count(key[1]))
+            labels = [perm[f] for f in face]
+            rooted = [tuple([labels[x] for x in order]) for order in orders]
+            least = min(rooted)
+            if (alpha, least) not in classes:
+                classes[alpha, least] = RibbonGraph(m, n, alpha, least, rooted.count(least))
     return sorted(classes.values(), key=lambda g: (g.alpha, g.face_of_dart))
 
 
@@ -534,12 +540,9 @@ def leading_part_fit(m: int, n: int) -> Polynomial:
     """
     sig = LayerSignature(m, n)
     a, l = sig.half_degree, sig.faces
-    _check_pairings(m, n)
     if l > 3:
         raise ValueError("leading-term fit supports at most 3 faces")
     classes = _column_classes(enumerate_graphs(m, n))
-    if not classes:
-        raise ValueError(f"no graphs for signature ({m},{n})")
     walls = _wall_normals([g for g, _ in classes], l)
 
     counters = [(weight, _lattice_counter(g)) for g, weight in classes]
@@ -560,13 +563,25 @@ def leading_part_fit(m: int, n: int) -> Polynomial:
     basis = [tuple(2 * b for b in comp) for comp in compositions(a, l)]
     rows: list[list[int]] = []
     rhs: list[Fraction] = []
-    needed = len(basis) + 2
+    # the rows so far, reduced, each with its leading column scaled to 1:
+    # until the rows are full, a ray whose row they reduce to zero is
+    # skipped, and then two more rays check the fit
+    reduced: list[tuple[int, list[Fraction]]] = []
     for u in _directions(l, SAMPLE_RADIUS):
         if any(sum(ui * vi for ui, vi in zip(u, nu)) == 0 for nu in walls):
             continue
-        rows.append([prod(ui**e for ui, e in zip(u, exps)) for exps in basis])
+        row = [prod(ui**e for ui, e in zip(u, exps)) for exps in basis]
+        if len(rows) < len(basis):
+            left = [Fraction(x) for x in row]
+            for lead, r in reduced:
+                left = [x - left[lead] * y for x, y in zip(left, r)]
+            lead = next((i for i, x in enumerate(left) if x), -1)
+            if lead < 0:
+                continue
+            reduced.append((lead, [x / left[lead] for x in left]))
+        rows.append(row)
         rhs.append(leading_along(u))
-        if len(rows) >= needed:
+        if len(rows) == len(basis) + 2:
             break
     coeffs = solve_exact(rows, rhs, len(basis))
     return Polynomial({exps: c for exps, c in zip(basis, coeffs) if c})

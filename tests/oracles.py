@@ -1,9 +1,10 @@
 """Reference routes and shared helpers for the tests (not collected by pytest).
 
 The package builds its character values column by column
-(covers._character_columns) and its local polynomials by the closed form
-and the recurrence.  The routes here compute the same objects another way,
-one value at a time, so that the tests can compare the two.
+(covers._character_columns), its local polynomials by the closed form
+and the recurrence, and its ribbon graphs by leg insertion.  The routes
+here compute the same objects another way, one value at a time or one
+dart pairing at a time, so that the tests can compare the two.
 """
 
 from __future__ import annotations
@@ -11,10 +12,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from typing import Iterator, Sequence
 
 from pillowcount.covers import Partition, _mask_hook_product
+from pillowcount.layers import LayerSignature
 from pillowcount.polynomials import Polynomial
+from pillowcount.ribbon import RibbonGraph, _face_labels, _sigma
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -116,3 +120,95 @@ def valid_signatures(mn_max: int) -> list[tuple[int, int]]:
                 continue
             out.append((m, n))
     return out
+
+
+def _pairings(d: int) -> Iterator[list[int]]:
+    """All perfect matchings of the darts 0..d-1, as one list alpha filled in
+    place: the least unpaired dart is paired with each later one in turn, so
+    the matchings come in ascending order.  Read each before the next."""
+    alpha = [-1] * d
+
+    def fill(first: int) -> Iterator[list[int]]:
+        if first == d:
+            yield alpha
+            return
+        for other in range(first + 1, d):
+            if alpha[other] < 0:
+                alpha[first], alpha[other] = other, first
+                nxt = first + 1
+                while nxt < d and alpha[nxt] >= 0:
+                    nxt += 1
+                yield from fill(nxt)
+                alpha[other] = -1
+        alpha[first] = -1
+
+    return fill(0)
+
+
+def _rooted_shape(sigma: Sequence[int], alpha: Sequence[int], root: int) -> tuple[tuple, list[int]] | None:
+    """(shape, order): the darts in the order a breadth-first walk along
+    sigma and alpha meets them from root, and (sigma, alpha) renumbered in
+    that order; None when the walk misses a dart."""
+    d = len(alpha)
+    number = [-1] * d
+    number[root] = 0
+    order = [root]
+    for x in order:
+        for y in (sigma[x], alpha[x]):
+            if number[y] < 0:
+                number[y] = len(order)
+                order.append(y)
+    if len(order) < d:
+        return None
+    return (tuple([number[sigma[x]] for x in order]), tuple([number[alpha[x]] for x in order])), order
+
+
+def walk_graphs(m: int, n: int) -> list[RibbonGraph]:
+    """All isomorphism classes of connected genus-0 graphs with labelled faces,
+    filtered from every dart pairing: the reference for enumerate_graphs.
+
+    Each labelled pairing is keyed by its rooted code (Weinberg's canonical
+    form): darts renumbered along a breadth-first walk from a root, taking the
+    least code over the univalent darts (every dart when n = 0), a root set
+    every relabelling maps to itself, so equal codes mean isomorphic graphs.
+    The label-free part of the code, the least shape, keys the unlabelled
+    map, and only the roots that reach it can give the least key.  The
+    automorphisms act freely on the darts, and the roots that reach the
+    least code are the images of one of them, so they number |Aut|.  Each
+    class is printed as its least member (alpha, then face labels), the first
+    one met: pairings and labellings come in ascending order.
+
+    The l! face labellings are walked only at the first pairing of each
+    least shape.  A later pairing with that shape is the same unlabelled
+    map, carried onto the first by the two walk orders, so its labelled keys
+    are the first one's, all met already, and met at their least members.
+    The same holds for a pairing whose shape from its first root is the
+    shape from any root of such a first pairing, so the walks from every
+    root are taken only when the first root's shape is new.
+    """
+    l = LayerSignature(m, n).faces
+    d = 3 * m + n
+    sigma = _sigma(m, n)
+    roots = range(3 * m, d) if n else range(d)
+    # the shapes from every root of each unlabelled map met so far
+    met: set[tuple] = set()
+    classes: dict[tuple, RibbonGraph] = {}
+    for alpha in _pairings(d):
+        face = _face_labels(sigma, alpha)
+        if max(face) != l - 1:
+            continue  # a face too many or too few for genus 0
+        first = _rooted_shape(sigma, alpha, roots[0])
+        if first is None or first[0] in met:
+            continue  # disconnected, or a map met already
+        codes = [first] + [_rooted_shape(sigma, alpha, root) for root in roots[1:]]
+        met.update(shape for shape, _ in codes)
+        least = min(shape for shape, _ in codes)
+        least_orders = [order for shape, order in codes if shape == least]
+        graph = tuple(alpha)
+        for perm in permutations(range(l)):
+            labels = tuple([perm[f] for f in face])
+            rooted = [tuple([labels[x] for x in order]) for order in least_orders]
+            key = (least, min(rooted))
+            if key not in classes:
+                classes[key] = RibbonGraph(m, n, graph, labels, rooted.count(key[1]))
+    return sorted(classes.values(), key=lambda g: (g.alpha, g.face_of_dart))

@@ -299,15 +299,17 @@ def test_ribbon_count_usage_errors(runner):
     assert wrong_len.exit_code == 2
 
 
-def test_ribbon_commands_refuse_oversized_signature(runner):
+def test_ribbon_commands_refuse_oversized_signature(runner, monkeypatch):
+    # (9,7) has three faces, so the fit reaches the class estimate
+    monkeypatch.setattr(ribbon_mod, "_maps", _refuse_work)
     for args in (
-        ["enumerate", "--m", "5", "--n", "1"],
-        ["count", "--graph-id", "5-1-0", "--widths", "1,1,1,1"],
-        ["fit", "--m", "5", "--n", "1"],
+        ["enumerate", "--m", "9", "--n", "7"],
+        ["count", "--graph-id", "9-7-0", "--widths", "1,1,1"],
+        ["fit", "--m", "9", "--n", "7"],
     ):
         result = runner.invoke(main, ["ribbon", *args])
         assert result.exit_code == 2
-        assert "2027025 pairings" in result.output
+        assert "(9,7) is estimated at 1055486 graph classes, more than the limit of 200000" in result.output
 
 
 @pytest.mark.parametrize(
@@ -315,8 +317,10 @@ def test_ribbon_commands_refuse_oversized_signature(runner):
     [
         (["local-poly", "--m", "400000", "--n", "0"], "F_{400000,0} has over 10^18 terms"),
         (["local-poly", "--m", "1000000000", "--n", "0"], "F_{1000000000,0} has over 10^18 terms"),
-        (["ribbon", "enumerate", "--m", "100000", "--n", "0"], "(100000,0) has over 10^18 pairings"),
-        (["ribbon", "enumerate", "--m", "1000000000", "--n", "0"], "(1000000000,0) has over 10^18 pairings"),
+        (["ribbon", "enumerate", "--m", "100000", "--n", "0"], "(100000,0) is estimated at over 10^18 graph classes"),
+        (["ribbon", "enumerate", "--m", "1000000000", "--n", "0"], "(1000000000,0) is estimated at over 10^18 graph classes"),
+        # past the float range of the estimate's lgamma
+        (["ribbon", "enumerate", "--m", str(10**400), "--n", "0"], "0,0) is estimated at over 10^18 graph classes"),
     ],
 )
 def test_huge_signatures_are_refused_at_once(runner, args, message):

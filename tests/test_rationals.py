@@ -15,7 +15,6 @@ from pillowcount.rationals import (
     PiValue,
     bernoulli,
     capped_binomial,
-    capped_product,
     compositions,
     multinomial,
     size_text,
@@ -75,9 +74,6 @@ def test_capped_sizes_are_exact_up_to_the_cap():
     assert capped_binomial(63, 31) == math.comb(63, 31) <= SIZE_CAP
     assert capped_binomial(64, 32) == SIZE_CAP + 1 < math.comb(64, 32)
     assert capped_binomial(10**9, 5 * 10**8) == SIZE_CAP + 1
-    assert capped_product(range(1, 20)) == math.factorial(19) <= SIZE_CAP
-    assert capped_product(range(1, 21)) == SIZE_CAP + 1 < math.factorial(20)
-    assert capped_product(range(10**18, 0, -1)) == SIZE_CAP + 1
     assert size_text(SIZE_CAP) == str(SIZE_CAP)
     assert size_text(SIZE_CAP + 1) == "over 10^18"
 

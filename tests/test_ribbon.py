@@ -16,10 +16,10 @@ import pytest
 from pillowcount import ribbon as ribbon_mod
 from pillowcount.layers import LayerSignature, f_closed
 from pillowcount.polynomials import Polynomial
+from oracles import walk_graphs
 from pillowcount.ribbon import (
-    MAX_PAIRINGS,
+    MAX_CLASSES,
     RibbonGraph,
-    _check_pairings,
     _directions,
     _face_labels,
     check_lattice_size,
@@ -36,7 +36,10 @@ from pillowcount.ribbon import (
 # (face-labelled classes, vertex-labelled classes up to rotating the
 # trivalent vertices), frozen while each was enumerated on its own
 # (cross-checked by the (2,2) worked example: five and sixteen); the second
-# is the sum of m! n! / |Aut| over the first
+# is the sum of m! n! / |Aut| over the first.  The class counts of (5,1),
+# (4,4) and (5,3), past the pairing walk's reach, are those of an earlier
+# leg-insertion prototype keyed by the rooted-map code; their second entries
+# were frozen from enumerate_graphs, and Kontsevich's identity checks them
 CLASS_COUNTS = {
     (0, 2): (1, 1),
     (1, 1): (2, 2),
@@ -47,6 +50,9 @@ CLASS_COUNTS = {
     (2, 4): (1, 24),
     (3, 3): (12, 384),
     (4, 0): (64, 1536),
+    (5, 1): (768, 92160),
+    (4, 4): (35, 18432),
+    (5, 3): (560, 403200),
 }
 
 # sha256 prefixes of the serialised enumerations of every valid signature
@@ -147,12 +153,28 @@ def test_each_printed_graph_is_least_in_its_orbit(mn: tuple[int, int], mode: str
         assert images.count(own) == (1 if mode == "full" else g.aut)
 
 
-def test_enumerate_refuses_oversized_signature():
-    # (4,2) has 13!! = 135135 pairings and stays allowed
-    assert math.prod(range(13, 0, -2)) == 135135 <= MAX_PAIRINGS
-    _check_pairings(4, 2)
-    with pytest.raises(ValueError, match="2027025 pairings"):
-        enumerate_graphs(5, 1)
+def test_generator_equals_the_pairing_walk():
+    """Leg insertion gives the walk's classes, least members, aut and order
+    on every valid signature with at most 14 darts."""
+    for mn in sorted(ENUMERATION_DIGESTS):
+        assert list(graphs_of(mn)) == walk_graphs(*mn)
+
+
+def test_enumerate_refuses_oversized_signature(monkeypatch):
+    """The estimate (3m+n-1)!! l! / (3^m m! n!) is refused past MAX_CLASSES
+    before any map is grown: (7,1) at 21!! 5! / (3^7 7!), about 149687,
+    stays allowed, and (8,0) at about 860698 is refused."""
+    estimate = Fraction(math.prod(range(21, 0, -2)) * math.factorial(5), 3**7 * math.factorial(7))
+    assert round(estimate) == 149687 <= MAX_CLASSES
+
+    def unused(m, n):
+        raise AssertionError("maps grown before the request was refused")
+
+    monkeypatch.setattr(ribbon_mod, "_maps", unused)
+    with pytest.raises(AssertionError, match="maps grown"):
+        enumerate_graphs(7, 1)
+    with pytest.raises(ValueError, match="is estimated at 860698 graph classes, more than the limit of 200000"):
+        enumerate_graphs(8, 0)
 
 
 def test_enumerate_rejects_bad_input():
@@ -169,7 +191,7 @@ def test_graph_structural_invariants(mn: tuple[int, int]):
         assert d == 3 * m + n
         # alpha is a fixed-point-free involution
         assert all(g.alpha[g.alpha[x]] == x and g.alpha[x] != x for x in range(d))
-        face = _face_labels(g.sigma, g.alpha, d)
+        face = _face_labels(g.sigma, g.alpha)
         assert max(face) + 1 == l
         # face labels are a bijection onto 0..l-1 and constant on faces
         assert sorted(set(g.face_of_dart)) == list(range(l))
@@ -376,12 +398,12 @@ def test_hat_F_transform_consistency():
         assert sum(forms.values()) == 4
 
 
-@pytest.mark.parametrize("mn", [(0, 2), (1, 1), (2, 0), (1, 3)])
+@pytest.mark.parametrize("mn", [(0, 2), (1, 1), (2, 0), (1, 3), (2, 2), (3, 1), (3, 3)])
 def test_pole_recurrence_small(mn: tuple[int, int]):
     assert verify_pole_recurrence(*mn)
 
 
-@pytest.mark.parametrize("mn", [(0, 2), (1, 1), (2, 0), (1, 3), (2, 2), (3, 1), (3, 3), (2, 4)])
+@pytest.mark.parametrize("mn", [(0, 2), (1, 1), (2, 0), (1, 3), (2, 2), (3, 1), (3, 3), (2, 4), (4, 2), (4, 4), (5, 3)])
 def test_transform_of_local_polynomial_is_hat_F(mn: tuple[int, int]):
     # Kontsevich's identity: the Laplace transform of F_{m,n} is the sum of
     # the graph transforms over the vertex-labelled graphs
@@ -419,6 +441,21 @@ def test_leading_part_fit_checks_each_ray(monkeypatch):
         leading_part_fit(m, n)
 
 
+def test_leading_part_fit_skips_rays_that_add_no_rank(monkeypatch):
+    """A ray whose row adds no rank is skipped until the rows are full: with
+    the first off-wall direction of (3,1), (1, 2, 4), given four times more
+    ahead of the rest, the fit still takes rows of full rank and equals the
+    closed form."""
+    real = ribbon_mod._directions
+
+    def repeating(l, radius):
+        yield from [(1, 2, 4)] * 4
+        yield from real(l, radius)
+
+    monkeypatch.setattr(ribbon_mod, "_directions", repeating)
+    assert leading_part_fit(3, 1) == f_closed(LayerSignature(3, 1))
+
+
 def test_leading_part_fit_prepares_one_counter_per_column_class(monkeypatch):
     """The fit sets up one lattice counter for each of the 21 column
     classes of (3,1) and counts every width through them."""
@@ -440,8 +477,8 @@ def test_leading_part_fit_prepares_one_counter_per_column_class(monkeypatch):
 
 @pytest.mark.parametrize("mn", [(2, 2), (3, 1), (4, 0)])
 def test_labellings_walked_once_per_unlabelled_map(monkeypatch, mn: tuple[int, int]):
-    """enumerate_graphs walks the l! face labellings once per least
-    unlabelled shape: as often as there are unlabelled maps, which are
+    """enumerate_graphs walks the l! face labellings once per map with
+    unlabelled faces: as often as there are unlabelled maps, which are
     the printed graphs up to relabelling darts and faces."""
     walks = []
     real = ribbon_mod.permutations
