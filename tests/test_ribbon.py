@@ -16,7 +16,6 @@ import pytest
 from pillowcount import ribbon as ribbon_mod
 from pillowcount.layers import LayerSignature, f_closed
 from pillowcount.polynomials import Polynomial
-from oracles import walk_graphs
 from pillowcount.ribbon import (
     MAX_CLASSES,
     RibbonGraph,
@@ -33,13 +32,16 @@ from pillowcount.ribbon import (
     verify_pole_recurrence,
 )
 
+from oracles import walk_graphs
+
 # (face-labelled classes, vertex-labelled classes up to rotating the
 # trivalent vertices), frozen while each was enumerated on its own
 # (cross-checked by the (2,2) worked example: five and sixteen); the second
 # is the sum of m! n! / |Aut| over the first.  The class counts of (5,1),
-# (4,4) and (5,3), past the pairing walk's reach, are those of an earlier
-# leg-insertion prototype keyed by the rooted-map code; their second entries
-# were frozen from enumerate_graphs, and Kontsevich's identity checks them
+# (4,4) and (5,3), past the pairing walk's reach, are those ROADMAP item 8
+# recorded from a generator keyed by the rooted-map code; their second
+# entries were frozen from enumerate_graphs, and Kontsevich's identity
+# checks them
 CLASS_COUNTS = {
     (0, 2): (1, 1),
     (1, 1): (2, 2),
