@@ -452,12 +452,10 @@ def cover_ratios(k: int, degrees: Iterable[int]) -> dict[int, float]:
 
 
 @lru_cache(maxsize=None)
-def _symmetric_group(n: int) -> tuple[list[tuple[int, ...]], list[Partition], list[list[int]]]:
-    """S_n as (perms, types, table), shared by every caller: the
-    permutations, the cycle type of each, and table[i][j], the index of
-    x -> perms[i][perms[j][x]]."""
+def _symmetric_group(n: int) -> tuple[list[tuple[int, ...]], list[Partition], dict[tuple[int, ...], int]]:
+    """S_n as (perms, types, index), shared by every caller: the
+    permutations, the cycle type of each, and the index of each in perms."""
     perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
     types = []
     for perm in perms:
         seen = [False] * n
@@ -472,8 +470,7 @@ def _symmetric_group(n: int) -> tuple[list[tuple[int, ...]], list[Partition], li
                 length += 1
             parts.append(length)
         types.append(tuple(sorted(parts, reverse=True)))
-    table = [[index[tuple(map(p.__getitem__, q))] for q in perms] for p in perms]
-    return perms, types, table
+    return perms, types, {p: i for i, p in enumerate(perms)}
 
 
 def naive_enumerate(classes: Sequence[Partition]) -> tuple[Fraction, Fraction]:
@@ -484,10 +481,10 @@ def naive_enumerate(classes: Sequence[Partition]) -> tuple[Fraction, Fraction]:
 
     The first factor is pinned to a single representative and reweighted by
     |C1|, which is valid because conjugation acts on the solution set.
-    g4 = (g1 g2 g3)^-1 is never built: it has the cycle type of g1 g2 g3,
-    read from the product table of _symmetric_group by index, and it lies
-    in the group g1, g2, g3 generate, so transitivity is an orbit walk over
-    those three.
+    g4 = (g1 g2 g3)^-1 is never built.  It has the cycle type of g1 g2 g3,
+    read by index from _symmetric_group, with g1 g2 composed once per g2;
+    and it lies in the group g1, g2, g3 generate, so transitivity is an
+    orbit walk over those three.
     """
     if not classes:
         return Fraction(0), Fraction(0)
@@ -500,10 +497,10 @@ def naive_enumerate(classes: Sequence[Partition]) -> tuple[Fraction, Fraction]:
     if len(classes) != 4:
         raise ValueError("the direct enumeration handles exactly four classes")
     normalized = [tuple(sorted(cls, reverse=True)) for cls in classes]
-    perms, types, table = _symmetric_group(n)
+    perms, types, index = _symmetric_group(n)
     c1, c2, c3, c4 = normalized
-    g1 = types.index(c1)
-    in_3 = [i for i, t in enumerate(types) if t == c3]
+    p1 = perms[types.index(c1)]
+    in_3 = [p for p, t in zip(perms, types) if t == c3]
 
     def transitive(*gens: tuple[int, ...]) -> bool:
         orbit = [0]
@@ -514,12 +511,12 @@ def naive_enumerate(classes: Sequence[Partition]) -> tuple[Fraction, Fraction]:
         return len(orbit) == n
 
     count = connected = 0
-    for g2 in (i for i, t in enumerate(types) if t == c2):
-        row = table[table[g1][g2]]
-        for g3 in in_3:
-            if types[row[g3]] == c4:
+    for p2 in (p for p, t in zip(perms, types) if t == c2):
+        p12 = tuple([p1[x] for x in p2])
+        for p3 in in_3:
+            if types[index[tuple([p12[x] for x in p3])]] == c4:
                 count += 1
-                connected += transitive(perms[g1], perms[g2], perms[g3])
+                connected += transitive(p1, p2, p3)
     weight = Fraction(class_size(c1), math.factorial(n))
     return weight * count, weight * connected
 

@@ -1,11 +1,12 @@
 """Sparse exact multivariate polynomials and the integration operator D.
 
-Variables are positional: index i stands for the width variable w_{i+1} or,
-when ribbon.same_transform multiplies out a transform, the pole variable
-lambda_{i+1}. A polynomial in l variables keys its terms by exponent tuples
-of length l, one entry per variable, zeros included, and + and * refuse
-operands of different widths. The zero polynomial has no terms and goes
-with any width. D runs over every variable of its argument.
+A Polynomial is a value type for results: the local polynomials, the
+leading-term fit and the tree products.  Variables are positional: index i
+stands for the width variable w_{i+1}.  A polynomial in l variables keys
+its terms by exponent tuples of length l, one entry per variable, zeros
+included, and the constructor refuses keys of different lengths.  The
+zero polynomial has no terms.  The only arithmetic is scaling by an int
+or a Fraction, and D, which runs over every variable of its argument.
 """
 from __future__ import annotations
 
@@ -24,8 +25,6 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Exponents, Scalar] = {}):
-        # every ring operation accumulates like terms into a dict and ends
-        # here, so zero coefficients are dropped in one place
         widths = sorted({len(exps) for exps in terms})
         if len(widths) > 1:
             raise ValueError(f"exponent tuples of lengths {widths} in one polynomial")
@@ -40,34 +39,10 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def _check_width(self, other: "Polynomial") -> None:
-        mine, theirs = next(iter(self._terms), None), next(iter(other._terms), None)
-        if mine is not None and theirs is not None and len(mine) != len(theirs):
-            raise ValueError(f"polynomials in {len(mine)} and {len(theirs)} variables")
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
+    def __mul__(self, other: Scalar) -> "Polynomial":
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        self._check_width(other)
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            acc[k] = acc.get(k, 0) + c
-        return Polynomial(acc)
-
-    def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial({k: v * other for k, v in self._terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_width(other)
-        acc: dict[Exponents, Fraction] = {}
-        for ka, ca in self._terms.items():
-            for kb, cb in other._terms.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
-                acc[key] = acc.get(key, 0) + ca * cb
-        return Polynomial(acc)
+        return Polynomial({k: v * other for k, v in self._terms.items()})
 
     __rmul__ = __mul__
 

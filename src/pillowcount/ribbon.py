@@ -19,14 +19,15 @@ closed into a face, and each is kept once, as its least member.
 
 A Laplace transform is a list of terms (c, forms), each c / prod L^forms[L]
 over primitive linear forms L in the face poles lambda_i.  Only
-same_transform multiplies terms out into polynomials.
+same_transform multiplies terms out, into integer polynomials kept as
+{exponents: int} dicts.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, exp, factorial, gcd, inf, lgamma, log, prod
+from math import comb, exp, factorial, gcd, inf, lcm, lgamma, log, prod
 from typing import Callable, Iterator, Sequence
 
 from .layers import LayerSignature
@@ -405,12 +406,13 @@ def laplace_of_polynomial(p: Polynomial) -> list[Term]:
     ]
 
 
-def _form_product(powers: Counter[Form], l: int) -> Polynomial:
-    out = Polynomial({(0,) * l: 1})
-    for vec, mult in powers.items():
-        linear = Polynomial({_unit(i, l): c for i, c in enumerate(vec) if c})
-        for _ in range(mult):
-            out = out * linear
+def _times(p: dict[Form, int], q: dict[Form, int]) -> dict[Form, int]:
+    """The product of two polynomials kept as {exponents: int} dicts."""
+    out: dict[Form, int] = {}
+    for ka, ca in p.items():
+        for kb, cb in q.items():
+            key = tuple([x + y for x, y in zip(ka, kb)])
+            out[key] = out.get(key, 0) + ca * cb
     return out
 
 
@@ -420,7 +422,9 @@ def same_transform(f: Sequence[Term], g: Sequence[Term]) -> bool:
     f - g is multiplied out over the least common multiple of its
     denominators, after merging terms over the same forms, and equal
     transforms leave the numerator zero.  A zero form would zero that
-    multiple and pass any comparison, so it is refused.
+    multiple and pass any comparison, so it is refused.  The merged
+    coefficients are scaled to integers by the lcm of their denominators,
+    and the powers of each form are kept for the call.
     """
     merged: dict[tuple[tuple[Form, int], ...], Fraction] = {}
     for sign, terms in ((1, f), (-1, g)):
@@ -434,10 +438,20 @@ def same_transform(f: Sequence[Term], g: Sequence[Term]) -> bool:
     for _, forms in parts:
         common |= forms
     l = len(next(iter(common), ()))
-    num = Polynomial()
+    scale = lcm(*(c.denominator for c, _ in parts))
+    # powers[L][k] is L^k
+    powers = {form: [{(0,) * l: 1}, {_unit(i, l): c for i, c in enumerate(form) if c}] for form in common}
+    num: dict[Form, int] = {}
     for c, forms in parts:
-        num = num + c * _form_product(common - forms, l)
-    return num.is_zero()
+        out = {(0,) * l: c.numerator * (scale // c.denominator)}
+        for form, k in (common - forms).items():
+            ladder = powers[form]
+            while len(ladder) <= k:
+                ladder.append(_times(ladder[-1], ladder[1]))
+            out = _times(out, ladder[k])
+        for key, x in out.items():
+            num[key] = num.get(key, 0) + x
+    return not any(num.values())
 
 
 def _column_classes(graphs: Sequence[RibbonGraph]) -> list[tuple[RibbonGraph, Fraction]]:
@@ -536,7 +550,8 @@ def leading_part_fit(m: int, n: int) -> Polynomial:
     Sampling runs along rays t*u for off-wall positive directions u; on a ray
     the count is a polynomial of degree 2a in t whose leading coefficient is
     the value of the degree-2a part at u. Fitting those values against the
-    even-exponent monomial basis recovers the polynomial exactly.
+    even-exponent monomial basis recovers the polynomial exactly.  Rays
+    that cannot reach the basis's rank are refused before any count.
     """
     sig = LayerSignature(m, n)
     a, l = sig.half_degree, sig.faces
@@ -544,6 +559,36 @@ def leading_part_fit(m: int, n: int) -> Polynomial:
         raise ValueError("leading-term fit supports at most 3 faces")
     classes = _column_classes(enumerate_graphs(m, n))
     walls = _wall_normals([g for g, _ in classes], l)
+
+    # the rays depend only on the walls and the basis, so they are chosen
+    # before any count: reduced holds the rows so far, each with its leading
+    # column scaled to 1; until the rows are full, a ray whose row they
+    # reduce to zero is skipped, and then two more rays check the fit
+    basis = [tuple(2 * b for b in comp) for comp in compositions(a, l)]
+    rays: list[tuple[int, ...]] = []
+    rows: list[list[int]] = []
+    reduced: list[tuple[int, list[Fraction]]] = []
+    for u in _directions(l, SAMPLE_RADIUS):
+        if any(sum(ui * vi for ui, vi in zip(u, nu)) == 0 for nu in walls):
+            continue
+        row = [prod(ui**e for ui, e in zip(u, exps)) for exps in basis]
+        if len(rows) < len(basis):
+            left = [Fraction(x) for x in row]
+            for lead, r in reduced:
+                left = [x - left[lead] * y for x, y in zip(left, r)]
+            lead = next((i for i, x in enumerate(left) if x), -1)
+            if lead < 0:
+                continue
+            reduced.append((lead, [x / left[lead] for x in left]))
+        rays.append(u)
+        rows.append(row)
+        if len(rows) == len(basis) + 2:
+            break
+    if len(reduced) < len(basis):
+        raise ValueError(
+            f"the off-wall rays with entries up to {SAMPLE_RADIUS} reach rank {len(reduced)} "
+            f"of the {len(basis)} unknowns at ({m},{n}), so they cannot determine the fit"
+        )
 
     counters = [(weight, _lattice_counter(g)) for g, weight in classes]
 
@@ -560,28 +605,5 @@ def leading_part_fit(m: int, n: int) -> Polynomial:
         vals = [total_count(tuple(t * ui for ui in u)) for t in ts]
         return solve_exact([[t**p for p in range(2 * a + 1)] for t in ts], vals, 2 * a + 1)[-1]
 
-    basis = [tuple(2 * b for b in comp) for comp in compositions(a, l)]
-    rows: list[list[int]] = []
-    rhs: list[Fraction] = []
-    # the rows so far, reduced, each with its leading column scaled to 1:
-    # until the rows are full, a ray whose row they reduce to zero is
-    # skipped, and then two more rays check the fit
-    reduced: list[tuple[int, list[Fraction]]] = []
-    for u in _directions(l, SAMPLE_RADIUS):
-        if any(sum(ui * vi for ui, vi in zip(u, nu)) == 0 for nu in walls):
-            continue
-        row = [prod(ui**e for ui, e in zip(u, exps)) for exps in basis]
-        if len(rows) < len(basis):
-            left = [Fraction(x) for x in row]
-            for lead, r in reduced:
-                left = [x - left[lead] * y for x, y in zip(left, r)]
-            lead = next((i for i, x in enumerate(left) if x), -1)
-            if lead < 0:
-                continue
-            reduced.append((lead, [x / left[lead] for x in left]))
-        rows.append(row)
-        rhs.append(leading_along(u))
-        if len(rows) == len(basis) + 2:
-            break
-    coeffs = solve_exact(rows, rhs, len(basis))
+    coeffs = solve_exact(rows, [leading_along(u) for u in rays], len(basis))
     return Polynomial({exps: c for exps, c in zip(basis, coeffs) if c})

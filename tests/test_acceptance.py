@@ -104,21 +104,16 @@ def test_criterion_2_per_tree_contributions():
 
 
 def _reference_table() -> dict[tuple[int, int], Polynomial]:
-    w2 = Polynomial({(2,): 1})
     return {
         (0, 2): Polynomial({(0,): 1}),
-        (1, 3): w2,
+        (1, 3): Polynomial({(2,): 1}),
         (2, 4): Polynomial({(4,): 1}),
         (3, 5): Polynomial({(6,): 1}),
         (1, 1): Polynomial({(0, 0): 1}),
-        (2, 2): 2 * Polynomial({(2, 0): 1}) + 2 * Polynomial({(0, 2): 1}),
-        (3, 3): 3 * Polynomial({(4, 0): 1})
-        + 12 * Polynomial({(2, 2): 1})
-        + 3 * Polynomial({(0, 4): 1}),
+        (2, 2): Polynomial({(2, 0): 2, (0, 2): 2}),
+        (3, 3): Polynomial({(4, 0): 3, (2, 2): 12, (0, 4): 3}),
         (2, 0): Polynomial({(0, 0, 0): 2}),
-        (3, 1): 6 * Polynomial({(2, 0, 0): 1})
-        + 6 * Polynomial({(0, 2, 0): 1})
-        + 6 * Polynomial({(0, 0, 2): 1}),
+        (3, 1): Polynomial({(2, 0, 0): 6, (0, 2, 0): 6, (0, 0, 2): 6}),
     }
 
 

@@ -571,7 +571,9 @@ def test_verify_fails_on_corruption(runner, monkeypatch):
     def tampered(sig):
         poly = real(sig)
         if (sig.m, sig.n) == (2, 2):
-            return poly + Polynomial({(2, 0): 1})
+            terms = dict(poly.items())
+            terms[2, 0] = terms.get((2, 0), 0) + 1
+            return Polynomial(terms)
         return poly
 
     monkeypatch.setattr(verify_mod, "f_closed", tampered)

@@ -335,17 +335,14 @@ def test_naive_enumerate_against_every_triple(n: int):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_product_table_composes_right_to_left(n: int):
-    """table[i][j] is perms[i] after perms[j].  A transposed table gives
-    the same counts, since inverting g1, g2 and g3 maps the tuples with
-    g1 g2 g3 in a class onto those with g3 g2 g1 in it, so only this test
-    sees it."""
-    perms, types, table = covers_mod._symmetric_group(n)
-    assert sorted(perms) == list(itertools.permutations(range(n)))
+def test_symmetric_group_lists_types_and_indices(n: int):
+    """perms is S_n in itertools order, types[i] is the cycle type of
+    perms[i], and index inverts perms: naive_enumerate reads the type of
+    each product through index."""
+    perms, types, index = covers_mod._symmetric_group(n)
+    assert perms == list(itertools.permutations(range(n)))
     assert types == [_cycle_type(p) for p in perms]
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            assert perms[table[i][j]] == tuple(p[q[x]] for x in range(n))
+    assert index == {p: i for i, p in enumerate(perms)}
 
 
 def test_sq_count_values():

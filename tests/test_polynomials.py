@@ -37,36 +37,36 @@ def test_mixed_key_lengths_rejected():
         Polynomial({(1, 0): 1, (1,): 0})
 
 
-def test_mixed_widths_are_refused_by_sum_and_product():
-    w1 = Polynomial({(1,): 1})
-    v1 = Polynomial({(1, 0): 1})
-    with pytest.raises(ValueError, match="1 and 2 variables"):
-        w1 + v1
-    with pytest.raises(ValueError, match="2 and 1 variables"):
-        v1 * w1
-    # the zero polynomial has no terms and goes with any width
-    assert w1 + Polynomial() == w1 and Polynomial() + v1 == v1
-    assert (v1 * Polynomial()).is_zero() and (Polynomial() * w1).is_zero()
+def _sum(*polys: Polynomial) -> Polynomial:
+    """The sum of polynomials, added up term by term in one dict."""
+    acc: dict = {}
+    for p in polys:
+        for k, c in p.items():
+            acc[k] = acc.get(k, 0) + c
+    return Polynomial(acc)
 
 
 def test_basic_ring_operations():
-    w1 = Polynomial({(1, 0): 1})
-    w2 = Polynomial({(0, 1): 1})
-    p = (w1 + w2) * (w1 + w2)
-    assert p == Polynomial({(2, 0): 1, (1, 1): 2, (0, 2): 1})
-    assert p + (-1) * p == Polynomial()
-    assert (w1 + (-1) * w2) * (w1 + w2) == w1 * w1 + (-1) * (w2 * w2)
-    assert 2 * w1 == w1 + w1
+    # scaling by an int or a Fraction and == are the only operations left
+    p = Polynomial({(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    assert 2 * p == p * 2 == Polynomial({(2, 0): 2, (1, 1): 4, (0, 2): 2})
+    assert Fraction(1, 2) * p == Polynomial({(2, 0): Fraction(1, 2), (1, 1): 1, (0, 2): Fraction(1, 2)})
+    assert p != 2 * p and p == Polynomial(dict(p.items()))
+    with pytest.raises(TypeError):
+        p * p
+    with pytest.raises(TypeError):
+        p + p
+    with pytest.raises(TypeError):
+        p * 0.5
 
 
 def test_cancelled_terms_are_not_stored():
-    w1 = Polynomial({(1, 0): 1})
-    w2 = Polynomial({(0, 1): 1})
-    p = (w1 + w2) * (w1 + (-1) * w2)
-    assert sorted(p.items()) == [((0, 2), -1), ((2, 0), 1)]
-    assert not list((p + (-1) * p).items())
+    p = Polynomial({(2, 0): 1, (1, 1): 2, (0, 2): -1})
+    q = Polynomial({(1, 1): -2, (0, 2): 1, (0, 1): 3})
+    assert sorted(_sum(p, q).items()) == [((0, 1), 3), ((2, 0), 1)]
+    assert not list(_sum(p, (-1) * p).items())
     assert not list((0 * p).items())
-    integrated = apply_D(w2 * w2 + (-1) * (w1 * w1))
+    integrated = apply_D(Polynomial({(0, 2): 1, (2, 0): -1}))
     assert sorted(integrated.items()) == [((0, 4), Fraction(1, 4)), ((4, 0), Fraction(-1, 4))]
 
 
@@ -89,29 +89,6 @@ def test_to_records_and_text():
     assert Polynomial({(0, 0): 1}).to_records() == [{"exponents": [0, 0], "num": "1", "den": "1"}]
 
 
-@given(small_polynomials(), small_polynomials(), small_polynomials())
-def test_ring_axioms(p: Polynomial, q: Polynomial, r: Polynomial):
-    assert p + q == q + p
-    assert p * q == q * p
-    assert (p + q) + r == p + (q + r)
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
-
-
-@given(small_polynomials(), st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)))
-def test_evaluation_is_a_ring_map(p: Polynomial, point: tuple[int, int, int]):
-    def value(poly: Polynomial) -> Fraction:
-        total = Fraction(0)
-        for exps, coeff in poly.items():
-            for x, e in zip(point, exps):
-                coeff *= x**e
-            total += coeff
-        return total
-
-    q = p * p + 3 * p
-    assert value(q) == value(p) ** 2 + 3 * value(p)
-
-
 def test_apply_D_monomial_rule():
     # D_w sends w^n to w^{n+2}/(n+2), summed over every variable
     p = Polynomial({(2,): 1})
@@ -131,4 +108,5 @@ def test_apply_D_of_the_width_2_constant():
 
 @given(small_polynomials(), small_polynomials())
 def test_apply_D_is_linear(p: Polynomial, q: Polynomial):
-    assert apply_D(p + q) == apply_D(p) + apply_D(q)
+    assert apply_D(_sum(p, q)) == _sum(apply_D(p), apply_D(q))
+    assert apply_D(3 * p) == 3 * apply_D(p)

@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pillowcount import ribbon as ribbon_mod
 from pillowcount.layers import LayerSignature, f_closed
@@ -359,7 +361,7 @@ def test_laplace_of_polynomial_monomial_rule():
 def test_laplace_of_polynomial_is_additive():
     p = Polynomial({(2, 0): 1})
     q = Polynomial({(0, 2): 1})
-    both = laplace_of_polynomial(p + q)
+    both = laplace_of_polynomial(Polynomial({(2, 0): 1, (0, 2): 1}))
     assert same_transform(both, laplace_of_polynomial(p) + laplace_of_polynomial(q))
     assert not same_transform(both, laplace_of_polynomial(p))
 
@@ -400,17 +402,52 @@ def test_hat_F_transform_consistency():
         assert sum(forms.values()) == 4
 
 
-@pytest.mark.parametrize("mn", [(0, 2), (1, 1), (2, 0), (1, 3), (2, 2), (3, 1), (3, 3)])
+@pytest.mark.parametrize("mn", [(0, 2), (1, 1), (2, 0), (1, 3), (2, 2), (3, 1), (3, 3), (4, 0)])
 def test_pole_recurrence_small(mn: tuple[int, int]):
     assert verify_pole_recurrence(*mn)
 
 
-@pytest.mark.parametrize("mn", [(0, 2), (1, 1), (2, 0), (1, 3), (2, 2), (3, 1), (3, 3), (2, 4), (4, 2), (4, 4), (5, 3)])
+@pytest.mark.parametrize(
+    "mn", [(0, 2), (1, 1), (2, 0), (1, 3), (2, 2), (3, 1), (3, 3), (2, 4), (4, 0), (4, 2), (4, 4), (5, 1), (5, 3)]
+)
 def test_transform_of_local_polynomial_is_hat_F(mn: tuple[int, int]):
     # Kontsevich's identity: the Laplace transform of F_{m,n} is the sum of
     # the graph transforms over the vertex-labelled graphs
     sig = LayerSignature(*mn)
     assert same_transform(laplace_of_polynomial(f_closed(sig)), hat_F(*mn))
+
+
+@pytest.mark.parametrize("index", [0, -1])
+def test_perturbed_hat_F_is_refused(index: int):
+    # one coefficient of hat_F(4,2) off by 1/7 breaks Kontsevich's identity
+    lhs = laplace_of_polynomial(f_closed(LayerSignature(4, 2)))
+    terms = hat_F(4, 2)
+    c, forms = terms[index]
+    terms[index] = (c + Fraction(1, 7), forms)
+    assert not same_transform(lhs, terms)
+
+
+def _dict_polynomials():
+    """Random integer polynomials in 2 variables as {exponents: int} dicts."""
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    return st.dictionaries(exps, st.integers(-5, 5), max_size=4)
+
+
+@given(_dict_polynomials(), _dict_polynomials(), _dict_polynomials(), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+def test_dict_product_is_a_ring_product(p: dict, q: dict, r: dict, point: tuple[int, int]):
+    # same_transform's one polynomial product: commutative, associative and
+    # multiplicative under evaluation
+    times = ribbon_mod._times
+
+    def value(poly: dict) -> int:
+        return sum(c * point[0] ** a * point[1] ** b for (a, b), c in poly.items())
+
+    def nonzero(poly: dict) -> dict:
+        return {k: c for k, c in poly.items() if c}
+
+    assert nonzero(times(p, q)) == nonzero(times(q, p))
+    assert nonzero(times(times(p, q), r)) == nonzero(times(p, times(q, r)))
+    assert value(times(p, q)) == value(p) * value(q)
 
 
 @pytest.mark.parametrize("key", sorted(DIRECTION_DIGESTS))
@@ -456,6 +493,19 @@ def test_leading_part_fit_skips_rays_that_add_no_rank(monkeypatch):
 
     monkeypatch.setattr(ribbon_mod, "_directions", repeating)
     assert leading_part_fit(3, 1) == f_closed(LayerSignature(3, 1))
+
+
+def test_leading_part_fit_refuses_short_rank_before_counting(monkeypatch):
+    """At (5,3) the off-wall rays within the sample radius reach rank 9 of
+    the 10 unknowns, which is known from the walls and the basis alone, so
+    the fit refuses before it sets up any lattice counter."""
+
+    def unused(g):
+        raise AssertionError("a fit its rays cannot determine builds no counter")
+
+    monkeypatch.setattr(ribbon_mod, "_lattice_counter", unused)
+    with pytest.raises(ValueError, match=r"rank 9 of the 10 unknowns at \(5,3\)"):
+        leading_part_fit(5, 3)
 
 
 def test_leading_part_fit_prepares_one_counter_per_column_class(monkeypatch):

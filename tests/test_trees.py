@@ -261,16 +261,26 @@ def test_tree_contribution_rejects_wrong_K():
 
 def per_monomial_contribution(t: DecoratedTree, K: int) -> tuple:
     """(local product, aut, c, zeta terms, value) by multiplying Fraction
-    polynomials and applying the zeta operator to every monomial."""
+    polynomials as dicts and applying the zeta operator to every monomial."""
+
+    def times(p: dict, q: dict) -> dict:
+        out: dict = {}
+        for ka, ca in p.items():
+            for kb, cb in q.items():
+                key = tuple(x + y for x, y in zip(ka, kb))
+                out[key] = out.get(key, 0) + ca * cb
+        return out
+
     k = t.k
-    local = Polynomial({(0,) * k: 1})
+    terms: dict = {(0,) * k: 1}
     for v in range(t.vertices):
         # F's variable j is the width of the vertex's j-th incident edge
         incident = [i for i, e in enumerate(t.edges) if v in e]
         f = layers.f_closed(t.layer(v))
         placed = {tuple(dict(zip(incident, exps)).get(i, 0) for i in range(k)): c for exps, c in f.items()}
-        local = local * Polynomial(placed)
-    poly = Polynomial({(1,) * k: 1}) * local
+        terms = times(terms, placed)
+    local = Polynomial(terms)
+    poly = Polynomial(times({(1,) * k: 1}, terms))
     assert {sum(exps) for exps, _ in poly.items()} == {2 * K + 2 - k}
     aut = aut_order(t)
     ms = [t.layer(v).m for v in range(t.vertices)]
