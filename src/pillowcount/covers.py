@@ -18,8 +18,13 @@ taken once per degree for all classes of the degree's parity, their values
 packed side by side into one int per shape.  The two parities share only
 the cheap seed columns, so from degree FORK_MIN_DEGREE on the degrees of
 the top degree's parity run in a forked child process while the caller
-runs the others; each degree's columns are unpacked into lists aligned to
-its shapes, and the four-way sums over them run as map/sum chains in C.
+runs the others.  A p_2 step adds a domino, so it keeps a shape's 2-core,
+and a seed enters the chain only on the shapes whose 2-core is small
+enough for some four classes within the bounds to be nonzero on it all
+at once.  A shape and its conjugate have the same term in every sum
+taken, so each degree's columns are unpacked only on the lower bead mask
+of each conjugate pair, into lists aligned to those shapes, and the
+four-way sums over them, a pair counted twice, run as map/sum chains in C.
 The tests' reference route (tests/oracles.py) removes strips from a single
 shape's bead mask top-down instead.
 `verify` checks these four-way sums, per multiset of corner classes, and
@@ -122,6 +127,36 @@ def _unpack(packed: Iterable[int], slots: int, width: int) -> list[list[int]]:
     return [[(u >> s * width & low) - half for u in biased] for s in range(slots)]
 
 
+# byte i with its bits in reverse order
+_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def _conjugates(masks: Iterable[int], max_degree: int) -> list[int]:
+    """The bead masks of the conjugate shapes, in order.  A shape of degree
+    at most max_degree, with max_degree beads, lies in the positions 0 ..
+    2 max_degree - 1, and its conjugate's beads are the empty positions
+    there, read from the top."""
+    size = (2 * max_degree + 7) // 8
+    window = (1 << 2 * max_degree) - 1
+    pad = 8 * size - 2 * max_degree
+    return [
+        int.from_bytes((mask ^ window).to_bytes(size, "little").translate(_REVERSED), "big") >> pad for mask in masks
+    ]
+
+
+def _two_core_size(mask: int, max_degree: int) -> int:
+    """Number of cells in the 2-core of the shape with this bead mask of
+    max_degree beads.  Removing a domino moves a bead two positions down,
+    so the beads on each parity of position stay there; the positions of
+    max_degree's parity hold max_degree // 2 + q of them, and the 2-core is
+    the staircase of q (2q - 1) cells, with 2q - 1 rows for q > 0 and -2q
+    rows otherwise."""
+    # (4^max_degree - 1) / 3 has a bit at every even position below 2 max_degree
+    runner = (4**max_degree - 1) // 3 << max_degree % 2
+    q = (mask & runner).bit_count() - max_degree // 2
+    return q * (2 * q - 1)
+
+
 def _character_columns(
     max_degree: int, max_threes: int, max_ones: int, parity: int
 ) -> Iterator[tuple[int, list[int], dict[Partition, list[int]]]]:
@@ -130,7 +165,15 @@ def _character_columns(
     corner_types(n, max_threes, max_ones), in that order, to its character
     column: the Schur expansion of p_3^a p_2^c p_1^b, as the list of
     chi^shape(3^a 2^c 1^b) aligned to masks, zeros included.  masks holds
-    every shape of degree n on which some column is nonzero.
+    one shape of each conjugate pair, the lower mask, among the shapes of
+    degree n whose 2-core has at most (3 max_threes + max_ones) // 4
+    cells and on which some column is nonzero.  The shapes left out add
+    nothing to a four-way sum within the bounds: chi^shape(3^a 2^c 1^b) is
+    0 unless the 2-core of the shape has at most 3a + b cells (remove the
+    c dominoes first), and four classes within the bounds have 3a + b
+    summing to at most 3 max_threes + max_ones.  A conjugate shape has the
+    values times (-1)^c, so the same term in any sum with an even total
+    of 2-cycles (_parity_values).
 
     A shape is keyed by its bead mask, the bit set of its beta-numbers
     with max_degree beads; a shape of degree n has at most n rows, so every
@@ -144,13 +187,17 @@ def _character_columns(
     parity of n are packed into one int per shape, one slot of `width`
     bits per class in balanced digits, and each degree of the parity takes
     one p_2 pass over the packed chain; a seed enters a new slot at its
-    own degree.  The two parities share nothing past the seeds, which is
+    own degree, on the shapes whose 2-core is small enough.  A p_2 step
+    adds a domino, which keeps the 2-core, so the chain holds no other
+    shape.  The two parities share nothing past the seeds, which is
     what lets _multiset_values run them in two processes.  A digit is a
     character value, at most the dimension, so below sqrt(max_degree!) in
     size, and only final values are unpacked.
     """
     width = math.isqrt(math.factorial(max_degree)).bit_length() + 2
     empty = (1 << max_degree) - 1
+    # the most cells of a 2-core on which four classes within the bounds can all be nonzero
+    most = (3 * max_threes + max_ones) // 4
     seeds = {0: {(0, 0): {empty: 1}}}
     # the (a, b) of each slot of this parity, in slot order, and the chain
     keys: list[tuple[int, int]] = [] if parity else [(0, 0)]
@@ -174,10 +221,12 @@ def _character_columns(
             shift = width * len(keys)
             keys.append(key)
             for mask, value in column.items():
-                chain[mask] = chain.get(mask, 0) + (value << shift)
-        by_key = dict(zip(keys, _unpack(chain.values(), len(keys), width)))
+                if _two_core_size(mask, max_degree) <= most:
+                    chain[mask] = chain.get(mask, 0) + (value << shift)
+        masks = [mask for mask, twin in zip(chain, _conjugates(chain, max_degree)) if mask <= twin]
+        by_key = dict(zip(keys, _unpack([chain[mask] for mask in masks], len(keys), width)))
         columns = {cls: by_key[zeros_and_poles((cls,))] for cls in corner_types(n, max_threes, max_ones)}
-        yield n, list(chain), columns
+        yield n, masks, columns
 
 
 def _mask_hook_product(mask: int) -> int:
@@ -207,9 +256,17 @@ def _parity_values(
     """Yield (n, values) for the n = 1..max_degree with n % 2 == parity:
     the Frobenius counts of degree n, indexed by the (sorted) multiset of
     the four corner classes.  The character sum is symmetric in the
-    classes, so evaluating once per multiset saves the bulk of the work."""
+    classes, so evaluating once per multiset saves the bulk of the work.
+
+    The sums run over the shapes _character_columns yields, one of each
+    conjugate pair, and a shape paired with another counts twice: a
+    conjugate has the same hook lengths, and its values on a class 3^a
+    2^c 1^b are the shape's times (-1)^c, and the signs cancel in a sum
+    with an even total of 2-cycles, the only sums taken."""
     for n, masks, columns in _character_columns(max_degree, max_threes, max_ones, parity):
-        hooks2 = [_mask_hook_product(mask) ** 2 for mask in masks]
+        hooks2 = [
+            _mask_hook_product(mask) ** 2 << (mask != twin) for mask, twin in zip(masks, _conjugates(masks, max_degree))
+        ]
         threes = {cls: cls.count(3) for cls in columns}
         ones = {cls: cls.count(1) for cls in columns}
         twos = {cls: cls.count(2) for cls in columns}
@@ -319,36 +376,38 @@ def _multiset_values(
             os.waitpid(pid, 0)
 
 
-# the cover counts for K = 1 to degree 40 take about 1.8 s on a 2-CPU VM, and
-# K = 12 to degree 24 about 11 s
+# the cover counts for K = 1 to degree 40 take about 0.6 s on a 2-CPU VM, and
+# K = 12 to degree 24 about 6 s
 COVERS_MAX_SECONDS = 15
 # K: (a, b) of its own estimate a * exp(b * N) seconds (check_cover_size)
-OWN_COVER_FITS = {1: (1.1e-3, 0.184), 3: (1.6e-3, 0.185), 4: (2.3e-3, 0.19)}
+OWN_COVER_FITS = {1: (8.3e-4, 0.173), 2: (4.1e-4, 0.194), 3: (4.0e-4, 0.2), 4: (3.9e-4, 0.21)}
 
 
 def check_cover_size(k: int, max_degree: int) -> None:
     """Refuse a cover count that would not finish in reasonable time.
 
-    The shared estimate 3.9e-4 * exp(0.67 k_s + 0.183 N) seconds was
+    The shared estimate 6.1e-4 * exp(0.715 k_s + 0.133 N) seconds was
     fitted, with the least worst ratio, to the in-process times of
-    connected_counts on a 2-CPU VM, the odd degrees in the second process:
-    the 68 requests of 0.25 s or more among K = 1..20 at N = 16..54 and K =
-    30..60 at N = 12..18, each within a factor of 1.93.  The second process
-    now takes the top degree's parity, a more even split at even N, where
-    the estimate errs on the slow side.  k_s = (K^-2 + (N/2)^-2)^(-1/2), a
-    smooth min(K, N/2), is K while K is small against N/2 and approaches
-    N/2 as K grows, so at N = 16 the estimate is at most 1.6 s for any K.
-    It is 0 when K or N is 0.  K = 20 at N = 22 took 23 s against 14 s,
-    and K = 2 at N = 49 and 50 took 7.9-11.5 s, 1.22-1.47 times less.
-    A K whose times near the limit fall outside the factor of 1.93 has its
-    own estimate in OWN_COVER_FITS, fitted the same way to three timings of
-    each N with the top degree's parity forked.  K = 1, about 1.5 times
-    slower than the shared formula, at even N = 40..54, within 1.37: it
-    refuses N = 52 and 54, which took 15.1-19.2 s and 21.7-28.1 s.  K = 3
-    and 4, 1.28-2.2 times faster, at N = 43..50 and 40..47, within 1.30:
-    they refuse (3, 50) and (4, 47), which took 16.0-17.1 s and 14.2-17.1 s.
+    connected_counts on a 2-CPU VM, the top degree's parity in the second
+    process: two timings each of the 59 requests of 0.25 s or more among
+    K = 5, 6, 8, 10, 12, 16 and 20 at N = 16..48 and K = 30, 40 and 60 at
+    N = 12..20, each within a factor of 1.71.  k_s = (K^-2 +
+    (N/2)^-2)^(-1/2), a smooth min(K, N/2), is K while K is small against
+    N/2 and approaches N/2 as K grows, so at N = 16 the estimate is at
+    most 1.6 s for any K.  It is 0 when K or N is 0.  Near the limit it
+    errs most at K = 5, where (5, 48) took 20 s against 12 s and is served,
+    and at K = 8, where (8, 38) took 13.4-15.2 s and is refused at 19 s.
+    K = 1..4 take 1.9 to 6 times longer than that formula gives near
+    their limits, N = 40..58, so each has its own estimate in
+    OWN_COVER_FITS, fitted the same way to three
+    timings of each N: K = 1 at even N = 44..58, within 1.26, refuses N =
+    58, which took 15.5-17.6 s, and serves N = 56 (11.4-12.8 s); K = 2 at
+    N = 44, 46 and 48..54, within 1.31, serves N = 54 (11.7-13.2 s); K = 3
+    at N = 43..54 and K = 4 at N = 40..51, within 1.34 and 1.20, refuse
+    (3, 53) and (4, 51), which took 13.8-17.4 s and 16.4-19.4 s, and serve
+    (3, 52) and (4, 50), which took 11.3-12.0 s and 12.0-13.0 s.
     On one CPU the two halves run one after the other and take 1.0 to 1.7
-    times as long: K = 1 at N = 40 took 3.2 s against 2.0 s on two.
+    times as long (measured with an earlier version of the sums).
     """
     try:
         if k in OWN_COVER_FITS:
@@ -356,8 +415,8 @@ def check_cover_size(k: int, max_degree: int) -> None:
             seconds = a * math.exp(b * max_degree)
         else:
             saturated = ((1 / k) ** 2 + (2 / max_degree) ** 2) ** -0.5 if k and max_degree else 0
-            seconds = 3.9e-4 * math.exp(0.67 * saturated + 0.183 * max_degree)
-    except OverflowError:  # an estimate past the float range, from degree about 3,900 on
+            seconds = 6.1e-4 * math.exp(0.715 * saturated + 0.133 * max_degree)
+    except OverflowError:  # past the float range: from degree 3,380-5,310 for K <= 60, 1,448 for huge K
         seconds = math.inf
     if seconds > COVERS_MAX_SECONDS:
         raise ValueError(

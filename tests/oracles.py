@@ -41,6 +41,32 @@ def bead_mask(shape: Partition) -> int:
     return sum(1 << (part + rows - 1 - i) for i, part in enumerate(shape))
 
 
+def conjugate_partition(shape: Partition) -> Partition:
+    """The conjugate shape: its rows are the columns of shape."""
+    return tuple(sum(1 for part in shape if part > i) for i in range(shape[0] if shape else 0))
+
+
+def two_core(shape: Partition) -> Partition:
+    """The 2-core of shape: dominoes removed from the rim, one at a time,
+    until none is left.  A row gives up a horizontal domino when it is at
+    least two longer than the row below, and two rows of equal length give
+    up a vertical one when the row below them is shorter."""
+    rows = list(shape)
+    while True:
+        below = rows[1:] + [0, 0]
+        for i, part in enumerate(rows):
+            if part - 2 >= below[i]:
+                rows[i] -= 2
+                break
+            if part == below[i] and below[i + 1] < part:
+                rows[i] -= 1
+                rows[i + 1] -= 1
+                break
+        else:
+            return tuple(rows)
+        rows = [part for part in rows if part]
+
+
 def dimension(shape: Partition) -> int:
     """Dimension of the irreducible S_N representation labelled by shape."""
     return math.factorial(sum(shape)) // _mask_hook_product(bead_mask(shape))

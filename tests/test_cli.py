@@ -443,14 +443,14 @@ def test_covers_count_naive_degree_limit(runner):
 @pytest.mark.parametrize(
     "args, estimate",
     [
-        (["count", "--K", "20", "--max-degree", "24"], "K=20 to degree 24 would take about 31 s"),
-        (["ratio", "--K", "1", "--degrees", "10,60"], "K=1 to degree 60 would take about 69 s"),
+        (["count", "--K", "20", "--max-degree", "24"], "K=20 to degree 24 would take about 23 s"),
+        (["ratio", "--K", "1", "--degrees", "10,60"], "K=1 to degree 60 would take about 27 s"),
         (["count", "--K", "1", "--max-degree", "1000000"], "K=1 to degree 1000000 would take more than 10^308 s"),
         (["ratio", "--K", "1", "--degrees", "5,100000"], "K=1 to degree 100000 would take more than 10^308 s"),
-        (["count", "--K", "1", "--max-degree", "52"], "K=1 to degree 52 would take about 16 s"),
-        (["count", "--K", "1", "--max-degree", "54"], "K=1 to degree 54 would take about 23 s"),
-        (["count", "--K", "3", "--max-degree", "50"], "K=3 to degree 50 would take about 17 s"),
-        (["count", "--K", "4", "--max-degree", "47"], "K=4 to degree 47 would take about 17 s"),
+        (["count", "--K", "1", "--max-degree", "58"], "K=1 to degree 58 would take about 19 s"),
+        (["count", "--K", "2", "--max-degree", "55"], "K=2 to degree 55 would take about 18 s"),
+        (["count", "--K", "3", "--max-degree", "53"], "K=3 to degree 53 would take about 16 s"),
+        (["count", "--K", "4", "--max-degree", "51"], "K=4 to degree 51 would take about 17 s"),
     ],
 )
 def test_covers_refuse_requests_above_limit(runner, monkeypatch, args, estimate):
@@ -460,7 +460,9 @@ def test_covers_refuse_requests_above_limit(runner, monkeypatch, args, estimate)
     assert estimate in result.output
 
 
-@pytest.mark.parametrize("big_k, max_degree", [(1, 30), (2, 24), (1, 40), (3, 49), (4, 46)])
+@pytest.mark.parametrize(
+    "big_k, max_degree", [(1, 30), (2, 24), (1, 40), (3, 49), (4, 46), (1, 56), (2, 54), (3, 52), (4, 50)]
+)
 def test_covers_limit_allows_benchmark_and_readme_requests(big_k, max_degree):
     covers_mod.check_cover_size(big_k, max_degree)
 

@@ -17,8 +17,11 @@ from pillowcount import covers as covers_mod
 from pillowcount.covers import (
     FORK_MIN_DEGREE,
     _character_columns,
+    _conjugates,
     _mask_hook_product,
     _multiset_values,
+    _parity_values,
+    _two_core_size,
     _unpack,
     class_size,
     connected_counts,
@@ -30,7 +33,7 @@ from pillowcount.covers import (
     zeros_and_poles,
 )
 
-from oracles import bead_mask, character, dimension, genus, partitions
+from oracles import bead_mask, character, conjugate_partition, dimension, genus, partitions, two_core
 
 
 def test_partitions_counts_and_order():
@@ -373,9 +376,38 @@ def test_naive_enumerate_guards():
         naive_enumerate([(2,), (3,), (2,), (2,)])
 
 
+def _padded_mask(shape, max_degree: int) -> int:
+    return bead_mask(shape + (0,) * (max_degree - len(shape)))
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_two_core_size_and_conjugate_of_bead_masks(parity: int):
+    """The charge-based 2-core size and the bit-reversed conjugate equal the
+    domino-removal 2-core and the conjugate partition, for every shape up
+    to degree 14 and an even and an odd max_degree from its degree on: the
+    runners swap labels with the parity of max_degree, which reads (1) as
+    three cells when they are taken the wrong way round."""
+    for n in range(15):
+        for shape in partitions(n):
+            core = two_core(shape)
+            # a 2-core is a staircase
+            assert core == tuple(range(len(core), 0, -1))
+            for max_degree in (n + (n % 2 != parity), n + 2 + (n % 2 != parity)):
+                mask = _padded_mask(shape, max_degree)
+                assert _two_core_size(mask, max_degree) == sum(core), (shape, max_degree)
+                assert _conjugates([mask], max_degree) == [_padded_mask(conjugate_partition(shape), max_degree)]
+    assert _two_core_size(_padded_mask((1,), 15), 15) == _two_core_size(_padded_mask((1,), 14), 14) == 1
+
+
 def test_character_columns_match_reference():
-    """Every column the packed power-sum builder yields equals character on
-    every shape, for every max_degree up to 12 and for bounds that give no
+    """The packed power-sum builder yields, at every degree, exactly the
+    lower mask of each conjugate pair among the shapes whose 2-core has at
+    most (3 max_threes + max_ones) // 4 cells, read here from partitions,
+    conjugate_partition and two_core.  Every column equals character on
+    them.  Of the shapes left out, a conjugate of a yielded one has the
+    yielded values times (-1)^c on 3^a 2^c 1^b, and every other one has a
+    zero character product on every 4-multiset of classes within the
+    bounds.  Checked for every max_degree up to 12, for bounds that give no
     class at odd n, a few slots, and every class with parts in {1, 2, 3}:
     the slot layout depends on all three arguments.  The expected classes
     are read off partitions(n, 3), independently of corner_types, which the
@@ -388,6 +420,7 @@ def test_character_columns_match_reference():
     for max_degree in range(1, 13):
         bounds = ((0, 0), (1, 5), (2, 6), (max_degree // 3, max_degree))
         for row, (max_threes, max_ones) in enumerate(bounds):
+            most = (3 * max_threes + max_ones) // 4
             degrees = []
             for parity in (0, 1):
                 for n, masks, dense in _character_columns(max_degree, max_threes, max_ones, parity):
@@ -395,18 +428,79 @@ def test_character_columns_match_reference():
                     degrees.append(n)
                     assert list(dense) == corner_types(n, max_threes, max_ones)
                     assert sorted(dense) == bounded(n, max_threes, max_ones)
-                    shapes = {bead_mask(shape + (0,) * (max_degree - len(shape))): shape for shape in partitions(n)}
-                    assert len(set(masks)) == len(masks) and set(masks) <= set(shapes)
+                    shapes = {_padded_mask(shape, max_degree): shape for shape in partitions(n)}
+                    lower = {
+                        mask
+                        for mask, shape in shapes.items()
+                        if sum(two_core(shape)) <= most and mask <= _padded_mask(conjugate_partition(shape), max_degree)
+                    }
+                    assert len(set(masks)) == len(masks) and set(masks) == lower
                     for cls, values in dense.items():
-                        assert len(values) == len(masks)
-                        column = {mask: value for mask, value in zip(masks, values) if value}
-                        for mask, shape in shapes.items():
-                            assert column.get(mask, 0) == character(shape, cls)
+                        assert values == [character(shapes[mask], cls) for mask in masks]
+                    for mask, shape in shapes.items():
+                        if mask in lower:
+                            continue
+                        if _padded_mask(conjugate_partition(shape), max_degree) in lower:
+                            for cls in dense:
+                                sign = (-1) ** cls.count(2)
+                                assert character(shape, cls) == sign * character(conjugate_partition(shape), cls)
+                            continue
+                        nonzero = [cls for cls in dense if character(shape, cls)]
+                        for combo in itertools.combinations_with_replacement(nonzero, 4):
+                            assert sum(cls.count(3) for cls in combo) > max_threes or sum(cls.count(1) for cls in combo) > max_ones
                     if row == 3:  # every class with parts in {1, 2, 3}
                         assert sorted(dense) == sorted(partitions(n, 3))
                         classes += len(dense)
             assert sorted(degrees) == list(range(1, max_degree + 1))
     assert classes == sum(len(list(partitions(n, 3))) for max_degree in range(1, 13) for n in range(1, max_degree + 1))
+
+
+_FROBENIUS: dict = {}
+
+
+def _frobenius_sums(n: int, max_threes: int, max_ones: int) -> dict:
+    """The four-way character sum over every shape of degree n, by oracle
+    characters and dimensions, for every multiset of classes with parts in
+    {1, 2, 3} within the bounds, sorted, where it is nonzero."""
+    key = n, max_threes, max_ones
+    if key not in _FROBENIUS:
+        bounded = [cls for cls in partitions(n, 3) if cls.count(3) <= max_threes and cls.count(1) <= max_ones]
+        shapes = list(partitions(n))
+        sums = {}
+        for combo in itertools.combinations_with_replacement(bounded, 4):
+            if sum(cls.count(3) for cls in combo) > max_threes or sum(cls.count(1) for cls in combo) > max_ones:
+                continue
+            total = sum(
+                Fraction(math.prod(character(shape, cls) for cls in combo), dimension(shape) ** 2) for shape in shapes
+            )
+            if total:
+                sums[tuple(sorted(combo))] = math.prod(map(class_size, combo)) * total / math.factorial(n) ** 2
+        _FROBENIUS[key] = sums
+    return _FROBENIUS[key]
+
+
+def test_parity_values_match_the_full_frobenius_sum():
+    """The four-way sums, taken over the lower shape of each conjugate pair
+    within the 2-core bound, equal the Frobenius sum over every shape for
+    max_degree 6 to 11, past the degree 5 at which the direct walk stops:
+    from degree 6 on a 2-core of six cells is left out at every bound
+    tried, and at each bound some shape left out has a nonzero character
+    on a class within the bounds."""
+    for max_threes, max_ones in ((0, 4), (1, 5), (2, 6), (3, 7)):
+        most = (3 * max_threes + max_ones) // 4
+        for max_degree in range(6, 12):
+            for parity in (0, 1):
+                for n, values in _parity_values(max_degree, max_threes, max_ones, parity):
+                    expected = _frobenius_sums(n, max_threes, max_ones)
+                    assert len(values) == len(expected)
+                    assert {tuple(sorted(combo)): value for combo, value in values.items()} == expected
+        assert any(
+            character(shape, cls)
+            for n in range(6, 12)
+            for shape in partitions(n)
+            if sum(two_core(shape)) > most
+            for cls in corner_types(n, max_threes, max_ones)
+        )
 
 
 def test_unpack_balanced_slots():
@@ -429,8 +523,10 @@ def test_unpack_balanced_slots():
     # values unpack independently, each slot a list aligned to them, zeros included
     assert _unpack([3, -2 << width, 0], 3, width) == [[3, 0, 0], [0, -2, 0], [0, 0, 0]]
     # the width the builder uses holds chi^(1)(1) = 1 at max_degree = 1 (bead 0 moved to 1)
-    assert list(_character_columns(1, 0, 1, 1)) == [(1, [0b10], {(1,): [1]})]
-    assert list(_character_columns(1, 0, 1, 0)) == []
+    assert list(_character_columns(1, 0, 4, 1)) == [(1, [0b10], {(1,): [1]})]
+    assert list(_character_columns(1, 0, 4, 0)) == []
+    # at (0, 1) no four classes reach the 2-core of (1), so it is left out
+    assert list(_character_columns(1, 0, 1, 1)) == [(1, [], {(1,): []})]
 
 
 @pytest.mark.parametrize(
@@ -439,12 +535,15 @@ def test_unpack_balanced_slots():
         (3, 16, "69aae63322e5ad87f09d6dba11532a0a26b8456861894aff80a6de636157734b"),
         (6, 12, "a7b604357f912a8b38aeb13ced5200adff118c3ddf6c9d83804c88559fb1c5fa"),
         (12, 10, "3578facb41b70314a08770e9f14e62fc105d4951e5061a5e0326a4836da79389"),
+        (2, 21, "b61cfe3585f6bebca4784cd91f34286901b317169c545a228c1eeda53d7fcc43"),
+        (5, 17, "7cbc94a996b4312670199311af1b0db9c2a9c5e802a4e24b8c6a6859e42c999f"),
     ],
 )
 def test_connected_counts_pinned_for_many_slots(k, max_degree, digest):
     """Requests with far more classes per parity than the K = 1 and K = 2
     goldens, pinned by the sha256 of their sorted (cell, num, den) rows as
-    computed by the one-column-at-a-time builder."""
+    computed by the one-column-at-a-time builder, and two odd top degrees
+    on the forked path as computed when the sums ran over every shape."""
     counts = connected_counts(k, max_degree)
     rows = "".join(f"{cell} {value.numerator} {value.denominator}\n" for cell, value in sorted(counts.items()))
     assert hashlib.sha256(rows.encode()).hexdigest() == digest
