@@ -159,9 +159,9 @@ def _two_core_size(mask: int, max_degree: int) -> int:
 
 def _character_columns(
     max_degree: int, max_threes: int, max_ones: int, parity: int
-) -> Iterator[tuple[int, list[int], dict[Partition, list[int]]]]:
-    """Yield (n, masks, columns) for the n = 1..max_degree with n % 2 ==
-    parity, where columns maps every corner type 3^a 2^c 1^b of
+) -> Iterator[tuple[int, list[int], list[bool], dict[Partition, list[int]]]]:
+    """Yield (n, masks, paired, columns) for the n = 1..max_degree with
+    n % 2 == parity, where columns maps every corner type 3^a 2^c 1^b of
     corner_types(n, max_threes, max_ones), in that order, to its character
     column: the Schur expansion of p_3^a p_2^c p_1^b, as the list of
     chi^shape(3^a 2^c 1^b) aligned to masks, zeros included.  masks holds
@@ -173,7 +173,8 @@ def _character_columns(
     c dominoes first), and four classes within the bounds have 3a + b
     summing to at most 3 max_threes + max_ones.  A conjugate shape has the
     values times (-1)^c, so the same term in any sum with an even total
-    of 2-cycles (_parity_values).
+    of 2-cycles (_parity_values).  paired[i] is true when masks[i] has a
+    conjugate other than itself, which it stands for.
 
     A shape is keyed by its bead mask, the bit set of its beta-numbers
     with max_degree beads; a shape of degree n has at most n rows, so every
@@ -223,10 +224,12 @@ def _character_columns(
             for mask, value in column.items():
                 if _two_core_size(mask, max_degree) <= most:
                     chain[mask] = chain.get(mask, 0) + (value << shift)
-        masks = [mask for mask, twin in zip(chain, _conjugates(chain, max_degree)) if mask <= twin]
+        twins = _conjugates(chain, max_degree)
+        masks = [mask for mask, twin in zip(chain, twins) if mask <= twin]
+        paired = [mask < twin for mask, twin in zip(chain, twins) if mask <= twin]
         by_key = dict(zip(keys, _unpack([chain[mask] for mask in masks], len(keys), width)))
         columns = {cls: by_key[zeros_and_poles((cls,))] for cls in corner_types(n, max_threes, max_ones)}
-        yield n, masks, columns
+        yield n, masks, paired, columns
 
 
 def _mask_hook_product(mask: int) -> int:
@@ -263,10 +266,8 @@ def _parity_values(
     conjugate has the same hook lengths, and its values on a class 3^a
     2^c 1^b are the shape's times (-1)^c, and the signs cancel in a sum
     with an even total of 2-cycles, the only sums taken."""
-    for n, masks, columns in _character_columns(max_degree, max_threes, max_ones, parity):
-        hooks2 = [
-            _mask_hook_product(mask) ** 2 << (mask != twin) for mask, twin in zip(masks, _conjugates(masks, max_degree))
-        ]
+    for n, masks, paired, columns in _character_columns(max_degree, max_threes, max_ones, parity):
+        hooks2 = [_mask_hook_product(mask) ** 2 << twice for mask, twice in zip(masks, paired)]
         threes = {cls: cls.count(3) for cls in columns}
         ones = {cls: cls.count(1) for cls in columns}
         twos = {cls: cls.count(2) for cls in columns}

@@ -403,7 +403,8 @@ def test_character_columns_match_reference():
     """The packed power-sum builder yields, at every degree, exactly the
     lower mask of each conjugate pair among the shapes whose 2-core has at
     most (3 max_threes + max_ones) // 4 cells, read here from partitions,
-    conjugate_partition and two_core.  Every column equals character on
+    conjugate_partition and two_core, and marks as paired those with a
+    conjugate other than themselves.  Every column equals character on
     them.  Of the shapes left out, a conjugate of a yielded one has the
     yielded values times (-1)^c on 3^a 2^c 1^b, and every other one has a
     zero character product on every 4-multiset of classes within the
@@ -423,7 +424,7 @@ def test_character_columns_match_reference():
             most = (3 * max_threes + max_ones) // 4
             degrees = []
             for parity in (0, 1):
-                for n, masks, dense in _character_columns(max_degree, max_threes, max_ones, parity):
+                for n, masks, paired, dense in _character_columns(max_degree, max_threes, max_ones, parity):
                     assert n % 2 == parity
                     degrees.append(n)
                     assert list(dense) == corner_types(n, max_threes, max_ones)
@@ -435,6 +436,7 @@ def test_character_columns_match_reference():
                         if sum(two_core(shape)) <= most and mask <= _padded_mask(conjugate_partition(shape), max_degree)
                     }
                     assert len(set(masks)) == len(masks) and set(masks) == lower
+                    assert paired == [shapes[mask] != conjugate_partition(shapes[mask]) for mask in masks]
                     for cls, values in dense.items():
                         assert values == [character(shapes[mask], cls) for mask in masks]
                     for mask, shape in shapes.items():
@@ -523,10 +525,10 @@ def test_unpack_balanced_slots():
     # values unpack independently, each slot a list aligned to them, zeros included
     assert _unpack([3, -2 << width, 0], 3, width) == [[3, 0, 0], [0, -2, 0], [0, 0, 0]]
     # the width the builder uses holds chi^(1)(1) = 1 at max_degree = 1 (bead 0 moved to 1)
-    assert list(_character_columns(1, 0, 4, 1)) == [(1, [0b10], {(1,): [1]})]
+    assert list(_character_columns(1, 0, 4, 1)) == [(1, [0b10], [False], {(1,): [1]})]
     assert list(_character_columns(1, 0, 4, 0)) == []
     # at (0, 1) no four classes reach the 2-core of (1), so it is left out
-    assert list(_character_columns(1, 0, 1, 1)) == [(1, [], {(1,): []})]
+    assert list(_character_columns(1, 0, 1, 1)) == [(1, [], [], {(1,): []})]
 
 
 @pytest.mark.parametrize(
