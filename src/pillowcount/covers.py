@@ -377,8 +377,8 @@ def _multiset_values(
             os.waitpid(pid, 0)
 
 
-# the cover counts for K = 1 to degree 40 take about 0.6 s on a 2-CPU VM, and
-# K = 12 to degree 24 about 6 s
+# the cover counts for K = 1 to degree 40 take about 0.5 s in process on a
+# 2-CPU VM, and K = 12 to degree 24 about 6 s
 COVERS_MAX_SECONDS = 15
 # K: (a, b) of its own estimate a * exp(b * N) seconds (check_cover_size)
 OWN_COVER_FITS = {1: (8.3e-4, 0.173), 2: (4.1e-4, 0.194), 3: (4.0e-4, 0.2), 4: (3.9e-4, 0.21)}

@@ -449,7 +449,8 @@ def test_character_columns_match_reference():
                             continue
                         nonzero = [cls for cls in dense if character(shape, cls)]
                         for combo in itertools.combinations_with_replacement(nonzero, 4):
-                            assert sum(cls.count(3) for cls in combo) > max_threes or sum(cls.count(1) for cls in combo) > max_ones
+                            threes = sum(cls.count(3) for cls in combo)
+                            assert threes > max_threes or sum(cls.count(1) for cls in combo) > max_ones
                     if row == 3:  # every class with parts in {1, 2, 3}
                         assert sorted(dense) == sorted(partitions(n, 3))
                         classes += len(dense)
