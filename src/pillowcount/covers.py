@@ -381,7 +381,7 @@ def _multiset_values(
 # 2-CPU VM, and K = 12 to degree 24 about 6 s
 COVERS_MAX_SECONDS = 15
 # K: (a, b) of its own estimate a * exp(b * N) seconds (check_cover_size)
-OWN_COVER_FITS = {1: (8.3e-4, 0.173), 2: (4.1e-4, 0.194), 3: (4.0e-4, 0.2), 4: (3.9e-4, 0.21)}
+OWN_COVER_FITS = {1: (8.3e-4, 0.173), 2: (4.1e-4, 0.194), 3: (4.0e-4, 0.2), 4: (3.9e-4, 0.21), 5: (3.2e-3, 0.181)}
 
 
 def check_cover_size(k: int, max_degree: int) -> None:
@@ -396,17 +396,18 @@ def check_cover_size(k: int, max_degree: int) -> None:
     (N/2)^-2)^(-1/2), a smooth min(K, N/2), is K while K is small against
     N/2 and approaches N/2 as K grows, so at N = 16 the estimate is at
     most 1.6 s for any K.  It is 0 when K or N is 0.  Near the limit it
-    errs most at K = 5, where (5, 48) took 20 s against 12 s and is served,
-    and at K = 8, where (8, 38) took 13.4-15.2 s and is refused at 19 s.
-    K = 1..4 take 1.9 to 6 times longer than that formula gives near
-    their limits, N = 40..58, so each has its own estimate in
-    OWN_COVER_FITS, fitted the same way to three
+    errs most at K = 8, where (8, 38) took 13.4-15.2 s and is refused at
+    19 s.  K = 1..4 take 1.9 to 6 times longer than that formula gives
+    near their limits, N = 40..58, and K = 5 up to 1.7 times, so each has
+    its own estimate in OWN_COVER_FITS, fitted the same way to three
     timings of each N: K = 1 at even N = 44..58, within 1.26, refuses N =
     58, which took 15.5-17.6 s, and serves N = 56 (11.4-12.8 s); K = 2 at
     N = 44, 46 and 48..54, within 1.31, serves N = 54 (11.7-13.2 s); K = 3
     at N = 43..54 and K = 4 at N = 40..51, within 1.34 and 1.20, refuse
     (3, 53) and (4, 51), which took 13.8-17.4 s and 16.4-19.4 s, and serve
-    (3, 52) and (4, 50), which took 11.3-12.0 s and 12.0-13.0 s.
+    (3, 52) and (4, 50), which took 11.3-12.0 s and 12.0-13.0 s; K = 5 at
+    N = 42..49, within 1.26, refuses (5, 47) and (5, 48), which took
+    14.0-14.9 s and 18.9-20.9 s, and serves (5, 46) (11.7-13.5 s).
     On one CPU the two halves run one after the other and take 1.0 to 1.7
     times as long (measured with an earlier version of the sums).
     """

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb, exp, factorial, gcd, inf, lcm, lgamma, log, prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .layers import LayerSignature
 from .polynomials import Polynomial
@@ -252,8 +252,9 @@ def _counting_order(columns: Sequence[tuple[int, ...]], l: int) -> list[tuple[in
     return rest + tail[::-1]
 
 
-def check_lattice_size(free_totals: Sequence[int]) -> None:
-    """Refuse a lattice count that would not finish in reasonable time.
+def check_lattice_size(free_totals: Sequence[int], spent: float = 0) -> float:
+    """Price a lattice count, refusing one that would not finish in
+    reasonable time, and return the price plus spent.
 
     exact_lattice_count loops over every total of each free column up to
     its largest, free_totals, and the totals of f free columns that share
@@ -263,23 +264,31 @@ def check_lattice_size(free_totals: Sequence[int]) -> None:
     and (4,2) with a free column, at widths estimated near 0.4 s, on a
     2-CPU VM; it errs on the side of refusing.  Graph 3-1-21 at widths
     near 10^6 took 4.0-5.0 s (estimate 8 s), and 4-0-62 at width 100 took
-    4.0-4.1 s (estimate 5 s).
+    4.0-4.1 s (estimate 5 s).  A request of many counts passes the sum of
+    the prices so far as spent, and is refused as soon as the sum passes
+    LATTICE_MAX_SECONDS.
     """
     try:
-        seconds = 4e-6 * prod(free_totals) / factorial(len(free_totals))
+        seconds = spent + 4e-6 * prod(free_totals) / factorial(len(free_totals))
     except OverflowError:  # a product past the float range
         seconds = inf
     if seconds > LATTICE_MAX_SECONDS:
+        estimate = f"more than {LATTICE_MAX_SECONDS} s" if spent else seconds_text(seconds)
         raise ValueError(
-            f"lattice counts handle requests of up to about {LATTICE_MAX_SECONDS} s; "
-            f"these widths would take {seconds_text(seconds)}"
+            f"lattice counts handle requests of up to about {LATTICE_MAX_SECONDS} s; these widths would take {estimate}"
         )
+    return seconds
 
 
-def _lattice_counter(g: RibbonGraph) -> Callable[[Sequence[int]], int]:
-    """exact_lattice_count(g, .) with its set-up done once: the columns in
-    _counting_order, their multiplicities, the face each forced column
-    forces, and what the columns from each one on need of each face."""
+def _lattice_counter(
+    g: RibbonGraph,
+) -> tuple[Callable[[Sequence[int]], list[int] | None], Callable[[Sequence[int]], int]]:
+    """(free_totals, count): count is exact_lattice_count(g, .) with its
+    set-up done once: the columns in _counting_order, their multiplicities,
+    the face each forced column forces, and what the columns from each one
+    on need of each face.  free_totals gives at valid widths the largest
+    total of each free column, which check_lattice_size prices, or None
+    when the widths hold less than the columns need and the count is 0."""
     l = g.faces
     mult = Counter(_edge_forms(g))
     cols = _counting_order(list(mult), l)
@@ -301,16 +310,22 @@ def _lattice_counter(g: RibbonGraph) -> Callable[[Sequence[int]], int]:
         if f is not None
     ]
 
+    def free_totals(widths: Sequence[int]) -> list[int] | None:
+        remaining = [2 * w for w in widths]
+        if any(r < lo for r, lo in zip(remaining, need[0])):
+            return None
+        return [min((remaining[e] - rest[e]) // col[e] for e in support) for col, _, support, rest in free]
+
     def count(widths: Sequence[int]) -> int:
         if len(widths) != l:
             raise ValueError(f"expected {l} widths, got {len(widths)}")
         if any(w <= 0 for w in widths):
             raise ValueError("widths must be positive")
-        remaining = [2 * w for w in widths]
-        if any(r < lo for r, lo in zip(remaining, need[0])):
+        totals = free_totals(widths)
+        if totals is None:
             return 0
-        # each free column loops up to its largest total
-        check_lattice_size([min((remaining[e] - rest[e]) // col[e] for e in support) for col, _, support, rest in free])
+        check_lattice_size(totals)
+        remaining = [2 * w for w in widths]
 
         def solve_forced() -> int:
             left = remaining[:]
@@ -341,7 +356,7 @@ def _lattice_counter(g: RibbonGraph) -> Callable[[Sequence[int]], int]:
 
         return loop_free(0)
 
-    return count
+    return free_totals, count
 
 
 def exact_lattice_count(g: RibbonGraph, widths: Sequence[int]) -> int:
@@ -361,7 +376,7 @@ def exact_lattice_count(g: RibbonGraph, widths: Sequence[int]) -> int:
     column what the later columns need.  _lattice_counter does the set-up,
     once per graph for leading_part_fit and once per call here.
     """
-    return _lattice_counter(g)(widths)
+    return _lattice_counter(g)[1](widths)
 
 
 def _edge_forms(g: RibbonGraph) -> list[tuple[int, ...]]:
@@ -386,9 +401,9 @@ def laplace_transform(g: RibbonGraph) -> Term:
     coeff = Fraction(2 ** (g.m + g.n - 1))
     forms: Counter[Form] = Counter()
     for vec in _edge_forms(g):
-        prim = _primitive(vec)
-        coeff /= sum(vec) // sum(prim)  # the content of vec
-        forms[prim] += 1
+        content = gcd(*vec)  # the entries are non-negative
+        coeff /= content
+        forms[tuple(v // content for v in vec)] += 1
     return coeff, forms
 
 
@@ -499,41 +514,6 @@ def verify_pole_recurrence(m: int, n: int) -> bool:
 # -- leading-term fit --------------------------------------------------
 
 
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, expanded along the first row."""
-    if not rows:
-        return 1
-    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]]) for j, a in enumerate(rows[0]) if a)
-
-
-def _wall_normals(graphs: Sequence[RibbonGraph], l: int) -> set[tuple[int, ...]]:
-    """Normals of the cone walls where any graph's count changes regime.
-
-    Walls of a vector partition function are spanned by subsets of incidence
-    columns of rank l-1.  Each (l-1)-subset of a graph's distinct columns
-    gives the normal with entries (-1)^i det(the columns without coordinate
-    i), which is zero when the subset has lower rank.
-    """
-    normals: set[tuple[int, ...]] = set()
-    for g in graphs:
-        for subset in combinations(set(_edge_forms(g)), l - 1):
-            nu = [(-1) ** i * _det([c[:i] + c[i + 1:] for c in subset]) for i in range(l)]
-            if any(nu):
-                normals.add(_primitive(nu))
-    return normals
-
-
-def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
-    out = tuple(v // g for v in vec)
-    for v in out:
-        if v:
-            return out if v > 0 else tuple(-x for x in out)
-    return out
-
-
 def _directions(l: int, radius: int) -> Iterator[tuple[int, ...]]:
     """Positive primitive integer directions with entries <= radius,
     graded by coordinate sum."""
@@ -547,30 +527,44 @@ def _directions(l: int, radius: int) -> Iterator[tuple[int, ...]]:
 def leading_part_fit(m: int, n: int) -> Polynomial:
     """Recover the top homogeneous part of the labelled lattice count.
 
-    Sampling runs along rays t*u for off-wall positive directions u; on a ray
-    the count is a polynomial of degree 2a in t whose leading coefficient is
-    the value of the degree-2a part at u. Fitting those values against the
-    even-exponent monomial basis recovers the polynomial exactly.  Rays
-    that cannot reach the basis's rank are refused before any count.
+    That part, F_{m,n}, is the volume of the metric polytopes: one
+    polynomial on the open orthant, continuous across the walls where the
+    count changes regime.  So sampling runs along rays t*u for any positive
+    directions u; on a ray the count is a polynomial of degree 2a in t whose
+    leading coefficient is the value of the degree-2a part at u.  Fitting
+    those values against the even-exponent monomial basis recovers the
+    polynomial exactly.  Rays that cannot reach the basis's rank are
+    refused before any count.  At a = 0 the top part is the constant, which
+    a count on a wall misses ((1,1) counts 0 on its diagonal), so it is read
+    at widths (1, 2, 4, ...) and (3, 9, 27, ...), which must agree: a wall
+    is spanned by columns e_i + e_j and 2e_i, so it reads sum_S w = sum_S' w
+    for disjoint face sets S and S', which distinct powers of 2, or of 3,
+    never satisfy.  check_lattice_size prices every count before the first,
+    and the fit is refused once the sum passes LATTICE_MAX_SECONDS.
     """
     sig = LayerSignature(m, n)
     a, l = sig.half_degree, sig.faces
-    if l > 3:
-        raise ValueError("leading-term fit supports at most 3 faces")
     classes = _column_classes(enumerate_graphs(m, n))
-    walls = _wall_normals([g for g, _ in classes], l)
-
-    # the rays depend only on the walls and the basis, so they are chosen
-    # before any count: reduced holds the rows so far, each with its leading
-    # column scaled to 1; until the rows are full, a ray whose row they
-    # reduce to zero is skipped, and then two more rays check the fit
     basis = [tuple(2 * b for b in comp) for comp in compositions(a, l)]
+    if a:
+        directions: Iterable[tuple[int, ...]] = _directions(l, SAMPLE_RADIUS)
+        # t steps by 2: an edge with one face on both sides adds a column
+        # 2e_i, with which the count can be a quasi-polynomial of period 2 in
+        # t, and one parity class of t then still lies on one polynomial;
+        # the two samples past the 2a + 1 unknowns check that it does
+        t0 = max(2, (3 * m + n) // 2)
+        ts = [t0 + 2 * i for i in range(2 * a + 3)]
+    else:
+        directions, ts = [tuple(2**i for i in range(l)), tuple(3 ** (i + 1) for i in range(l))], [1]
+
+    # the rays depend only on the basis, so they are chosen before any
+    # count: reduced holds the rows so far, each with its leading column
+    # scaled to 1; until the rows are full, a ray whose row they reduce to
+    # zero is skipped, and then two more rays check the fit
     rays: list[tuple[int, ...]] = []
     rows: list[list[int]] = []
     reduced: list[tuple[int, list[Fraction]]] = []
-    for u in _directions(l, SAMPLE_RADIUS):
-        if any(sum(ui * vi for ui, vi in zip(u, nu)) == 0 for nu in walls):
-            continue
+    for u in directions:
         row = [prod(ui**e for ui, e in zip(u, exps)) for exps in basis]
         if len(rows) < len(basis):
             left = [Fraction(x) for x in row]
@@ -586,23 +580,23 @@ def leading_part_fit(m: int, n: int) -> Polynomial:
             break
     if len(reduced) < len(basis):
         raise ValueError(
-            f"the off-wall rays with entries up to {SAMPLE_RADIUS} reach rank {len(reduced)} "
+            f"the rays with entries up to {SAMPLE_RADIUS} reach rank {len(reduced)} "
             f"of the {len(basis)} unknowns at ({m},{n}), so they cannot determine the fit"
         )
+    samples = [tuple(t * ui for ui in u) for u in rays for t in ts]
 
-    counters = [(weight, _lattice_counter(g)) for g, weight in classes]
-
-    def total_count(widths: tuple[int, ...]) -> Fraction:
-        return sum(weight * count(widths) for weight, count in counters)
+    counters = []
+    spent = 0.0
+    for g, weight in classes:
+        free_totals, count = _lattice_counter(g)
+        for widths in samples:
+            totals = free_totals(widths)
+            if totals is not None:
+                spent = check_lattice_size(totals, spent)
+        counters.append((weight, count))
 
     def leading_along(u: tuple[int, ...]) -> Fraction:
-        # t steps by 2: an edge with one face on both sides adds a column
-        # 2e_i, with which the count can be a quasi-polynomial of period 2 in
-        # t, and one parity class of t then still lies on one polynomial;
-        # the two samples past the 2a + 1 unknowns check that it does
-        t0 = max(2, (3 * m + n) // 2)
-        ts = [t0 + 2 * i for i in range(2 * a + 3)]
-        vals = [total_count(tuple(t * ui for ui in u)) for t in ts]
+        vals = [sum(weight * count(tuple(t * ui for ui in u)) for weight, count in counters) for t in ts]
         return solve_exact([[t**p for p in range(2 * a + 1)] for t in ts], vals, 2 * a + 1)[-1]
 
     coeffs = solve_exact(rows, [leading_along(u) for u in rays], len(basis))

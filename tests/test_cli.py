@@ -376,7 +376,9 @@ def test_ribbon_fit(runner):
 
 
 # at one and two faces the constant term still prints one exponent per face
-@pytest.mark.parametrize("m, n", [(0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3), (2, 4)])
+@pytest.mark.parametrize(
+    "m, n", [(0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3), (2, 4), (3, 5), (4, 0), (4, 4)]
+)
 def test_ribbon_fit_prints_the_local_poly_bytes(runner, m, n):
     fit = runner.invoke(main, ["ribbon", "fit", "--m", str(m), "--n", str(n)])
     closed = runner.invoke(main, ["local-poly", "--m", str(m), "--n", str(n)])
@@ -384,11 +386,18 @@ def test_ribbon_fit_prints_the_local_poly_bytes(runner, m, n):
     assert fit.stdout_bytes == closed.stdout_bytes
 
 
-def test_ribbon_fit_refuses_four_faces_before_enumerating(runner, monkeypatch):
-    monkeypatch.setattr(ribbon_mod, "enumerate_graphs", _refuse_work)
-    result = runner.invoke(main, ["ribbon", "fit", "--m", "4", "--n", "0"])
+def test_ribbon_fit_refuses_its_priced_counts_before_counting(runner, monkeypatch):
+    """(5,1) matches the closed form, but its counts are priced at about
+    35 s, so the fit exits 2 with the price before it counts anything."""
+    real = ribbon_mod._lattice_counter
+
+    def pricing_only(g):
+        return real(g)[0], _refuse_work
+
+    monkeypatch.setattr(ribbon_mod, "_lattice_counter", pricing_only)
+    result = runner.invoke(main, ["ribbon", "fit", "--m", "5", "--n", "1"])
     assert result.exit_code == 2
-    assert "leading-term fit supports at most 3 faces" in result.output
+    assert "lattice counts handle requests of up to about 15 s; these widths would take more than 15 s" in result.output
 
 
 def test_covers_count_methods_agree(runner):
@@ -451,6 +460,7 @@ def test_covers_count_naive_degree_limit(runner):
         (["count", "--K", "2", "--max-degree", "55"], "K=2 to degree 55 would take about 18 s"),
         (["count", "--K", "3", "--max-degree", "53"], "K=3 to degree 53 would take about 16 s"),
         (["count", "--K", "4", "--max-degree", "51"], "K=4 to degree 51 would take about 17 s"),
+        (["count", "--K", "5", "--max-degree", "48"], "K=5 to degree 48 would take about 19 s"),
     ],
 )
 def test_covers_refuse_requests_above_limit(runner, monkeypatch, args, estimate):
@@ -461,7 +471,7 @@ def test_covers_refuse_requests_above_limit(runner, monkeypatch, args, estimate)
 
 
 @pytest.mark.parametrize(
-    "big_k, max_degree", [(1, 30), (2, 24), (1, 40), (3, 49), (4, 46), (1, 56), (2, 54), (3, 52), (4, 50)]
+    "big_k, max_degree", [(1, 30), (2, 24), (1, 40), (3, 49), (4, 46), (1, 56), (2, 54), (3, 52), (4, 50), (5, 46)]
 )
 def test_covers_limit_allows_benchmark_and_readme_requests(big_k, max_degree):
     covers_mod.check_cover_size(big_k, max_degree)

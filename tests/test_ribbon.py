@@ -298,7 +298,8 @@ def test_lattice_count_input_validation():
 
 def test_lattice_size_estimate():
     """About 4e-6 s per tuple of free totals, prod / f! tuples for f free
-    columns, refused above 15 s."""
+    columns, refused above 15 s.  A request of many counts passes the
+    prices so far and gets their sum back, refused once it passes 15 s."""
     check_lattice_size([])
     check_lattice_size([3 * 10**6])
     check_lattice_size([250, 250, 250])
@@ -306,6 +307,10 @@ def test_lattice_size_estimate():
         with pytest.raises(ValueError) as refused:
             check_lattice_size(free_totals)
         assert str(refused.value).endswith(f"would take {estimate}")
+    assert check_lattice_size([250, 250, 250], 2) == pytest.approx(2 + 4e-6 * 250**3 / 6)
+    with pytest.raises(ValueError) as refused:
+        check_lattice_size([3 * 10**6], 12)
+    assert str(refused.value).endswith("would take more than 15 s")
 
 
 def graphs_by_form(mn: tuple[int, int]) -> dict[tuple, list[RibbonGraph]]:
@@ -465,26 +470,45 @@ def test_leading_part_fit_small(mn: tuple[int, int]):
 def test_leading_part_fit_checks_each_ray(monkeypatch):
     """A count that misses only at a ray's last sample, the second of the
     two samples past the 2a + 1 unknowns, fails the fit."""
-    m, n = 1, 1
+    m, n = 2, 2
     a = LayerSignature(m, n).half_degree
     t_last = max(2, (3 * m + n) // 2) + 2 * (2 * a + 2)
     real = ribbon_mod._lattice_counter
 
     def missing(g):
-        count = real(g)
+        free_totals, count = real(g)
         # the rays are t * u for primitive u, so the gcd of the widths is t
-        return lambda widths: count(widths) + (math.gcd(*widths) == t_last)
+        return free_totals, lambda widths: count(widths) + (math.gcd(*widths) == t_last)
 
     monkeypatch.setattr(ribbon_mod, "_lattice_counter", missing)
     with pytest.raises(ValueError, match="inconsistent"):
         leading_part_fit(m, n)
 
 
+@pytest.mark.parametrize("mn", [(0, 2), (1, 1), (2, 0)])
+@pytest.mark.parametrize("point", [0, 1])
+def test_leading_part_fit_reads_a_constant_at_two_points(monkeypatch, mn: tuple[int, int], point: int):
+    """At a = 0 the constant is read at widths (1, 2, 4, ...) and
+    (3, 9, 27, ...), off every wall; a count that misses at either one
+    fails the fit."""
+    l = LayerSignature(*mn).faces
+    missed = [tuple(2**i for i in range(l)), tuple(3 ** (i + 1) for i in range(l))][point]
+    real = ribbon_mod._lattice_counter
+
+    def missing(g):
+        free_totals, count = real(g)
+        return free_totals, lambda widths: count(widths) + (tuple(widths) == missed)
+
+    assert leading_part_fit(*mn) == f_closed(LayerSignature(*mn))
+    monkeypatch.setattr(ribbon_mod, "_lattice_counter", missing)
+    with pytest.raises(ValueError, match="inconsistent"):
+        leading_part_fit(*mn)
+
+
 def test_leading_part_fit_skips_rays_that_add_no_rank(monkeypatch):
     """A ray whose row adds no rank is skipped until the rows are full: with
-    the first off-wall direction of (3,1), (1, 2, 4), given four times more
-    ahead of the rest, the fit still takes rows of full rank and equals the
-    closed form."""
+    the direction (1, 2, 4) of (3,1) given four times ahead of the rest, the
+    fit still takes rows of full rank and equals the closed form."""
     real = ribbon_mod._directions
 
     def repeating(l, radius):
@@ -496,16 +520,43 @@ def test_leading_part_fit_skips_rays_that_add_no_rank(monkeypatch):
 
 
 def test_leading_part_fit_refuses_short_rank_before_counting(monkeypatch):
-    """At (5,3) the off-wall rays within the sample radius reach rank 9 of
-    the 10 unknowns, which is known from the walls and the basis alone, so
-    the fit refuses before it sets up any lattice counter."""
+    """At (2,2) the rays with entries up to 1, the one ray (1, 1), reach
+    rank 1 of the 2 unknowns, which is known from the basis alone, so the
+    fit refuses before it sets up any lattice counter."""
 
     def unused(g):
         raise AssertionError("a fit its rays cannot determine builds no counter")
 
+    monkeypatch.setattr(ribbon_mod, "SAMPLE_RADIUS", 1)
     monkeypatch.setattr(ribbon_mod, "_lattice_counter", unused)
-    with pytest.raises(ValueError, match=r"rank 9 of the 10 unknowns at \(5,3\)"):
-        leading_part_fit(5, 3)
+    with pytest.raises(ValueError, match=r"rank 1 of the 2 unknowns at \(2,2\)"):
+        leading_part_fit(2, 2)
+
+
+def test_leading_part_fit_stops_pricing_past_the_limit(monkeypatch):
+    """(7,1) is refused by the running sum of its counts' prices before the
+    last of its column classes is priced, and before any count."""
+    classes = []
+    prepared = []
+    real_classes, real_counter = ribbon_mod._column_classes, ribbon_mod._lattice_counter
+
+    def recording(graphs):
+        classes.extend(real_classes(graphs))
+        return classes
+
+    def pricing_only(g):
+        prepared.append(g)
+
+        def unused(widths):
+            raise AssertionError("a fit past the limit makes no count")
+
+        return real_counter(g)[0], unused
+
+    monkeypatch.setattr(ribbon_mod, "_column_classes", recording)
+    monkeypatch.setattr(ribbon_mod, "_lattice_counter", pricing_only)
+    with pytest.raises(ValueError, match="these widths would take more than 15 s"):
+        leading_part_fit(7, 1)
+    assert 0 < len(prepared) < len(classes)
 
 
 def test_leading_part_fit_prepares_one_counter_per_column_class(monkeypatch):
