@@ -154,16 +154,10 @@ def _factor_latex(contribution: TreeContribution) -> str:
     return "\\cdot ".join(pieces) + " = " + _poly_latex(product)
 
 
-def _volume_latex(big_k: int, contributions: list[TreeContribution], no_meta: bool) -> str:
+def _volume_latex(big_k: int, contributions: list[TreeContribution]) -> str:
     from .rationals import PiValue
 
-    lines = []
-    if not no_meta:
-        import datetime
-
-        stamp = datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-        lines.append(f"% volume table for K={big_k}, generated {stamp}")
-    lines.append(_LATEX_HEADER)
+    lines = [_LATEX_HEADER]
     total = PiValue(Fraction(0), 2 * big_k + 2)
     for k in sorted({c.tree.k for c in contributions}):
         block = [c for c in contributions if c.tree.k == k]
@@ -216,7 +210,7 @@ def volume_cmd(opts: argparse.Namespace) -> None:
         raise UsageError(f"{exc}; without --per-tree and latex-table the total comes from the series") from None
     contributions = (tree_contribution(t, big_k) for t in enumerate_decorated_trees(big_k))
     if fmt == "latex-table":
-        print(_volume_latex(big_k, list(contributions), opts.no_meta))
+        print(_volume_latex(big_k, list(contributions)))
         return
     total = PiValue(Fraction(0), 2 * big_k + 2)
     rows = []
@@ -289,23 +283,13 @@ def covers_ratio(opts: argparse.Namespace) -> None:
 
 def verify_cmd(opts: argparse.Namespace) -> int:
     """Recompute everything both ways; exit 0 only if all routes agree."""
-    from .covers import NAIVE_MAX_DEGREE
     from .verify import check_verification_size, run_verification
 
-    k_max, mn_max, cover_n_max = opts.k_max, opts.mn_max, opts.cover_n_max
-    if cover_n_max is None:
-        cover_n_max = NAIVE_MAX_DEGREE
     # only the refusal before any work is a usage error, not a ValueError from a check
-    _or_usage(check_verification_size, k_max, mn_max)
-    if cover_n_max > NAIVE_MAX_DEGREE:
-        print(
-            f"note: --cover-N-max {cover_n_max} is capped at {NAIVE_MAX_DEGREE}, the largest degree "
-            "direct enumeration handles",
-            file=sys.stderr,
-        )
-    results = run_verification(k_max=k_max, mn_max=mn_max, cover_n_max=cover_n_max)
+    _or_usage(check_verification_size, opts.k_max, opts.mn_max)
+    results = run_verification(k_max=opts.k_max, mn_max=opts.mn_max)
     if not results:
-        print("Error: the bounds select no checks; raise --K-max, --mn-max or --cover-N-max", file=sys.stderr)
+        print("Error: no checks ran", file=sys.stderr)
         return 1
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -323,15 +307,6 @@ class _Formatter(argparse.HelpFormatter):
 
     def add_usage(self, usage, actions, groups, prefix=None):
         super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
-
-    def _expand_help(self, action):
-        # --cover-N-max defaults to covers.NAIVE_MAX_DEGREE, read here so that
-        # building the parser imports no layer
-        if action.dest == "cover_n_max" and action.default is None:
-            from .covers import NAIVE_MAX_DEGREE
-
-            action.default = NAIVE_MAX_DEGREE
-        return super()._expand_help(action)
 
 
 # every parser: a capitalised `Usage:` line and no abbreviated options
@@ -360,7 +335,6 @@ def _parser(prog: str | None) -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog=prog, description="Exact counts of lattice pillowcase covers and stratum volumes.", **_STYLE
     )
-    root.add_argument("--no-meta", action="store_true", help="Suppress the timestamp comment in latex-table output.")
     commands = root.add_subparsers(dest="command", required=True)
     default = "default: %(default)s"
 
@@ -402,7 +376,6 @@ def _parser(prog: str | None) -> argparse.ArgumentParser:
     cmd = _command(commands, "verify", verify_cmd)
     cmd.add_argument("--K-max", dest="k_max", type=_non_negative, default=2, help=default)
     cmd.add_argument("--mn-max", type=_non_negative, default=8, help=default)
-    cmd.add_argument("--cover-N-max", dest="cover_n_max", type=_non_negative, help=default)
     return root
 
 

@@ -265,14 +265,20 @@ def _parity_values(
     conjugate pair, and a shape paired with another counts twice: a
     conjugate has the same hook lengths, and its values on a class 3^a
     2^c 1^b are the shape's times (-1)^c, and the signs cancel in a sum
-    with an even total of 2-cycles, the only sums taken."""
+    with an even total of 2-cycles, the only sums taken.
+
+    A hook product squared is n!^2 / dim^2, so by Frobenius's formula
+    |C1| |C2| |C3| |C4| times a sum, divided by n!^3, is the number of
+    tuples with g1 g2 g3 g4 = 1 in those classes; a sum that leaves a
+    remainder there raises ArithmeticError."""
     for n, masks, paired, columns in _character_columns(max_degree, max_threes, max_ones, parity):
         hooks2 = [_mask_hook_product(mask) ** 2 << twice for mask, twice in zip(masks, paired)]
         threes = {cls: cls.count(3) for cls in columns}
         ones = {cls: cls.count(1) for cls in columns}
         twos = {cls: cls.count(2) for cls in columns}
         sizes = {cls: class_size(cls) for cls in columns}
-        nfact4 = math.factorial(n) ** 4
+        nfact = math.factorial(n)
+        nfact3 = nfact**3
         out: dict[tuple[Partition, ...], Fraction] = {}
         head = None
         for combo in itertools.combinations_with_replacement(columns, 4):
@@ -291,7 +297,10 @@ def _parity_values(
             total = sum(map(mul, weighted, map(mul, columns[c3], columns[c4])))
             if not total:
                 continue
-            out[combo] = Fraction(sizes[c1] * sizes[c2] * sizes[c3] * sizes[c4] * total, nfact4)
+            tuples, left = divmod(sizes[c1] * sizes[c2] * sizes[c3] * sizes[c4] * total, nfact3)
+            if left:
+                raise ArithmeticError(f"the degree-{n} character sum of {combo} is not a whole number of tuples")
+            out[combo] = Fraction(tuples, nfact)
         yield n, out
 
 
@@ -318,8 +327,9 @@ def _multiset_values(
     of a benchmark-sized request costs.  Below FORK_MIN_DEGREE, where
     os.fork is missing, or while other threads run (fork copies only the
     calling thread), both halves run in this process.  A child that fails
-    or sends short raises RuntimeError, and closing the generator early
-    kills and reaps the child.
+    prints its traceback and exits 1; a child that fails or sends short
+    raises RuntimeError here, and closing the generator early kills and
+    reaps the child.
     """
     forked = max_degree % 2
     own = _parity_values(max_degree, max_threes, max_ones, 1 - forked)
@@ -341,10 +351,12 @@ def _multiset_values(
         status = 1
         try:
             os.close(read_end)
-            with os.fdopen(write_end, "wb") as sink:
-                for item in _parity_values(max_degree, max_threes, max_ones, forked):
-                    pickle.dump(item, sink)
-                    sink.flush()
+            # the pipe closes at os._exit, after any traceback is printed:
+            # the caller kills the child once the pipe runs dry
+            sink = os.fdopen(write_end, "wb")
+            for item in _parity_values(max_degree, max_threes, max_ones, forked):
+                pickle.dump(item, sink)
+                sink.flush()
             status = 0
         except Exception:
             import traceback  # only a failing child needs it
@@ -445,28 +457,38 @@ def connected_from_sums(
 ) -> dict[Cell, Fraction]:
     """connected_counts(k, N) from the four-way sums of degrees 1..N in
     order, as _multiset_values(N, k, k + 4) yields them: the logarithm of
-    the generating function of all covers, degree by degree."""
+    the generating function of all covers, degree by degree.  A degree
+    whose sums, times its n!, are not whole numbers of tuples raises
+    ArithmeticError."""
     max_ones = k + 4
-    # at index n, all covers A_n and connected ones C_n of degree n, each by
-    # (3-cycles, fixed points); a disjoint union of covers multiplies their
-    # terms and adds their gradings, so 1 + A = exp(C), and its derivative
-    # in the degree gives n C_n = n A_n - sum_{m<n} m C_m A_{n-m}
-    all_covers: list[dict[tuple[int, int], Fraction]] = [{}]
-    connected: list[dict[tuple[int, int], Fraction]] = [{}]
+    # at index n, n! times all covers A_n and connected ones C_n of degree
+    # n, each by (3-cycles, fixed points): whole numbers of tuples.  A
+    # disjoint union of covers multiplies their terms and adds their
+    # gradings, so 1 + A = exp(C), and its derivative in the degree, times
+    # (n - 1)!, gives c_n = a_n - sum_{m<n} C(n-1, m-1) c_m a_{n-m}
+    all_covers: list[dict[tuple[int, int], int]] = [{}]
+    connected: list[dict[tuple[int, int], int]] = [{}]
+    out: dict[Cell, Fraction] = {}
     for n, values in sums:
-        a: dict[tuple[int, int], Fraction] = {}
+        nfact = math.factorial(n)
+        a: dict[tuple[int, int], int] = {}
         for combo, value in values.items():
+            tuples = value * nfact
+            if tuples.denominator != 1:
+                raise ArithmeticError(f"the degree-{n} sum of {combo} is not a whole number of tuples")
             key = zeros_and_poles(combo)
-            a[key] = a.get(key, 0) + multinomial(4, Counter(combo).values()) * value
+            a[key] = a.get(key, 0) + multinomial(4, Counter(combo).values()) * tuples.numerator
         all_covers.append(a)
-        c = {key: n * value for key, value in a.items()}
+        c = dict(a)
         for m in range(1, n):
+            ways = math.comb(n - 1, m - 1)
             for (z, p), value in connected[m].items():
                 for (z2, p2), value2 in all_covers[n - m].items():
                     if z + z2 <= k and p + p2 <= max_ones:
-                        c[z + z2, p + p2] = c.get((z + z2, p + p2), 0) - m * value * value2
-        connected.append({key: value / n for key, value in c.items() if value})
-    return {(n, *key): value for n, c in enumerate(connected) for key, value in c.items()}
+                        c[z + z2, p + p2] = c.get((z + z2, p + p2), 0) - ways * value * value2
+        connected.append({key: value for key, value in c.items() if value})
+        out.update(((n, *key), Fraction(value, nfact)) for key, value in connected[n].items())
+    return out
 
 
 def sq_count(counts: dict[Cell, Fraction], k: int, n_max: int) -> Fraction:

@@ -286,9 +286,11 @@ def _lattice_counter(
     """(free_totals, count): count is exact_lattice_count(g, .) with its
     set-up done once: the columns in _counting_order, their multiplicities,
     the face each forced column forces, and what the columns from each one
-    on need of each face.  free_totals gives at valid widths the largest
-    total of each free column, which check_lattice_size prices, or None
-    when the widths hold less than the columns need and the count is 0."""
+    on need of each face.  free_totals gives the largest total of each
+    free column, which check_lattice_size prices, or None when the widths
+    hold less than the columns need and the count is 0; it refuses widths
+    of the wrong number or sign.  count prices nothing, so its caller
+    prices each count once."""
     l = g.faces
     mult = Counter(_edge_forms(g))
     cols = _counting_order(list(mult), l)
@@ -311,20 +313,18 @@ def _lattice_counter(
     ]
 
     def free_totals(widths: Sequence[int]) -> list[int] | None:
+        if len(widths) != l:
+            raise ValueError(f"expected {l} widths, got {len(widths)}")
+        if any(w <= 0 for w in widths):
+            raise ValueError("widths must be positive")
         remaining = [2 * w for w in widths]
         if any(r < lo for r, lo in zip(remaining, need[0])):
             return None
         return [min((remaining[e] - rest[e]) // col[e] for e in support) for col, _, support, rest in free]
 
     def count(widths: Sequence[int]) -> int:
-        if len(widths) != l:
-            raise ValueError(f"expected {l} widths, got {len(widths)}")
-        if any(w <= 0 for w in widths):
-            raise ValueError("widths must be positive")
-        totals = free_totals(widths)
-        if totals is None:
+        if free_totals(widths) is None:
             return 0
-        check_lattice_size(totals)
         remaining = [2 * w for w in widths]
 
         def solve_forced() -> int:
@@ -374,9 +374,14 @@ def exact_lattice_count(g: RibbonGraph, widths: Sequence[int]) -> int:
     total is what is left on the face it forces, divided by its entry
     there, which must divide exactly, reach mu and leave every face of the
     column what the later columns need.  _lattice_counter does the set-up,
-    once per graph for leading_part_fit and once per call here.
+    once per graph for leading_part_fit and once per call here, and
+    check_lattice_size prices the count before it starts.
     """
-    return _lattice_counter(g)[1](widths)
+    free_totals, count = _lattice_counter(g)
+    totals = free_totals(widths)
+    if totals is not None:
+        check_lattice_size(totals)
+    return count(widths)
 
 
 def _edge_forms(g: RibbonGraph) -> list[tuple[int, ...]]:

@@ -52,11 +52,7 @@ def check_verification_size(k_max: int, mn_max: int) -> None:
         raise ValueError(f"--mn-max {mn_max}: {exc}") from None
 
 
-def run_verification(
-    k_max: int = 2,
-    mn_max: int = 8,
-    cover_n_max: int = NAIVE_MAX_DEGREE,
-) -> list[CheckResult]:
+def run_verification(k_max: int = 2, mn_max: int = 8) -> list[CheckResult]:
     """Run every cross-route check and report one result per identity.
 
     Checks: f_closed = f_recurrence on all valid signatures with
@@ -65,12 +61,12 @@ def run_verification(
     against the closed form and the labelled-tree series against the sum
     over enumerated trees, in total and per cylinder count, for
     K <= k_max, and the cover counts against the direct walk (naive_counts)
-    for degrees up to min(cover_n_max, NAIVE_MAX_DEGREE), one check per
-    degree: per multiset of corner classes, the four-way character sum
-    that the cover counts are built from (_multiset_values), and per
-    (degree, zeros, poles) cell, the connected counts that `covers count`
-    prints, taken from the same sums (connected_from_sums).  A failing
-    check between two dicts names only the entries that differ.
+    for degrees 1..NAIVE_MAX_DEGREE, one check per degree: per multiset of
+    corner classes, the four-way character sum that the cover counts are
+    built from (_multiset_values), and per (degree, zeros, poles) cell, the
+    connected counts that `covers count` prints, taken from the same sums
+    (connected_from_sums).  A failing check between two dicts names only
+    the entries that differ.
 
     Bounds that check_verification_size refuses raise ValueError before
     any check runs.
@@ -123,12 +119,11 @@ def run_verification(
         passed = series == enumerated and total == sum(enumerated.values())
         record(f"volume({k}) series = tree sum, in total and per cylinder count", passed, series, enumerated)
 
-    n_cap = max(min(cover_n_max, NAIVE_MAX_DEGREE), 0)
     # K = 2 bounds both routes at z <= 2 and p <= 6
-    four_way = list(_multiset_values(n_cap, 2, 6))
+    four_way = list(_multiset_values(NAIVE_MAX_DEGREE, 2, 6))
     shipped = connected_from_sums(2, four_way)
     # a multiset and a cell never share a key, so each side is one dict
-    for (n, sums), (_, walked, cells) in zip(four_way, naive_counts(2, n_cap)):
+    for (n, sums), (_, walked, cells) in zip(four_way, naive_counts(2, NAIVE_MAX_DEGREE)):
         same(
             f"cover counts character sum = direct enumeration, degree {n}",
             {**sums, **{cell: value for cell, value in shipped.items() if cell[0] == n}},

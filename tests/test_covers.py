@@ -506,6 +506,27 @@ def test_parity_values_match_the_full_frobenius_sum():
         )
 
 
+def test_a_non_integral_character_sum_is_refused(monkeypatch):
+    """A character sum that is not a whole number of tuples raises instead of
+    giving a count: doubling the hook product 7! of the one-row shape of
+    degree 7 (and of the degree-8 shapes that share it) leaves degrees 1..6
+    as they were and refuses degree 7, in the calling process."""
+    before = connected_counts(1, 6)
+    real = covers_mod._mask_hook_product
+    monkeypatch.setattr(covers_mod, "_mask_hook_product", lambda mask: real(mask) << (real(mask) == math.factorial(7)))
+    assert connected_counts(1, 6) == before
+    assert 10 < FORK_MIN_DEGREE
+    with pytest.raises(ArithmeticError, match="degree-7 character sum"):
+        connected_counts(1, 10)
+
+
+def test_log_inversion_refuses_a_non_integral_tuple_count():
+    one = ((1,),) * 4
+    assert covers_mod.connected_from_sums(1, [(1, {one: Fraction(1)})]) == {(1, 0, 4): Fraction(1)}
+    with pytest.raises(ArithmeticError, match="degree-1 sum"):
+        covers_mod.connected_from_sums(1, [(1, {one: Fraction(1, 2)})])
+
+
 def test_unpack_balanced_slots():
     """Digits of either sign up to 2^(w-1) - 1, and down to -2^(w-1), in
     adjacent slots, a zero slot between them and a negative top slot all
@@ -612,6 +633,31 @@ def test_failed_forked_half_raises(monkeypatch, sent, failure):
     for pid in children:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, 0)
+
+
+def test_a_failing_forked_half_reports_its_error(monkeypatch, capfd):
+    """The forked child prints its exception before its end of the pipe
+    closes, so the caller, which kills the child once the pipe runs dry,
+    does not cut the report short, however slow the printing."""
+    import time
+    import traceback
+
+    real_values, real_print = covers_mod._parity_values, traceback.print_exc
+
+    def refused(max_degree, max_threes, max_ones, parity):
+        if parity == max_degree % 2:
+            raise ArithmeticError("seeded non-integral sum")
+        return real_values(max_degree, max_threes, max_ones, parity)
+
+    def slow_print():
+        time.sleep(0.2)
+        real_print()
+
+    monkeypatch.setattr(covers_mod, "_parity_values", refused)
+    monkeypatch.setattr(traceback, "print_exc", slow_print)
+    with pytest.raises(RuntimeError, match="forked cover counts"):
+        connected_counts(1, FORK_MIN_DEGREE)
+    assert "ArithmeticError: seeded non-integral sum" in capfd.readouterr().err
 
 
 def test_closing_early_reaps_the_forked_half(monkeypatch):

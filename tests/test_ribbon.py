@@ -40,10 +40,10 @@ from oracles import walk_graphs
 # trivalent vertices), frozen while each was enumerated on its own
 # (cross-checked by the (2,2) worked example: five and sixteen); the second
 # is the sum of m! n! / |Aut| over the first.  The class counts of (5,1),
-# (4,4) and (5,3), past the pairing walk's reach, are those ROADMAP item 8
-# recorded from a generator keyed by the rooted-map code; their second
-# entries were frozen from enumerate_graphs, and Kontsevich's identity
-# checks them
+# (4,4) and (5,3), past the pairing walk's reach, are those recorded from a
+# generator keyed by the rooted-map code (ROADMAP, Recent: ribbon graphs by
+# leg insertion); their second entries were frozen from enumerate_graphs,
+# and Kontsevich's identity checks them
 CLASS_COUNTS = {
     (0, 2): (1, 1),
     (1, 1): (2, 2),
@@ -576,6 +576,30 @@ def test_leading_part_fit_prepares_one_counter_per_column_class(monkeypatch):
     monkeypatch.setattr(ribbon_mod, "exact_lattice_count", unused)
     assert leading_part_fit(3, 1) == f_closed(LayerSignature(3, 1))
     assert len(prepared) == len(set(prepared)) == 21
+
+
+def test_lattice_counts_are_priced_once(monkeypatch):
+    """The fit prices each of the 525 counts of (3,1) once, all before the
+    first count, and the counts price nothing themselves; a lone count is
+    priced once too."""
+    events = []
+    real_price, real_counter = ribbon_mod.check_lattice_size, ribbon_mod._lattice_counter
+
+    def pricing(totals, spent=0):
+        events.append("price")
+        return real_price(totals, spent)
+
+    def recording(g):
+        free_totals, count = real_counter(g)
+        return free_totals, lambda widths: events.append("count") or count(widths)
+
+    monkeypatch.setattr(ribbon_mod, "check_lattice_size", pricing)
+    monkeypatch.setattr(ribbon_mod, "_lattice_counter", recording)
+    assert leading_part_fit(3, 1) == f_closed(LayerSignature(3, 1))
+    assert events == ["price"] * 525 + ["count"] * 525
+    events.clear()
+    assert exact_lattice_count(enumerate_graphs(1, 1)[0], (3, 2)) == 1
+    assert events == ["price", "count"]
 
 
 @pytest.mark.parametrize("mn", [(2, 2), (3, 1), (4, 0)])

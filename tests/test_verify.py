@@ -11,7 +11,7 @@ from pillowcount.verify import run_verification
 
 
 def test_all_checks_pass():
-    results = run_verification(k_max=1, mn_max=4, cover_n_max=3)
+    results = run_verification(k_max=1, mn_max=4)
     assert results
     assert all(r.passed for r in results)
     names = [r.name for r in results]
@@ -40,7 +40,7 @@ def test_detects_corrupted_route(monkeypatch):
         return poly
 
     monkeypatch.setattr(verify_mod, "f_closed", tampered)
-    results = run_verification(k_max=1, mn_max=4, cover_n_max=0)
+    results = run_verification(k_max=1, mn_max=4)
     failed = [r for r in results if not r.passed]
     assert failed
     assert any("(2,2)" in r.name for r in failed)
@@ -52,7 +52,7 @@ def test_cover_check_reports_failure_details(monkeypatch):
     from fractions import Fraction
 
     monkeypatch.setattr(covers_mod, "naive_enumerate", lambda classes: (Fraction(7), Fraction(7)))
-    results = run_verification(k_max=1, mn_max=2, cover_n_max=1)
+    results = run_verification(k_max=1, mn_max=2)
     cover = [r for r in results if "direct enumeration" in r.name]
     assert cover and not cover[0].passed
     assert "7" in cover[0].rhs
@@ -68,7 +68,7 @@ def test_detects_series_disagreeing_with_tree_sum(monkeypatch):
         return total, by_k
 
     monkeypatch.setattr(verify_mod, "volume_series", shifted)
-    results = run_verification(k_max=1, mn_max=0, cover_n_max=0)
+    results = run_verification(k_max=1, mn_max=0)
     assert [r.name for r in results if not r.passed] == [
         "volume(1) series = tree sum, in total and per cylinder count"
     ]
@@ -86,7 +86,7 @@ def test_cover_check_compares_the_shipped_connected_counts(monkeypatch):
         return {**counts, (3, 1, 5): counts[3, 1, 5] + 1, (3, 2, 6): counts[3, 2, 6] - 1}
 
     monkeypatch.setattr(verify_mod, "connected_from_sums", shifted)
-    results = run_verification(k_max=0, mn_max=0, cover_n_max=5)
+    results = run_verification(k_max=0, mn_max=0)
     failed = [r for r in results if not r.passed]
     assert [r.name for r in failed] == ["cover counts character sum = direct enumeration, degree 3"]
     assert failed[0].lhs == "(3, 1, 5): 13, (3, 2, 6): 1"
@@ -112,7 +112,7 @@ def test_cover_check_reads_the_shipped_four_way_sums(monkeypatch):
             yield n, values
 
     monkeypatch.setattr(verify_mod, "_multiset_values", shifted)
-    results = run_verification(k_max=0, mn_max=0, cover_n_max=5)
+    results = run_verification(k_max=0, mn_max=0)
     failed = [r for r in results if not r.passed]
     assert [r.name for r in failed] == [
         f"cover counts character sum = direct enumeration, degree {n}" for n in (3, 5)
@@ -132,7 +132,7 @@ def test_cover_check_is_independent_of_the_ordering_weights(monkeypatch):
     import math
 
     monkeypatch.setattr(covers_mod, "multinomial", lambda n, parts: math.factorial(n))
-    results = run_verification(k_max=0, mn_max=0, cover_n_max=5)
+    results = run_verification(k_max=0, mn_max=0)
     failed = [r.name for r in results if not r.passed]
     assert "cover counts character sum = direct enumeration, degree 1" in failed
 
