@@ -60,7 +60,7 @@ def ribbon_count(opts: argparse.Namespace) -> None:
     except ValueError:
         raise UsageError(f"malformed graph id {opts.graph_id!r}; expected m-n-i") from None
     try:
-        width_list = [int(w) for w in opts.widths.split(",") if w]
+        width_list = [int(w) for w in opts.widths.split(",")]
     except ValueError:
         raise UsageError(f"malformed width list {opts.widths!r}") from None
     graphs = _or_usage(enumerate_graphs, m, n)
@@ -271,11 +271,9 @@ def covers_ratio(opts: argparse.Namespace) -> None:
     if opts.big_k < 1:
         raise UsageError("--K must be a positive integer")
     try:
-        wanted = [int(x) for x in opts.degrees.split(",") if x]
+        wanted = [int(x) for x in opts.degrees.split(",")]
     except ValueError:
         raise UsageError(f"malformed degree list {opts.degrees!r}") from None
-    if not wanted:
-        raise UsageError("no degrees given")
     ratios = _or_usage(cover_ratios, opts.big_k, wanted)
     for n in sorted(ratios):
         print(f"r_{n} = {ratios[n]:.6f}")

@@ -255,11 +255,12 @@ def _mask_hook_product(mask: int) -> int:
 
 def _parity_values(
     max_degree: int, max_threes: int, max_ones: int, parity: int
-) -> Iterator[tuple[int, dict[tuple[Partition, ...], Fraction]]]:
+) -> Iterator[tuple[int, dict[tuple[Partition, ...], int]]]:
     """Yield (n, values) for the n = 1..max_degree with n % 2 == parity:
-    the Frobenius counts of degree n, indexed by the (sorted) multiset of
-    the four corner classes.  The character sum is symmetric in the
-    classes, so evaluating once per multiset saves the bulk of the work.
+    the Frobenius counts of degree n, as whole numbers of tuples, indexed
+    by the (sorted) multiset of the four corner classes.  The character
+    sum is symmetric in the classes, so evaluating once per multiset saves
+    the bulk of the work.
 
     The sums run over the shapes _character_columns yields, one of each
     conjugate pair, and a shape paired with another counts twice: a
@@ -277,9 +278,8 @@ def _parity_values(
         ones = {cls: cls.count(1) for cls in columns}
         twos = {cls: cls.count(2) for cls in columns}
         sizes = {cls: class_size(cls) for cls in columns}
-        nfact = math.factorial(n)
-        nfact3 = nfact**3
-        out: dict[tuple[Partition, ...], Fraction] = {}
+        nfact3 = math.factorial(n) ** 3
+        out: dict[tuple[Partition, ...], int] = {}
         head = None
         for combo in itertools.combinations_with_replacement(columns, 4):
             c1, c2, c3, c4 = combo
@@ -300,7 +300,7 @@ def _parity_values(
             tuples, left = divmod(sizes[c1] * sizes[c2] * sizes[c3] * sizes[c4] * total, nfact3)
             if left:
                 raise ArithmeticError(f"the degree-{n} character sum of {combo} is not a whole number of tuples")
-            out[combo] = Fraction(tuples, nfact)
+            out[combo] = tuples
         yield n, out
 
 
@@ -313,7 +313,7 @@ FORK_MIN_DEGREE = 16
 
 def _multiset_values(
     max_degree: int, max_threes: int, max_ones: int
-) -> Iterator[tuple[int, dict[tuple[Partition, ...], Fraction]]]:
+) -> Iterator[tuple[int, dict[tuple[Partition, ...], int]]]:
     """Yield (n, values) for n = 1..max_degree, in order: the Frobenius
     counts of degree n by multiset of corner classes (_parity_values).
 
@@ -453,13 +453,11 @@ def connected_counts(k: int, max_degree: int) -> dict[Cell, Fraction]:
 
 
 def connected_from_sums(
-    k: int, sums: Iterable[tuple[int, dict[tuple[Partition, ...], Fraction]]]
+    k: int, sums: Iterable[tuple[int, dict[tuple[Partition, ...], int]]]
 ) -> dict[Cell, Fraction]:
-    """connected_counts(k, N) from the four-way sums of degrees 1..N in
-    order, as _multiset_values(N, k, k + 4) yields them: the logarithm of
-    the generating function of all covers, degree by degree.  A degree
-    whose sums, times its n!, are not whole numbers of tuples raises
-    ArithmeticError."""
+    """connected_counts(k, N) from the four-way tuple counts of degrees
+    1..N in order, as _multiset_values(N, k, k + 4) yields them: the
+    logarithm of the generating function of all covers, degree by degree."""
     max_ones = k + 4
     # at index n, n! times all covers A_n and connected ones C_n of degree
     # n, each by (3-cycles, fixed points): whole numbers of tuples.  A
@@ -472,12 +470,9 @@ def connected_from_sums(
     for n, values in sums:
         nfact = math.factorial(n)
         a: dict[tuple[int, int], int] = {}
-        for combo, value in values.items():
-            tuples = value * nfact
-            if tuples.denominator != 1:
-                raise ArithmeticError(f"the degree-{n} sum of {combo} is not a whole number of tuples")
+        for combo, tuples in values.items():
             key = zeros_and_poles(combo)
-            a[key] = a.get(key, 0) + multinomial(4, Counter(combo).values()) * tuples.numerator
+            a[key] = a.get(key, 0) + multinomial(4, Counter(combo).values()) * tuples
         all_covers.append(a)
         c = dict(a)
         for m in range(1, n):
@@ -556,21 +551,20 @@ def _symmetric_group(n: int) -> tuple[list[tuple[int, ...]], list[Partition], di
     return perms, types, {p: i for i, p in enumerate(perms)}
 
 
-def naive_enumerate(classes: Sequence[Partition]) -> tuple[Fraction, Fraction]:
-    """Directly count tuples with product 1 and gi in the prescribed classes,
-    weighted by 1/N!: (all tuples, transitive tuples), the latter counting
-    connected covers.  Exponential in N; an independent oracle for
-    N <= NAIVE_MAX_DEGREE.
+def naive_enumerate(classes: Sequence[Partition]) -> tuple[int, int]:
+    """Directly count tuples with product 1 and gi in the prescribed classes:
+    (all tuples, transitive tuples), the latter counting connected covers.
+    Exponential in N; an independent oracle for N <= NAIVE_MAX_DEGREE.
 
-    The first factor is pinned to a single representative and reweighted by
-    |C1|, which is valid because conjugation acts on the solution set.
+    The first factor is pinned to a single representative and the counts
+    multiplied by |C1|, as conjugation acts on the solution set.
     g4 = (g1 g2 g3)^-1 is never built.  It has the cycle type of g1 g2 g3,
     read by index from _symmetric_group, with g1 g2 composed once per g2;
     and it lies in the group g1, g2, g3 generate, so transitivity is an
     orbit walk over those three.
     """
     if not classes:
-        return Fraction(0), Fraction(0)
+        return 0, 0
     n = sum(classes[0])
     if n > NAIVE_MAX_DEGREE:
         raise ValueError("degree too large for direct enumeration")
@@ -600,20 +594,20 @@ def naive_enumerate(classes: Sequence[Partition]) -> tuple[Fraction, Fraction]:
             if types[index[tuple([p12[x] for x in p3])]] == c4:
                 count += 1
                 connected += transitive(p1, p2, p3)
-    weight = Fraction(class_size(c1), math.factorial(n))
-    return weight * count, weight * connected
+    size = class_size(c1)
+    return size * count, size * connected
 
 
 def naive_counts(
     k: int, max_degree: int
-) -> Iterator[tuple[int, dict[tuple[Partition, ...], Fraction], dict[Cell, Fraction]]]:
+) -> Iterator[tuple[int, dict[tuple[Partition, ...], int], dict[Cell, Fraction]]]:
     """Yield (n, sums, cells) for n = 1..max_degree <= NAIVE_MAX_DEGREE by
     direct enumeration: one naive_enumerate call for each multiset of four
     corner classes with at most k 3-cycles and k + 4 fixed points, keyed
     and ordered as _multiset_values keys and orders it.  sums maps each
     multiset to its count of all tuples, and cells maps each (n, z, p) to
     its connected count, the transitive tuples of every ordering of its
-    multisets; 0 is left out of both.
+    multisets divided by n!; 0 is left out of both.
 
     Both counts are the same for every ordering of the four classes: the
     move (g1, g2, g3, g4) -> (g1, g2 g3 g2^-1, g2, g4) swaps two
@@ -622,8 +616,8 @@ def naive_counts(
     permutations of the multiset, independently of the character route.
     """
     for n in range(1, max_degree + 1):
-        sums: dict[tuple[Partition, ...], Fraction] = {}
-        cells: dict[Cell, Fraction] = {}
+        sums: dict[tuple[Partition, ...], int] = {}
+        cells: dict[Cell, int] = {}
         for combo in itertools.combinations_with_replacement(corner_types(n, k, k + 4), 4):
             zeros, poles = zeros_and_poles(combo)
             if zeros > k or poles > k + 4:
@@ -634,4 +628,4 @@ def naive_counts(
             if connected:
                 orderings = len(set(itertools.permutations(combo)))
                 cells[n, zeros, poles] = cells.get((n, zeros, poles), 0) + orderings * connected
-        yield n, sums, cells
+        yield n, sums, {cell: Fraction(value, math.factorial(n)) for cell, value in cells.items()}

@@ -34,7 +34,6 @@ __all__ = [
     "PER_TREE_MAX_K",
     "check_per_tree_size",
     "enumerate_decorated_trees",
-    "zeta_operator",
     "local_product",
     "tree_contribution",
     "tree_subtotals",
@@ -317,34 +316,6 @@ def enumerate_decorated_trees(K: int) -> list[DecoratedTree]:
     return [found[k] for k in sorted(found)]
 
 
-def zeta_operator(exponents: Sequence[int], K: int) -> PiValue:
-    """The formal substitution prod w_i^{b_i+1} -> 2/(b+2k-1)! prod (b_i+1)! zeta(b_i+2).
-
-    Every one of the k twist variables must appear (exponent >= 1), each
-    b_i = exponent - 1 must be even, and b + 2k must equal 2K + 2.
-    """
-    k = len(exponents)
-    if k < 1:
-        raise ValueError("zeta operator needs at least one variable")
-    bs = []
-    for e in exponents:
-        if e < 1:
-            raise ValueError("every twist variable must appear with exponent >= 1")
-        b = e - 1
-        if b % 2 != 0:
-            raise ValueError(f"exponent {e} is even; width exponents must be odd")
-        bs.append(b)
-    b = sum(bs)
-    if b + 2 * k != 2 * K + 2:
-        raise ValueError(
-            f"monomial lives off the dimension shell: {b} + 2*{k} != {2 * K + 2}"
-        )
-    out = PiValue(Fraction(2, factorial(b + 2 * k - 1)), 0)
-    for bi in bs:
-        out = out * factorial(bi + 1) * zeta_even(bi + 2)
-    return out
-
-
 class TreeContribution(Record):
     """One decorated tree's summand of the volume."""
 
@@ -395,12 +366,15 @@ def local_product(t: DecoratedTree) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _zeta_value(exponents: tuple[int, ...], K: int) -> PiValue:
-    return zeta_operator(exponents, K)
+def _zeta_product(args: tuple[int, ...]) -> PiValue:
+    """zeta(s_1) ... zeta(s_k) for the even arguments of one zeta term."""
+    return prod(map(zeta_even, args))
 
 
 def tree_contribution(t: DecoratedTree, K: int) -> TreeContribution:
-    """Assemble 2^k c(T,a) Z(w_1..w_k prod_v F_{m_v,n_v}) for one decorated tree."""
+    """Assemble 2^k c(T,a) Z(w_1..w_k prod_v F_{m_v,n_v}) for one decorated tree:
+    Z takes prod w_i^{e_i} to the zeta term 2/(2K+1)! prod e_i! zeta(e_i + 1),
+    and the value is the sum of the zeta terms; zeta_even refuses an odd argument."""
     if t.K != K:
         raise ValueError(f"tree belongs to K={t.K}, not K={K}")
     k = t.k
@@ -414,16 +388,16 @@ def tree_contribution(t: DecoratedTree, K: int) -> TreeContribution:
     ms = [t.layer(v).m for v in range(t.vertices)]
     ns = [t.layer(v).n for v in range(t.vertices)]
     c_factor = Fraction(multinomial(K, ms) * multinomial(K + 4, ns), aut)
-    scale = 2**k * c_factor
+    scale = Fraction(2 ** (k + 1), factorial(2 * K + 1)) * c_factor
     value = PiValue(Fraction(0), 2 * K + 2)
     zeta_terms = []
     for key in sorted(classes):
         if sum(key) != 2 * K + 2 - k:
             raise ValueError("homogeneity gate failed before applying the zeta operator")
-        coeff = scale * classes[key]
-        value = value + coeff * _zeta_value(key, K)
-        pref = Fraction(2 * prod(factorial(e) for e in key), factorial(sum(key) + k - 1))
-        zeta_terms.append((tuple(e + 1 for e in key), coeff * pref))
+        args = tuple(e + 1 for e in key)
+        coeff = scale * classes[key] * prod(map(factorial, key))
+        zeta_terms.append((args, coeff))
+        value = value + coeff * _zeta_product(args)
     return TreeContribution(t, K, aut, c_factor, tuple(zeta_terms), value)
 
 

@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 from pillowcount.covers import Partition, _mask_hook_product
 from pillowcount.layers import LayerSignature
 from pillowcount.polynomials import Polynomial
+from pillowcount.rationals import PiValue, zeta_even
 from pillowcount.ribbon import RibbonGraph, _face_labels, _sigma
 
 
@@ -135,6 +136,16 @@ def f_special_diagonal(m: int, n: int) -> Polynomial:
             raise ValueError("lowest diagonal form needs m >= 0")
         return Polynomial({(2 * m,): 1})
     raise ValueError(f"({m},{n}) is not on a special diagonal")
+
+
+def zeta_operator(exponents: Sequence[int]) -> PiValue:
+    """The zeta operator on one monomial prod w_i^{b_i+1} of k variables:
+    2/(b+2k-1)! prod (b_i+1)! zeta(b_i+2), with b = sum b_i."""
+    bs = [e - 1 for e in exponents]
+    out = PiValue(Fraction(2, math.factorial(sum(bs) + 2 * len(bs) - 1)), 0)
+    for b in bs:
+        out = out * math.factorial(b + 1) * zeta_even(b + 2)
+    return out
 
 
 def valid_signatures(mn_max: int) -> list[tuple[int, int]]:

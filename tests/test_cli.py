@@ -298,10 +298,10 @@ def test_ribbon_count_usage_errors(runner):
         main, ["ribbon", "count", "--graph-id", "1-1-7", "--widths", "3,4"]
     )
     assert out_of_range.exit_code == 2
-    bad_widths = runner.invoke(
-        main, ["ribbon", "count", "--graph-id", "1-1-0", "--widths", "3,x"]
-    )
-    assert bad_widths.exit_code == 2
+    for widths in ("3,x", "3,,4", "3,4,"):
+        bad_widths = runner.invoke(main, ["ribbon", "count", "--graph-id", "1-1-0", "--widths", widths])
+        assert bad_widths.exit_code == 2
+        assert f"malformed width list {widths!r}" in bad_widths.output
     wrong_len = runner.invoke(
         main, ["ribbon", "count", "--graph-id", "1-1-0", "--widths", "3"]
     )
@@ -386,7 +386,7 @@ def test_ribbon_fit(runner):
 
 # at one and two faces the constant term still prints one exponent per face
 @pytest.mark.parametrize(
-    "m, n", [(0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3), (2, 4), (3, 5), (4, 0), (4, 4)]
+    "m, n", [(0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3), (2, 4), (3, 5), (4, 0), (4, 2), (4, 4)]
 )
 def test_ribbon_fit_prints_the_local_poly_bytes(runner, m, n):
     fit = runner.invoke(main, ["ribbon", "fit", "--m", str(m), "--n", str(n)])
@@ -507,8 +507,10 @@ def test_covers_ratio(runner):
     lines = result.output.splitlines()
     assert lines[0] == f"r_3 = {8 * 360 / (math.pi ** 4 * 81):.6f}"
     assert lines[1].startswith("r_4 = ")
-    bad = runner.invoke(main, ["covers", "ratio", "--K", "1", "--degrees", "a,b"])
-    assert bad.exit_code == 2
+    for degrees in ("a,b", "10,,20"):
+        bad = runner.invoke(main, ["covers", "ratio", "--K", "1", "--degrees", degrees])
+        assert bad.exit_code == 2
+        assert f"malformed degree list {degrees!r}" in bad.output
 
 
 def test_covers_ratio_rejects_bad_K(runner):

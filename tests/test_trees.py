@@ -28,10 +28,10 @@ from pillowcount.trees import (
     local_product,
     tree_contribution,
     tree_subtotals,
-    zeta_operator,
 )
 
 import zeta_lemma
+from oracles import zeta_operator
 from zeta_lemma import zeta_lemma_ratio, zeta_lemma_sum_k1, zeta_lemma_sum_k2
 
 
@@ -182,21 +182,24 @@ def test_enumeration_against_labelled_count(K: int):
 
 def test_zeta_operator_values():
     # w^3 with k=1, K=1: 2/3! * 3! * zeta(4) = 2 zeta(4) = pi^4/45
-    assert zeta_operator((3,), 1) == PiValue(Fraction(1, 45), 4)
+    assert zeta_operator((3,)) == PiValue(Fraction(1, 45), 4)
     # w1 w2 with k=2, K=1: 2/3! * 1 * zeta(2)^2
     expected = Fraction(1, 3) * zeta_even(2) * zeta_even(2)
-    assert zeta_operator((1, 1), 1) == expected
+    assert zeta_operator((1, 1)) == expected
 
 
-def test_zeta_operator_rejects_bad_monomials():
-    with pytest.raises(ValueError):
-        zeta_operator((), 1)
-    with pytest.raises(ValueError):
-        zeta_operator((0, 3), 1)  # a twist variable is missing
-    with pytest.raises(ValueError):
-        zeta_operator((2,), 1)  # even exponent
-    with pytest.raises(ValueError):
-        zeta_operator((5,), 1)  # off the dimension shell
+def test_assembly_refuses_bad_monomials(monkeypatch):
+    # the K = 2 chain (1,3)--(1,1)--(0,2) with F = w at each leaf and F = 1
+    # in the middle: w1^2 w2^2 has the right degree but even exponents
+    chain = DecoratedTree(3, ((0, 1), (1, 2)), (1, 0, 0))
+    monkeypatch.setattr(layers, "f_closed", lambda sig: Polynomial({(1,) if sig.m < sig.n else (0, 0): 1}))
+    with pytest.raises(ValueError, match="unsupported zeta argument 3"):
+        tree_contribution(chain, 2)
+    # the K = 1 edge with F = w^2 at both ends: w^5 lies off the shell of degree 3
+    edge = DecoratedTree(2, ((0, 1),), (1, 0))
+    monkeypatch.setattr(layers, "f_closed", lambda sig: Polynomial({(2,): 1}))
+    with pytest.raises(ValueError, match="homogeneity gate"):
+        tree_contribution(edge, 1)
 
 
 # frozen per-tree data: layer_text -> (c factor, zeta terms, value)
@@ -290,7 +293,7 @@ def per_monomial_contribution(t: DecoratedTree, K: int) -> tuple:
     value = PiValue(Fraction(0), 2 * K + 2)
     zeta_acc: dict[tuple[int, ...], Fraction] = {}
     for exps, coeff in poly.items():
-        value = value + scale * coeff * zeta_operator(exps, K)
+        value = value + scale * coeff * zeta_operator(exps)
         args = tuple(sorted(e + 1 for e in exps))
         pref = Fraction(2, factorial(sum(e - 1 for e in exps) + 2 * k - 1))
         for e in exps:

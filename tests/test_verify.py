@@ -49,9 +49,7 @@ def test_detects_corrupted_route(monkeypatch):
 
 
 def test_cover_check_reports_failure_details(monkeypatch):
-    from fractions import Fraction
-
-    monkeypatch.setattr(covers_mod, "naive_enumerate", lambda classes: (Fraction(7), Fraction(7)))
+    monkeypatch.setattr(covers_mod, "naive_enumerate", lambda classes: (7, 7))
     results = run_verification(k_max=1, mn_max=2)
     cover = [r for r in results if "direct enumeration" in r.name]
     assert cover and not cover[0].passed
@@ -96,11 +94,9 @@ def test_cover_check_compares_the_shipped_connected_counts(monkeypatch):
 def test_cover_check_reads_the_shipped_four_way_sums(monkeypatch):
     """verify's per-multiset check and its connected counts read one stream
     of _multiset_values, the sums that the cover counts are built from: one
-    degree-3 value moved fails that degree, naming that multiset and the
-    degree-3 cell it reaches through the log, and fails degree 5 at the
-    cell it reaches there."""
-    from fractions import Fraction
-
+    degree-3 count moved by two tuples fails that degree, naming that
+    multiset and the degree-3 cell it reaches through the log, and fails
+    degree 5 at the cell it reaches there."""
     real = verify_mod._multiset_values
     moved = ((3,), (2, 1), (2, 1), (1, 1, 1))
 
@@ -108,7 +104,7 @@ def test_cover_check_reads_the_shipped_four_way_sums(monkeypatch):
         for n, values in real(max_degree, max_threes, max_ones):
             if n == 3:
                 key = next(combo for combo in values if sorted(combo) == sorted(moved))
-                values = {**values, key: values[key] + Fraction(1, 3)}
+                values = {**values, key: values[key] + 2}
             yield n, values
 
     monkeypatch.setattr(verify_mod, "_multiset_values", shifted)
@@ -119,8 +115,8 @@ def test_cover_check_reads_the_shipped_four_way_sums(monkeypatch):
     ]
     key = ((2, 1), (2, 1), (1, 1, 1), (3,))
     assert sorted(key) == sorted(moved)
-    assert failed[0].lhs == f"{key}: 4/3, (3, 1, 5): 16"
-    assert failed[0].rhs == f"{key}: 1, (3, 1, 5): 12"
+    assert failed[0].lhs == f"{key}: 8, (3, 1, 5): 16"
+    assert failed[0].rhs == f"{key}: 6, (3, 1, 5): 12"
     assert (failed[1].lhs, failed[1].rhs) == ("(5, 1, 5): 106", "(5, 1, 5): 108")
 
 
