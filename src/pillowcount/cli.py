@@ -39,7 +39,7 @@ def local_poly(opts: argparse.Namespace) -> None:
 
     sig = _or_usage(LayerSignature, opts.m, opts.n)
     poly = _or_usage(f_recurrence if opts.method == "recurrence" else f_closed, sig)
-    print(_json(poly.to_records()) if opts.fmt == "json" else poly.to_text())
+    print(_json(_poly_json(poly)) if opts.fmt == "json" else poly.to_text())
 
 
 def ribbon_enumerate(opts: argparse.Namespace) -> None:
@@ -73,7 +73,7 @@ def ribbon_fit(opts: argparse.Namespace) -> None:
     """Recover the leading term of F_{m,n} from raw lattice counts."""
     from .ribbon import leading_part_fit
 
-    print(_json(_or_usage(leading_part_fit, opts.m, opts.n).to_records()))
+    print(_json(_poly_json(_or_usage(leading_part_fit, opts.m, opts.n))))
 
 
 def _fraction_json(f: Fraction) -> dict:
@@ -84,32 +84,31 @@ def _pi_value_json(value: PiValue) -> dict:
     return {"pi_power": value.pi_power, **_fraction_json(value.coefficient)}
 
 
+def _poly_json(p: Polynomial) -> list[dict]:
+    return [{"exponents": list(exps), **_fraction_json(coeff)} for exps, coeff in p.sorted_terms()]
+
+
 _LATEX_HEADER = (
     "\\begin{array}{|c|c|c|c|}\n\\hline\n"
     "\\text{Tree} & {\\displaystyle\\prod_i F_{m_i,n_i}} & c(\\operatorname{T},a) & \\text{Contribution}\\\\\n\\hline"
 )
 
 
+# every tree's terms, factors and values are positive: the renderers below print no sign and no zero
 def _frac_latex(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
-    sign = "-" if f < 0 else ""
-    return f"{sign}\\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
+    return f"\\frac{{{f.numerator}}}{{{f.denominator}}}"
 
 
 def _pi_latex(value: PiValue) -> str:
-    coeff = value.coefficient
-    if coeff == 0:
-        return "0"
     body = f"\\pi^{{{value.pi_power}}}"
-    if coeff == 1:
+    if value.coefficient == 1:
         return body
-    return f"{_frac_latex(coeff)}\\,{body}"
+    return f"{_frac_latex(value.coefficient)}\\,{body}"
 
 
 def _poly_latex(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
     parts = []
     for exps, coeff in p.sorted_terms():
         factors = "".join(
@@ -129,15 +128,13 @@ def _poly_latex(p: Polynomial) -> str:
 def _zeta_latex(zeta_terms: tuple) -> str:
     rendered = []
     for args, coeff in zeta_terms:
-        if coeff == 0:
-            continue
         factors = []
         for arg in sorted(set(args)):
             mult = args.count(arg)
             factors.append(f"\\zeta({arg})^{{{mult}}}" if mult > 1 else f"\\zeta({arg})")
         body = "".join(factors)
         rendered.append(f"{_frac_latex(coeff)}\\,{body}" if coeff != 1 else body)
-    return " + ".join(rendered) if rendered else "0"
+    return " + ".join(rendered)
 
 
 def _factor_latex(contribution: TreeContribution) -> str:
@@ -229,11 +226,7 @@ def volume_cmd(opts: argparse.Namespace) -> None:
                 )
             )
             continue
-        zeta_text = " + ".join(
-            f"{coeff} * zeta({','.join(map(str, args))})"
-            for args, coeff in c.zeta_terms
-            if coeff != 0
-        )
+        zeta_text = " + ".join(f"{coeff} * zeta({','.join(map(str, args))})" for args, coeff in c.zeta_terms)
         print(
             f"tree {c.tree.layer_text()}  aut={c.aut}  c={c.multinomial_factor}  "
             f"{zeta_text}  -> {c.value}"

@@ -307,7 +307,9 @@ def _parity_values(
 # the top degree from which _multiset_values forks.  In process on a 2-CPU
 # VM, connected_counts(k, N) for k = 1 and 2 took 1-3 ms without the fork
 # and 4 ms with it at N = 5 to 7; the two were within noise of each other
-# from N = 12 to 15, and from N = 16 to 20 the fork saved 2-11 ms each time
+# from N = 12 to 15, and from N = 16 to 20 the fork saved 2-11 ms each time.
+# Forking the smaller half instead was no faster at (1, 30), 116 against 115
+# ms, and slower at (2, 24), 51 against 47 ms (medians of 20 fresh processes)
 FORK_MIN_DEGREE = 16
 
 

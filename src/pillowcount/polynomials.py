@@ -36,9 +36,6 @@ class Polynomial:
     def items(self):
         return self._terms.items()
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __mul__(self, other: Scalar) -> "Polynomial":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
@@ -57,15 +54,8 @@ class Polynomial:
         """Terms in descending lexicographic order of their exponents."""
         return sorted(self._terms.items(), reverse=True)
 
-    def to_records(self) -> list[dict]:
-        """JSON-ready list of {exponents, num, den} records."""
-        return [
-            {"exponents": list(k), "num": str(c.numerator), "den": str(c.denominator)}
-            for k, c in self.sorted_terms()
-        ]
-
     def to_text(self) -> str:
-        if self.is_zero():
+        if not self._terms:
             return "0"
         parts = []
         for exps, coeff in self.sorted_terms():

@@ -82,7 +82,7 @@ class DecoratedTree(Record):
         for a, b in edges:
             if not (0 <= a < v and 0 <= b < v) or a == b:
                 raise ValueError(f"bad edge ({a},{b})")
-        adj = self.adjacency()
+        adj = _adjacency(v, edges)
         reached = {0}
         stack = [0]
         while stack:
@@ -100,7 +100,7 @@ class DecoratedTree(Record):
             sigs.append(layers.LayerSignature(a + l - 1, a - l + 3))
         object.__setattr__(self, "_layers", tuple(sigs))
         if self._canon is None:
-            object.__setattr__(self, "_canon", _canon_and_aut(self.decorations, adj, _centers(v, adj)))
+            object.__setattr__(self, "_canon", _canon_and_aut(self.decorations, adj, _centers(adj)))
 
     def layer(self, v: int) -> layers.LayerSignature:
         return self._layers[v]
@@ -115,40 +115,36 @@ class DecoratedTree(Record):
         """Total number of trivalent vertices over all layers."""
         return sum(self.layer(v).m for v in range(self.vertices))
 
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(self.vertices)}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
-
     def layer_text(self) -> str:
-        """Compact nested rendering rooted at the canonical center."""
-        adj = self.adjacency()
-        centers = _centers(self.vertices, adj)
+        """Compact nested rendering from the canonical form: (m,n) at each
+        vertex, its children in brackets sorted by their text, and two
+        centres joined by -- in sorted order."""
 
-        def render(v: int, parent: int | None) -> str:
-            sig = self.layer(v)
-            kids = sorted(
-                (render(c, v) for c in adj[v] if c != parent)
-            )
-            inner = f"({sig.m},{sig.n})"
-            return inner + ("[" + ",".join(kids) + "]" if kids else "")
+        def render(node: tuple, up: int) -> str:
+            # a vertex's valence counts its parent, or the other centre
+            a, children = node
+            l = len(children) + up
+            kids = sorted(render(c, 1) for c in children)
+            return f"({a + l - 1},{a - l + 3})" + ("[" + ",".join(kids) + "]" if kids else "")
 
-        if len(centers) == 1:
-            return render(centers[0], None)
-        u, v = centers
-        halves = sorted([render(u, v), render(v, u)])
-        return halves[0] + "--" + halves[1]
+        kind, body = self._canon[0]
+        return render(body, 0) if kind == "c" else "--".join(sorted(render(half, 1) for half in body))
 
 
-def _centers(n: int, adj: dict[int, list[int]]) -> list[int]:
-    """The one or two central vertices, found by peeling leaves."""
-    if n == 1:
-        return [0]
+def _adjacency(vertices: int, edges: Sequence[tuple[int, int]]) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {v: [] for v in range(vertices)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _centers(adj: dict[int, list[int]]) -> list[int]:
+    """The one or two central vertices of a tree on two or more vertices,
+    found by peeling leaves."""
     degree = {v: len(adj[v]) for v in adj}
     layer = [v for v in adj if degree[v] == 1]
-    remaining = n
+    remaining = len(adj)
     while remaining > 2:
         remaining -= len(layer)
         nxt = []
@@ -298,15 +294,12 @@ def enumerate_decorated_trees(K: int) -> list[DecoratedTree]:
     for v in range(2, K + 3):
         budget = K + 2 - v
         for edges in _free_trees(v):
-            adj: dict[int, list[int]] = {u: [] for u in range(v)}
-            for a, b in edges:
-                adj[a].append(b)
-                adj[b].append(a)
+            adj = _adjacency(v, edges)
             minima = [max(0, len(adj[u]) - 3) for u in range(v)]
             spare = budget - sum(minima)
             if spare < 0:
                 continue
-            centers = _centers(v, adj)
+            centers = _centers(adj)
             for extra in compositions(spare, v):
                 decorations = tuple(m + e for m, e in zip(minima, extra))
                 # key the candidate first; only the first of each class is built

@@ -15,11 +15,12 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
-from pillowcount.covers import Partition, _mask_hook_product
+from pillowcount.covers import Partition
 from pillowcount.layers import LayerSignature
 from pillowcount.polynomials import Polynomial
 from pillowcount.rationals import PiValue, zeta_even
 from pillowcount.ribbon import RibbonGraph, _face_labels, _sigma
+from pillowcount.trees import DecoratedTree
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -68,9 +69,34 @@ def two_core(shape: Partition) -> Partition:
         rows = [part for part in rows if part]
 
 
+def mask_shape(mask: int) -> Partition:
+    """The shape with this bead mask: a bead's row is as long as the empty
+    positions below it are many."""
+    rows = []
+    empty = 0
+    for x in range(mask.bit_length()):
+        if mask >> x & 1:
+            rows.append(empty)
+        else:
+            empty += 1
+    return tuple(sorted(filter(None, rows), reverse=True))
+
+
+def hook_product(shape: Partition) -> int:
+    """Product of the hook lengths of shape, cell by cell: the cell's arm
+    (the cells right of it) plus its leg (the cells below it) plus one."""
+    columns = conjugate_partition(shape)
+    out = 1
+    for i, part in enumerate(shape):
+        for j in range(part):
+            arm, leg = part - j - 1, columns[j] - i - 1
+            out *= arm + leg + 1
+    return out
+
+
 def dimension(shape: Partition) -> int:
     """Dimension of the irreducible S_N representation labelled by shape."""
-    return math.factorial(sum(shape)) // _mask_hook_product(bead_mask(shape))
+    return math.factorial(sum(shape)) // hook_product(shape)
 
 
 # bounded, so that a call far past the small degrees the tests use cannot
@@ -81,7 +107,7 @@ def _mn_value(mask: int, parts: Partition) -> int:
     Removing an r-border strip moves a bead x >= r to the empty x - r."""
     if not parts or parts[0] == 1:
         # remaining cycles are all fixed points
-        return math.factorial(len(parts)) // _mask_hook_product(mask)
+        return dimension(mask_shape(mask))
     r, rest = parts[0], parts[1:]
     total = 0
     # the beads x whose position x - r is empty
@@ -146,6 +172,40 @@ def zeta_operator(exponents: Sequence[int]) -> PiValue:
     for b in bs:
         out = out * math.factorial(b + 1) * zeta_even(b + 2)
     return out
+
+
+def rerooted_layer_text(t: DecoratedTree) -> str:
+    """The tree's text rendered from its adjacency: rooted at its centre or
+    centres, the vertices of least eccentricity, each vertex printed as its
+    layer (m,n) with its subtrees in brackets, sorted by their text, and two
+    centres joined by -- in sorted order."""
+    adj: dict[int, list[int]] = {v: [] for v in range(t.vertices)}
+    for a, b in t.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    def eccentricity(root: int) -> int:
+        depth = {root: 0}
+        queue = [root]
+        for v in queue:
+            for u in adj[v]:
+                if u not in depth:
+                    depth[u] = depth[v] + 1
+                    queue.append(u)
+        return max(depth.values())
+
+    ecc = [eccentricity(v) for v in range(t.vertices)]
+    centers = [v for v in range(t.vertices) if ecc[v] == min(ecc)]
+
+    def render(v: int, parent: int | None) -> str:
+        sig = t.layer(v)
+        kids = sorted(render(c, v) for c in adj[v] if c != parent)
+        return f"({sig.m},{sig.n})" + ("[" + ",".join(kids) + "]" if kids else "")
+
+    if len(centers) == 1:
+        return render(centers[0], None)
+    u, v = centers
+    return "--".join(sorted([render(u, v), render(v, u)]))
 
 
 def valid_signatures(mn_max: int) -> list[tuple[int, int]]:

@@ -58,6 +58,9 @@ def test_local_poly_json_golden(runner):
     result = runner.invoke(main, ["local-poly", "--m", "2", "--n", "2"])
     assert result.exit_code == 0
     assert result.output == LOCAL_POLY_GOLDEN
+    # a constant keeps one exponent per variable
+    result = runner.invoke(main, ["local-poly", "--m", "1", "--n", "1"])
+    assert result.output == '[{"exponents":[0,0],"num":"1","den":"1"}]\n'
 
 
 def test_local_poly_text_and_methods(runner):

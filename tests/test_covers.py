@@ -33,7 +33,17 @@ from pillowcount.covers import (
     zeros_and_poles,
 )
 
-from oracles import bead_mask, character, conjugate_partition, dimension, genus, partitions, two_core
+from oracles import (
+    bead_mask,
+    character,
+    conjugate_partition,
+    dimension,
+    genus,
+    hook_product,
+    mask_shape,
+    partitions,
+    two_core,
+)
 
 
 def test_partitions_counts_and_order():
@@ -64,6 +74,18 @@ def test_hooks_and_dimensions():
     assert dimension((3, 2)) == 5
     for n in range(1, 8):
         assert sum(dimension(s) ** 2 for s in partitions(n)) == math.factorial(n)
+
+
+def test_mask_hook_product_matches_arm_and_leg_lengths():
+    assert hook_product((2, 1)) == 3
+    assert hook_product((3, 2)) == 24
+    for n in range(15):
+        for shape in partitions(n):
+            mask = bead_mask(shape)
+            assert mask_shape(mask) == shape
+            # an extra bead at 0 stands for an empty row
+            assert mask_shape(mask << 1 | 1) == shape
+            assert _mask_hook_product(mask) == hook_product(shape), shape
 
 
 def test_character_pinned_values():

@@ -75,18 +75,12 @@ def test_sorted_terms_descending_lex():
     assert [k for k, _ in p.sorted_terms()] == [(2, 0), (1, 1), (0, 2)]
 
 
-def test_to_records_and_text():
+def test_to_text():
     p = Polynomial({(2, 0): 2, (0, 2): 2})
-    assert p.to_records() == [
-        {"exponents": [2, 0], "num": "2", "den": "1"},
-        {"exponents": [0, 2], "num": "2", "den": "1"},
-    ]
     assert p.to_text() == "2*w1^2 + 2*w2^2"
     assert Polynomial().to_text() == "0"
     assert Polynomial({(1, 1): Fraction(1, 2)}).to_text() == "1/2*w1*w2"
     assert Polynomial({(1,): 1}).to_text() == "w1"
-    # a constant keeps one exponent per variable
-    assert Polynomial({(0, 0): 1}).to_records() == [{"exponents": [0, 0], "num": "1", "den": "1"}]
 
 
 def test_apply_D_monomial_rule():

@@ -31,7 +31,7 @@ from pillowcount.trees import (
 )
 
 import zeta_lemma
-from oracles import zeta_operator
+from oracles import rerooted_layer_text, zeta_operator
 from zeta_lemma import zeta_lemma_ratio, zeta_lemma_sum_k1, zeta_lemma_sum_k2
 
 
@@ -99,6 +99,28 @@ def test_canonical_key_is_relabelling_invariant():
     assert a._canon[0] == c._canon[0]  # mirror image
     d = DecoratedTree(3, ((0, 1), (1, 2)), (0, 1, 0))
     assert a._canon[0] != d._canon[0]
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_layer_text_matches_the_rerooted_rendering(K: int):
+    for t in enumerate_decorated_trees(K):
+        assert t.layer_text() == rerooted_layer_text(t)
+        # the same tree relabelled back to front builds its own canonical form
+        last = t.vertices - 1
+        mirror = DecoratedTree(
+            t.vertices, [(last - a, last - b) for a, b in t.edges], t.decorations[::-1]
+        )
+        assert mirror.layer_text() == t.layer_text()
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_every_tree_term_is_positive(K: int):
+    # the renderers print no sign and no zero term, which holds while these do
+    for t in enumerate_decorated_trees(K):
+        c = tree_contribution(t, K)
+        assert c.multinomial_factor > 0 and c.value.coefficient > 0
+        assert all(coeff > 0 for _, coeff in c.zeta_terms)
+        assert all(coeff > 0 for _, coeff in local_product(t).items())
 
 
 def test_aut_orders():
