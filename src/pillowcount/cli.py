@@ -17,18 +17,6 @@ if TYPE_CHECKING:
     from .trees import TreeContribution
 
 
-class UsageError(Exception):
-    """A request refused before any work; reported with the usage line and exit status 2."""
-
-
-def _or_usage(fn, *args, **kwargs):
-    """fn(*args, **kwargs), with a ValueError reported as a usage error."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _json(record) -> str:
     return json.dumps(record, separators=(",", ":"))
 
@@ -37,8 +25,8 @@ def local_poly(opts: argparse.Namespace) -> None:
     """Print the local polynomial F_{m,n}."""
     from .layers import LayerSignature, f_closed, f_recurrence
 
-    sig = _or_usage(LayerSignature, opts.m, opts.n)
-    poly = _or_usage(f_recurrence if opts.method == "recurrence" else f_closed, sig)
+    sig = LayerSignature(opts.m, opts.n)
+    poly = (f_recurrence if opts.method == "recurrence" else f_closed)(sig)
     print(_json(_poly_json(poly)) if opts.fmt == "json" else poly.to_text())
 
 
@@ -46,34 +34,35 @@ def ribbon_enumerate(opts: argparse.Namespace) -> None:
     """List the genus-zero ribbon graphs with m trivalent and n univalent vertices."""
     from .ribbon import enumerate_graphs
 
-    graphs = _or_usage(enumerate_graphs, opts.m, opts.n)
+    graphs = enumerate_graphs(opts.m, opts.n)
     records = [{"id": f"{opts.m}-{opts.n}-{index}", **g.to_json_dict()} for index, g in enumerate(graphs)]
     print(_json(records))
 
 
 def ribbon_count(opts: argparse.Namespace) -> None:
     """Count the lattice metrics of a ribbon graph with the given face widths."""
+    from .rationals import Refused
     from .ribbon import enumerate_graphs, exact_lattice_count
 
     try:
         m, n, index = map(int, opts.graph_id.split("-"))
     except ValueError:
-        raise UsageError(f"malformed graph id {opts.graph_id!r}; expected m-n-i") from None
+        raise Refused(f"malformed graph id {opts.graph_id!r}; expected m-n-i") from None
     try:
         width_list = [int(w) for w in opts.widths.split(",")]
     except ValueError:
-        raise UsageError(f"malformed width list {opts.widths!r}") from None
-    graphs = _or_usage(enumerate_graphs, m, n)
+        raise Refused(f"malformed width list {opts.widths!r}") from None
+    graphs = enumerate_graphs(m, n)
     if not 0 <= index < len(graphs):
-        raise UsageError(f"graph id {opts.graph_id!r} out of range; {len(graphs)} graphs exist")
-    print(_or_usage(exact_lattice_count, graphs[index], width_list))
+        raise Refused(f"graph id {opts.graph_id!r} out of range; {len(graphs)} graphs exist")
+    print(exact_lattice_count(graphs[index], width_list))
 
 
 def ribbon_fit(opts: argparse.Namespace) -> None:
     """Recover the leading term of F_{m,n} from raw lattice counts."""
     from .ribbon import leading_part_fit
 
-    print(_json(_poly_json(_or_usage(leading_part_fit, opts.m, opts.n))))
+    print(_json(_poly_json(leading_part_fit(opts.m, opts.n))))
 
 
 def _fraction_json(f: Fraction) -> dict:
@@ -188,24 +177,23 @@ def volume_cmd(opts: argparse.Namespace) -> None:
     latex-table enumerate every decorated tree.  --per-tree prints each text
     row as it comes and keeps each JSON row only as compact text.
     """
-    from .series import check_series_size, volume
+    from .rationals import PiValue, Refused
+    from .series import volume
 
     big_k, per_tree, fmt = opts.big_k, opts.per_tree, opts.fmt
     if big_k < 1:
-        raise UsageError("--K must be a positive integer")
+        raise Refused("--K must be a positive integer")
     if not (per_tree or fmt == "latex-table"):
-        _or_usage(check_series_size, big_k)
         total = volume(big_k)
         print(_json({"K": big_k, **_pi_value_json(total)}) if fmt == "json" else total)
         return
-    from .rationals import PiValue
-    from .trees import check_per_tree_size, enumerate_decorated_trees, tree_contribution
+    from .trees import enumerate_decorated_trees, tree_contribution
 
     try:
-        check_per_tree_size(big_k)
-    except ValueError as exc:
-        raise UsageError(f"{exc}; without --per-tree and latex-table the total comes from the series") from None
-    contributions = (tree_contribution(t, big_k) for t in enumerate_decorated_trees(big_k))
+        trees = enumerate_decorated_trees(big_k)
+    except Refused as exc:
+        raise Refused(f"{exc}; without --per-tree and latex-table the total comes from the series") from None
+    contributions = (tree_contribution(t, big_k) for t in trees)
     if fmt == "latex-table":
         print(_volume_latex(big_k, list(contributions)))
         return
@@ -240,17 +228,16 @@ def volume_cmd(opts: argparse.Namespace) -> None:
 
 def covers_count(opts: argparse.Namespace) -> None:
     """Connected cover counts graded by degree, zeros, and poles."""
-    from .covers import NAIVE_MAX_DEGREE, connected_counts, naive_counts, sq_count
+    from .covers import connected_counts, naive_counts, sq_count
+    from .rationals import Refused
 
     big_k, max_degree = opts.big_k, opts.max_degree
     if big_k < 1 or max_degree < 1:
-        raise UsageError("--K and --max-degree must be positive")
+        raise Refused("--K and --max-degree must be positive")
     if opts.method == "naive":
-        if max_degree > NAIVE_MAX_DEGREE:
-            raise UsageError(f"--method naive handles degrees up to {NAIVE_MAX_DEGREE} only")
         table = {cell: value for _, _, cells in naive_counts(big_k, max_degree) for cell, value in cells.items()}
     else:
-        table = _or_usage(connected_counts, big_k, max_degree)
+        table = connected_counts(big_k, max_degree)
     sq = sq_count(table, big_k, max_degree)
     rows = [{"degree": n, "zeros": z, "poles": p, **_fraction_json(v)} for (n, z, p), v in sorted(table.items())]
     payload = {"K": big_k, "max_degree": max_degree, "sq_count": _fraction_json(sq), "connected": rows}
@@ -260,24 +247,23 @@ def covers_count(opts: argparse.Namespace) -> None:
 def covers_ratio(opts: argparse.Namespace) -> None:
     """Cover counts normalized by the volume asymptotics (tends to 1)."""
     from .covers import cover_ratios
+    from .rationals import Refused
 
     if opts.big_k < 1:
-        raise UsageError("--K must be a positive integer")
+        raise Refused("--K must be a positive integer")
     try:
         wanted = [int(x) for x in opts.degrees.split(",")]
     except ValueError:
-        raise UsageError(f"malformed degree list {opts.degrees!r}") from None
-    ratios = _or_usage(cover_ratios, opts.big_k, wanted)
+        raise Refused(f"malformed degree list {opts.degrees!r}") from None
+    ratios = cover_ratios(opts.big_k, wanted)
     for n in sorted(ratios):
         print(f"r_{n} = {ratios[n]:.6f}")
 
 
 def verify_cmd(opts: argparse.Namespace) -> int:
     """Recompute everything both ways; exit 0 only if all routes agree."""
-    from .verify import check_verification_size, run_verification
+    from .verify import run_verification
 
-    # only the refusal before any work is a usage error, not a ValueError from a check
-    _or_usage(check_verification_size, opts.k_max, opts.mn_max)
     results = run_verification(k_max=opts.k_max, mn_max=opts.mn_max)
     if not results:
         print("Error: no checks ran", file=sys.stderr)
@@ -371,11 +357,16 @@ def _parser(prog: str | None) -> argparse.ArgumentParser:
 
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
-    """Run one command and exit: 0 on success, 1 when verify fails, 2 on a usage error."""
+    """Run one command and exit: 0 on success, 2 when the request is refused
+    before any work (by argparse, or a Refused from the layer that owns the
+    limit), and 1 when verify fails or the program faults (a traceback)."""
     opts = _parser(prog_name).parse_args(args)
+    # imported once the arguments parse, so that --help loads no layer
+    from .rationals import Refused
+
     try:
         status = opts.run(opts)
-    except UsageError as exc:
+    except Refused as exc:
         opts.parser.error(str(exc))
     sys.exit(status or 0)
 

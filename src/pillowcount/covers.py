@@ -54,7 +54,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .rationals import multinomial, seconds_text
+from .rationals import Refused, multinomial, seconds_text
 
 Partition = tuple[int, ...]
 # a cell of the cover counts: (degree, 3-cycles, fixed points)
@@ -72,13 +72,14 @@ def class_size(cycle_type: Partition) -> int:
     return math.factorial(sum(cycle_type)) // z
 
 
-def corner_types(n: int, max_threes: int, max_ones: int) -> list[Partition]:
-    """Cycle types 3^a 2^c 1^b with 3a + 2c + b = n, a <= max_threes and
-    b <= max_ones, in decreasing-part form."""
+def corner_types(n: int, k: int) -> list[Partition]:
+    """Cycle types 3^a 2^c 1^b with 3a + 2c + b = n, a <= k and b <= k + 4,
+    in decreasing-part form: the classes of one corner of a cover with at
+    most k simple zeros and k + 4 simple poles."""
     out = []
-    for a in range(min(max_threes, n // 3) + 1):
+    for a in range(min(k, n // 3) + 1):
         rest = n - 3 * a
-        for b in range(min(max_ones, rest) + 1):
+        for b in range(min(k + 4, rest) + 1):
             if (rest - b) % 2:
                 continue
             c = (rest - b) // 2
@@ -158,23 +159,23 @@ def _two_core_size(mask: int, max_degree: int) -> int:
 
 
 def _character_columns(
-    max_degree: int, max_threes: int, max_ones: int, parity: int
+    max_degree: int, k: int, parity: int
 ) -> Iterator[tuple[int, list[int], list[bool], dict[Partition, list[int]]]]:
     """Yield (n, masks, paired, columns) for the n = 1..max_degree with
     n % 2 == parity, where columns maps every corner type 3^a 2^c 1^b of
-    corner_types(n, max_threes, max_ones), in that order, to its character
-    column: the Schur expansion of p_3^a p_2^c p_1^b, as the list of
-    chi^shape(3^a 2^c 1^b) aligned to masks, zeros included.  masks holds
-    one shape of each conjugate pair, the lower mask, among the shapes of
-    degree n whose 2-core has at most (3 max_threes + max_ones) // 4
-    cells and on which some column is nonzero.  The shapes left out add
-    nothing to a four-way sum within the bounds: chi^shape(3^a 2^c 1^b) is
-    0 unless the 2-core of the shape has at most 3a + b cells (remove the
-    c dominoes first), and four classes within the bounds have 3a + b
-    summing to at most 3 max_threes + max_ones.  A conjugate shape has the
-    values times (-1)^c, so the same term in any sum with an even total
-    of 2-cycles (_parity_values).  paired[i] is true when masks[i] has a
-    conjugate other than itself, which it stands for.
+    corner_types(n, k), in that order, to its character column: the Schur
+    expansion of p_3^a p_2^c p_1^b, as the list of chi^shape(3^a 2^c 1^b)
+    aligned to masks, zeros included.  masks holds one shape of each
+    conjugate pair, the lower mask, among the shapes of degree n whose
+    2-core has at most k + 1 cells and on which some column is nonzero.
+    The shapes left out add nothing to a four-way sum within the bounds:
+    chi^shape(3^a 2^c 1^b) is 0 unless the 2-core of the shape has at most
+    3a + b cells (remove the c dominoes first), and four classes with at
+    most k 3-cycles and k + 4 fixed points have 3a + b summing to at most
+    4k + 4.  A conjugate shape has the values times (-1)^c, so the same
+    term in any sum with an even total of 2-cycles (_parity_values).
+    paired[i] is true when masks[i] has a conjugate other than itself,
+    which it stands for.
 
     A shape is keyed by its bead mask, the bit set of its beta-numbers
     with max_degree beads; a shape of degree n has at most n rows, so every
@@ -198,16 +199,16 @@ def _character_columns(
     width = math.isqrt(math.factorial(max_degree)).bit_length() + 2
     empty = (1 << max_degree) - 1
     # the most cells of a 2-core on which four classes within the bounds can all be nonzero
-    most = (3 * max_threes + max_ones) // 4
+    most = k + 1
     seeds = {0: {(0, 0): {empty: 1}}}
     # the (a, b) of each slot of this parity, in slot order, and the chain
     keys: list[tuple[int, int]] = [] if parity else [(0, 0)]
     chain: dict[int, int] = {} if parity else {empty: 1}
     for n in range(1, max_degree + 1):
         fresh: dict[tuple[int, int], dict[int, int]] = {}
-        for a in range(min(max_threes, n // 3) + 1):
+        for a in range(min(k, n // 3) + 1):
             b = n - 3 * a
-            if b > max_ones:
+            if b > k + 4:
                 continue
             if b:
                 fresh[a, b] = _add_strips(seeds[n - 1][a, b - 1], 1)
@@ -228,7 +229,7 @@ def _character_columns(
         masks = [mask for mask, twin in zip(chain, twins) if mask <= twin]
         paired = [mask < twin for mask, twin in zip(chain, twins) if mask <= twin]
         by_key = dict(zip(keys, _unpack([chain[mask] for mask in masks], len(keys), width)))
-        columns = {cls: by_key[zeros_and_poles((cls,))] for cls in corner_types(n, max_threes, max_ones)}
+        columns = {cls: by_key[zeros_and_poles((cls,))] for cls in corner_types(n, k)}
         yield n, masks, paired, columns
 
 
@@ -253,14 +254,13 @@ def _mask_hook_product(mask: int) -> int:
     return prod
 
 
-def _parity_values(
-    max_degree: int, max_threes: int, max_ones: int, parity: int
-) -> Iterator[tuple[int, dict[tuple[Partition, ...], int]]]:
+def _parity_values(max_degree: int, k: int, parity: int) -> Iterator[tuple[int, dict[tuple[Partition, ...], int]]]:
     """Yield (n, values) for the n = 1..max_degree with n % 2 == parity:
     the Frobenius counts of degree n, as whole numbers of tuples, indexed
-    by the (sorted) multiset of the four corner classes.  The character
-    sum is symmetric in the classes, so evaluating once per multiset saves
-    the bulk of the work.
+    by the (sorted) multiset of the four corner classes with at most k
+    3-cycles and k + 4 fixed points in total.  The character sum is
+    symmetric in the classes, so evaluating once per multiset saves the
+    bulk of the work.
 
     The sums run over the shapes _character_columns yields, one of each
     conjugate pair, and a shape paired with another counts twice: a
@@ -272,7 +272,7 @@ def _parity_values(
     |C1| |C2| |C3| |C4| times a sum, divided by n!^3, is the number of
     tuples with g1 g2 g3 g4 = 1 in those classes; a sum that leaves a
     remainder there raises ArithmeticError."""
-    for n, masks, paired, columns in _character_columns(max_degree, max_threes, max_ones, parity):
+    for n, masks, paired, columns in _character_columns(max_degree, k, parity):
         hooks2 = [_mask_hook_product(mask) ** 2 << twice for mask, twice in zip(masks, paired)]
         threes = {cls: cls.count(3) for cls in columns}
         ones = {cls: cls.count(1) for cls in columns}
@@ -285,8 +285,8 @@ def _parity_values(
             c1, c2, c3, c4 = combo
             # 3^a 2^c 1^b has sign (-1)^c and g1 g2 g3 g4 = 1, so an odd total of 2-cycles counts nothing
             if (
-                threes[c1] + threes[c2] + threes[c3] + threes[c4] > max_threes
-                or ones[c1] + ones[c2] + ones[c3] + ones[c4] > max_ones
+                threes[c1] + threes[c2] + threes[c3] + threes[c4] > k
+                or ones[c1] + ones[c2] + ones[c3] + ones[c4] > k + 4
                 or (twos[c1] + twos[c2] + twos[c3] + twos[c4]) % 2
             ):
                 continue
@@ -313,9 +313,7 @@ def _parity_values(
 FORK_MIN_DEGREE = 16
 
 
-def _multiset_values(
-    max_degree: int, max_threes: int, max_ones: int
-) -> Iterator[tuple[int, dict[tuple[Partition, ...], int]]]:
+def _multiset_values(max_degree: int, k: int) -> Iterator[tuple[int, dict[tuple[Partition, ...], int]]]:
     """Yield (n, values) for n = 1..max_degree, in order: the Frobenius
     counts of degree n by multiset of corner classes (_parity_values).
 
@@ -334,9 +332,9 @@ def _multiset_values(
     reaps the child.
     """
     forked = max_degree % 2
-    own = _parity_values(max_degree, max_threes, max_ones, 1 - forked)
+    own = _parity_values(max_degree, k, 1 - forked)
     if max_degree < FORK_MIN_DEGREE or not hasattr(os, "fork") or threading.active_count() > 1:
-        other = _parity_values(max_degree, max_threes, max_ones, forked)
+        other = _parity_values(max_degree, k, forked)
         for n in range(1, max_degree + 1):
             yield next(other if n % 2 == forked else own)
         return
@@ -356,7 +354,7 @@ def _multiset_values(
             # the pipe closes at os._exit, after any traceback is printed:
             # the caller kills the child once the pipe runs dry
             sink = os.fdopen(write_end, "wb")
-            for item in _parity_values(max_degree, max_threes, max_ones, forked):
+            for item in _parity_values(max_degree, k, forked):
                 pickle.dump(item, sink)
                 sink.flush()
             status = 0
@@ -435,7 +433,7 @@ def check_cover_size(k: int, max_degree: int) -> None:
     except OverflowError:  # past the float range: from degree 3,380-5,310 for K <= 60, 1,448 for huge K
         seconds = math.inf
     if seconds > COVERS_MAX_SECONDS:
-        raise ValueError(
+        raise Refused(
             f"the character route handles requests of up to about {COVERS_MAX_SECONDS} s; "
             f"the cover counts for K={k} to degree {max_degree} would take {seconds_text(seconds)}"
         )
@@ -451,14 +449,14 @@ def connected_counts(k: int, max_degree: int) -> dict[Cell, Fraction]:
     Requests estimated above COVERS_MAX_SECONDS are refused before any work.
     """
     check_cover_size(k, max_degree)
-    return connected_from_sums(k, _multiset_values(max_degree, k, k + 4))
+    return connected_from_sums(k, _multiset_values(max_degree, k))
 
 
 def connected_from_sums(
     k: int, sums: Iterable[tuple[int, dict[tuple[Partition, ...], int]]]
 ) -> dict[Cell, Fraction]:
     """connected_counts(k, N) from the four-way tuple counts of degrees
-    1..N in order, as _multiset_values(N, k, k + 4) yields them: the
+    1..N in order, as _multiset_values(N, k) yields them: the
     logarithm of the generating function of all covers, degree by degree."""
     max_ones = k + 4
     # at index n, n! times all covers A_n and connected ones C_n of degree
@@ -520,7 +518,7 @@ def cover_ratios(k: int, degrees: Iterable[int]) -> dict[int, float]:
     """
     wanted = sorted(set(int(n) for n in degrees))
     if not wanted or wanted[0] < 1:
-        raise ValueError("degrees must be positive integers")
+        raise Refused("degrees must be positive integers")
     counts = connected_counts(k, wanted[-1])
     dim = 2 * k + 2
     ratios = {}
@@ -616,11 +614,14 @@ def naive_counts(
     neighbouring classes, keeps the product 1 and the generated group, and
     is invertible.  The orderings are counted here, as distinct
     permutations of the multiset, independently of the character route.
+    A max_degree past NAIVE_MAX_DEGREE is refused before degree 1.
     """
+    if max_degree > NAIVE_MAX_DEGREE:
+        raise Refused(f"--method naive handles degrees up to {NAIVE_MAX_DEGREE} only")
     for n in range(1, max_degree + 1):
         sums: dict[tuple[Partition, ...], int] = {}
         cells: dict[Cell, int] = {}
-        for combo in itertools.combinations_with_replacement(corner_types(n, k, k + 4), 4):
+        for combo in itertools.combinations_with_replacement(corner_types(n, k), 4):
             zeros, poles = zeros_and_poles(combo)
             if zeros > k or poles > k + 4:
                 continue

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import factorial
 
 from .polynomials import Polynomial, apply_D
-from .rationals import Record, capped_binomial, compositions, multinomial, size_text
+from .rationals import Record, Refused, capped_binomial, compositions, multinomial, size_text
 
 __all__ = [
     "MAX_LOCAL_TERMS",
@@ -34,13 +34,13 @@ class LayerSignature(Record):
 
     def __post_init__(self) -> None:
         if self.m < 0 or self.n < 0:
-            raise ValueError(f"negative vertex count in ({self.m},{self.n})")
+            raise Refused(f"negative vertex count in ({self.m},{self.n})")
         if (self.m, self.n) == (0, 0):
-            raise ValueError("layer signature (0,0) is excluded")
+            raise Refused("layer signature (0,0) is excluded")
         if (self.m - self.n) % 2 != 0:
-            raise ValueError(f"({self.m},{self.n}) has odd m-n")
+            raise Refused(f"({self.m},{self.n}) has odd m-n")
         if self.m - self.n < -2:
-            raise ValueError(f"({self.m},{self.n}) touches no cylinder")
+            raise Refused(f"({self.m},{self.n}) touches no cylinder")
 
     @property
     def faces(self) -> int:
@@ -68,7 +68,7 @@ def check_local_size(sig: LayerSignature) -> None:
     """Refuse a local polynomial with more than MAX_LOCAL_TERMS monomials."""
     count = _term_count(sig)
     if count > MAX_LOCAL_TERMS:
-        raise ValueError(
+        raise Refused(
             f"F_{{{sig.m},{sig.n}}} has {size_text(count)} terms, more than the limit of {MAX_LOCAL_TERMS}"
         )
 

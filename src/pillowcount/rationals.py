@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Sequence, Union
 __all__ = [
     "SIZE_CAP",
     "capped_binomial",
+    "Refused",
     "size_text",
     "seconds_text",
     "multinomial",
@@ -47,6 +48,11 @@ def capped_binomial(n: int, k: int) -> int:
         if value > SIZE_CAP:
             return SIZE_CAP + 1
     return value
+
+
+class Refused(ValueError):
+    """A request refused before any work: bad input, or priced past a limit.
+    The CLI exits 2 on it; any other exception is a fault in the program."""
 
 
 def size_text(size: int) -> str:

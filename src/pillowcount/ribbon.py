@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .layers import LayerSignature
 from .polynomials import Polynomial
-from .rationals import SIZE_CAP, Record, compositions, seconds_text, size_text, solve_exact
+from .rationals import SIZE_CAP, Record, Refused, compositions, seconds_text, size_text, solve_exact
 
 # enumerate_graphs refuses signatures estimated to have more classes than this
 MAX_CLASSES = 200_000
@@ -218,7 +218,7 @@ def enumerate_graphs(m: int, n: int) -> list[RibbonGraph]:
         log_size = inf
     size = round(exp(log_size)) if log_size < log(SIZE_CAP) else SIZE_CAP + 1
     if size > MAX_CLASSES:
-        raise ValueError(f"signature ({m},{n}) is estimated at {size_text(size)} graph classes, "
+        raise Refused(f"signature ({m},{n}) is estimated at {size_text(size)} graph classes, "
                          f"more than the limit of {MAX_CLASSES}")
     classes: dict[tuple, RibbonGraph] = {}
     for alpha, (g, orders) in _maps(m, n).items():
@@ -274,7 +274,7 @@ def check_lattice_size(free_totals: Sequence[int], spent: float = 0) -> float:
         seconds = inf
     if seconds > LATTICE_MAX_SECONDS:
         estimate = f"more than {LATTICE_MAX_SECONDS} s" if spent else seconds_text(seconds)
-        raise ValueError(
+        raise Refused(
             f"lattice counts handle requests of up to about {LATTICE_MAX_SECONDS} s; these widths would take {estimate}"
         )
     return seconds
@@ -314,9 +314,9 @@ def _lattice_counter(
 
     def free_totals(widths: Sequence[int]) -> list[int] | None:
         if len(widths) != l:
-            raise ValueError(f"expected {l} widths, got {len(widths)}")
+            raise Refused(f"expected {l} widths, got {len(widths)}")
         if any(w <= 0 for w in widths):
-            raise ValueError("widths must be positive")
+            raise Refused("widths must be positive")
         remaining = [2 * w for w in widths]
         if any(r < lo for r, lo in zip(remaining, need[0])):
             return None
@@ -584,7 +584,7 @@ def leading_part_fit(m: int, n: int) -> Polynomial:
         if len(rows) == len(basis) + 2:
             break
     if len(reduced) < len(basis):
-        raise ValueError(
+        raise Refused(
             f"the rays with entries up to {SAMPLE_RADIUS} reach rank {len(reduced)} "
             f"of the {len(basis)} unknowns at ({m},{n}), so they cannot determine the fit"
         )

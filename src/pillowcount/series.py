@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, inf
 
-from .rationals import PiValue, seconds_text, solve_exact, zeta_even
+from .rationals import PiValue, Refused, seconds_text, solve_exact, zeta_even
 
 __all__ = ["SERIES_MAX_K", "check_series_size", "volume_series", "volume"]
 
@@ -103,7 +103,7 @@ def volume_series(K: int) -> tuple[Fraction, dict[int, Fraction]]:
     K = SERIES_MAX_K.
     """
     if K < 1:
-        raise ValueError("K must be at least 1")
+        raise Refused("K must be at least 1")
     check_series_size(K, evaluations=K + 1)
     points = range(1, K + 2)
     values = [_tree_series(K, t) for t in points]
@@ -125,7 +125,7 @@ def check_series_size(K: int, evaluations: int = 1) -> None:
         seconds = inf
     if seconds > 12:
         per, times = ("", "") if evaluations == 1 else (" in one evaluation", f" evaluated {evaluations} times")
-        raise ValueError(
+        raise Refused(
             f"the series route handles K <= {SERIES_MAX_K}{per}; the tree series "
             f"for K={K}{times} would take {seconds_text(seconds)}"
         )
@@ -135,6 +135,6 @@ def volume(K: int) -> PiValue:
     """Exact volume of the stratum with K simple zeros and K+4 simple poles,
     by the labelled-tree series."""
     if K < 1:
-        raise ValueError("K must be at least 1")
+        raise Refused("K must be at least 1")
     check_series_size(K)
     return PiValue(_tree_series(K, 1), 2 * K + 2)

@@ -21,6 +21,7 @@ from .polynomials import Polynomial
 from .rationals import (
     PiValue,
     Record,
+    Refused,
     compositions,
     multinomial,
     seconds_text,
@@ -279,7 +280,7 @@ def check_per_tree_size(K: int) -> None:
     if K > PER_TREE_MAX_K:
         # exact below K = 658, from where it passes 10^308 s; a huge K builds no power of 3
         seconds = 13 * 3 ** (K - PER_TREE_MAX_K) if K < 658 else inf
-        raise ValueError(
+        raise Refused(
             f"the per-tree route handles K <= {PER_TREE_MAX_K}; enumerating every "
             f"decorated tree for K={K} would take {seconds_text(seconds)}"
         )
@@ -288,7 +289,7 @@ def check_per_tree_size(K: int) -> None:
 def enumerate_decorated_trees(K: int) -> list[DecoratedTree]:
     """All isomorphism classes of decorated trees for the stratum parameter K."""
     if K < 1:
-        raise ValueError("K must be at least 1")
+        raise Refused("K must be at least 1")
     check_per_tree_size(K)
     found: dict[tuple, DecoratedTree] = {}
     for v in range(2, K + 3):

@@ -8,7 +8,7 @@ from typing import Iterator
 
 from .covers import NAIVE_MAX_DEGREE, _multiset_values, connected_from_sums, naive_counts
 from .layers import LayerSignature, check_local_size, f_closed, f_kontsevich_base, f_recurrence
-from .rationals import PiValue, Record
+from .rationals import PiValue, Record, Refused
 from .ribbon import leading_part_fit
 from .series import volume, volume_series
 from .trees import check_per_tree_size, tree_subtotals
@@ -32,7 +32,7 @@ def _valid_signatures(mn_max: int) -> Iterator[LayerSignature]:
         for n in range(min(mn_max - m, m + 2) + 1):
             try:
                 yield LayerSignature(m, n)
-            except ValueError:
+            except Refused:
                 pass
 
 
@@ -43,13 +43,13 @@ def check_verification_size(k_max: int, mn_max: int) -> None:
     `verify` option."""
     try:
         check_per_tree_size(k_max)
-    except ValueError as exc:
-        raise ValueError(f"--K-max {k_max}: {exc}") from None
+    except Refused as exc:
+        raise Refused(f"--K-max {k_max}: {exc}") from None
     try:
         for sig in _valid_signatures(mn_max):
             check_local_size(sig)
-    except ValueError as exc:
-        raise ValueError(f"--mn-max {mn_max}: {exc}") from None
+    except Refused as exc:
+        raise Refused(f"--mn-max {mn_max}: {exc}") from None
 
 
 def run_verification(k_max: int = 2, mn_max: int = 8) -> list[CheckResult]:
@@ -68,8 +68,8 @@ def run_verification(k_max: int = 2, mn_max: int = 8) -> list[CheckResult]:
     (connected_from_sums).  A failing check between two dicts names only
     the entries that differ.
 
-    Bounds that check_verification_size refuses raise ValueError before
-    any check runs.
+    Bounds that check_verification_size refuses raise Refused before any
+    check runs.
     """
     check_verification_size(k_max, mn_max)
     results: list[CheckResult] = []
@@ -120,7 +120,7 @@ def run_verification(k_max: int = 2, mn_max: int = 8) -> list[CheckResult]:
         record(f"volume({k}) series = tree sum, in total and per cylinder count", passed, series, enumerated)
 
     # K = 2 bounds both routes at z <= 2 and p <= 6
-    four_way = list(_multiset_values(NAIVE_MAX_DEGREE, 2, 6))
+    four_way = list(_multiset_values(NAIVE_MAX_DEGREE, 2))
     shipped = connected_from_sums(2, four_way)
     # a multiset and a cell never share a key, so each side is one dict
     for (n, sums), (_, walked, cells) in zip(four_way, naive_counts(2, NAIVE_MAX_DEGREE)):

@@ -205,8 +205,8 @@ def test_criterion_7_cover_counts_match_enumeration():
     checked = 0
     bad: list[tuple] = []
     enumerated: dict = {}
-    for (n, values), (_, sums, cells) in zip(_multiset_values(5, 2, 6), naive_counts(2, 5)):
-        for classes in itertools.combinations_with_replacement(corner_types(n, 2, 6), 4):
+    for (n, values), (_, sums, cells) in zip(_multiset_values(5, 2), naive_counts(2, 5)):
+        for classes in itertools.combinations_with_replacement(corner_types(n, 2), 4):
             if sum(cls.count(3) for cls in classes) <= 2 and sum(cls.count(1) for cls in classes) <= 6:
                 if values.get(classes, 0) != sums.get(classes, 0):
                     bad.append(("disconnected", classes))

@@ -23,7 +23,9 @@ import pillowcount.series as series_mod
 import pillowcount.trees as trees_mod
 import pillowcount.verify as verify_mod
 from pillowcount.cli import main
+from pillowcount.layers import LayerSignature, check_local_size
 from pillowcount.polynomials import Polynomial
+from pillowcount.rationals import PiValue, Refused, multinomial, solve_exact, zeta_even
 
 from oracles import valid_signatures
 
@@ -229,7 +231,7 @@ def _refuse_work(*args, **kwargs):
     [["--per-tree"], ["--format", "latex-table"], ["--per-tree", "--format", "json"]],
 )
 def test_volume_refuses_per_tree_above_limit(runner, monkeypatch, args):
-    monkeypatch.setattr(trees_mod, "enumerate_decorated_trees", _refuse_work)
+    monkeypatch.setattr(trees_mod, "_free_trees", _refuse_work)
     result = runner.invoke(main, ["volume", "--K", "12", *args])
     assert result.exit_code == 2
     assert "K <= 11" in result.output
@@ -237,7 +239,7 @@ def test_volume_refuses_per_tree_above_limit(runner, monkeypatch, args):
 
 
 def test_volume_refuses_series_above_limit(runner, monkeypatch):
-    monkeypatch.setattr(series_mod, "volume", _refuse_work)
+    monkeypatch.setattr(series_mod, "_tree_series", _refuse_work)
     result = runner.invoke(main, ["volume", "--K", "41"])
     assert result.exit_code == 2
     assert "K <= 40" in result.output
@@ -371,8 +373,9 @@ def test_ribbon_count_refuses_long_counts_at_once(runner, monkeypatch, widths, m
     ],
 )
 def test_huge_K_is_refused_at_once(runner, monkeypatch, args, message):
-    monkeypatch.setattr(series_mod, "volume", _refuse_work)
-    monkeypatch.setattr(verify_mod, "run_verification", _refuse_work)
+    monkeypatch.setattr(series_mod, "_tree_series", _refuse_work)
+    monkeypatch.setattr(trees_mod, "_free_trees", _refuse_work)
+    monkeypatch.setattr(verify_mod, "f_closed", _refuse_work)
     start = time.perf_counter()
     result = runner.invoke(main, args)
     assert time.perf_counter() - start < 1
@@ -459,6 +462,7 @@ def test_covers_count_naive_degree_limit(runner):
         main, ["covers", "count", "--K", "1", "--max-degree", "6", "--method", "naive"]
     )
     assert result.exit_code == 2
+    assert result.stderr.endswith("error: --method naive handles degrees up to 5 only\n")
 
 
 @pytest.mark.parametrize(
@@ -541,7 +545,7 @@ def test_verify_rejects_negative_bounds(runner, monkeypatch, option):
 
 
 def test_verify_refuses_K_max_above_per_tree_limit(runner, monkeypatch):
-    monkeypatch.setattr(verify_mod, "run_verification", _refuse_work)
+    monkeypatch.setattr(verify_mod, "f_closed", _refuse_work)
     result = runner.invoke(main, ["verify", "--K-max", "13"])
     assert result.exit_code == 2
     assert "--K-max 13" in result.output
@@ -555,6 +559,86 @@ def test_verify_refuses_mn_max_above_local_term_limit(runner, monkeypatch, bound
     result = runner.invoke(main, ["verify", "--mn-max", bound])
     assert result.exit_code == 2
     assert f"--mn-max {bound}: F_{{21,1}} has 352716 terms, more than the limit of 200000" in result.output
+
+
+REFUSALS = {
+    "signature": lambda: LayerSignature(1, 2),
+    "local-terms": lambda: check_local_size(LayerSignature(40, 0)),
+    "graph-classes": lambda: ribbon_mod.enumerate_graphs(9, 7),
+    "lattice-price": lambda: ribbon_mod.check_lattice_size([10**8] * 3),
+    "width-count": lambda: ribbon_mod.exact_lattice_count(ribbon_mod.enumerate_graphs(1, 1)[0], [3]),
+    "width-sign": lambda: ribbon_mod.exact_lattice_count(ribbon_mod.enumerate_graphs(1, 1)[0], [3, 0]),
+    "cover-price": lambda: covers_mod.check_cover_size(20, 24),
+    "cover-degrees": lambda: covers_mod.cover_ratios(1, [0, 3]),
+    "series-price": lambda: series_mod.check_series_size(41),
+    "series-K": lambda: series_mod.volume(0),
+    "per-tree-price": lambda: trees_mod.check_per_tree_size(12),
+    "per-tree-K": lambda: trees_mod.enumerate_decorated_trees(0),
+    "verify-bounds": lambda: verify_mod.check_verification_size(12, 8),
+}
+FAULTS = {
+    "solver": lambda: solve_exact([[1], [1]], [1, 2], 1),
+    "polynomial": lambda: Polynomial({(0,): 1, (0, 0): 1}),
+    "multinomial": lambda: multinomial(3, (1, 1)),
+    "pi-power": lambda: PiValue(1, 3),
+    "zeta": lambda: zeta_even(3),
+    "naive-classes": lambda: covers_mod.naive_enumerate(((1,), (1, 1), (1,), (1,))),
+}
+
+
+@pytest.mark.parametrize("call", REFUSALS.values(), ids=REFUSALS)
+def test_each_limit_is_refused_as_Refused(call):
+    with pytest.raises(Refused):
+        call()
+
+
+@pytest.mark.parametrize("call", FAULTS.values(), ids=FAULTS)
+def test_a_failed_internal_check_is_no_refusal(call):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert not isinstance(raised.value, Refused)
+
+
+# a fault seeded into a fresh interpreter, the command it breaks, and the last line of its traceback
+SEEDED_FAULTS = {
+    "fit-solver": (
+        "from pillowcount import ribbon\n"
+        "def solve_exact(*args):\n"
+        "    raise ValueError('the linear system is inconsistent')\n"
+        "ribbon.solve_exact = solve_exact\n",
+        ["ribbon", "fit", "--m", "2", "--n", "2"],
+        "ValueError: the linear system is inconsistent",
+    ),
+    "recurrence-apply-D": (
+        "from pillowcount import layers\n"
+        "layers.apply_D = lambda p: layers.Polynomial({(0, 0): 1, (0, 0, 0): 1})\n",
+        ["local-poly", "--m", "2", "--n", "2", "--method", "recurrence"],
+        "ValueError: exponent tuples of lengths [2, 3] in one polynomial",
+    ),
+    "covers-multinomial": (
+        "from pillowcount import covers, rationals\n"
+        "covers.multinomial = lambda n, parts: rationals.multinomial(n + 1, parts)\n",
+        ["covers", "count", "--K", "1", "--max-degree", "3"],
+        "ValueError: multinomial parts (4,) do not sum to 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault, args, error", SEEDED_FAULTS.values(), ids=SEEDED_FAULTS)
+def test_a_fault_exits_1_with_its_traceback(fault, args, error):
+    """A ValueError that a computation raises on its own check is a fault,
+    not a refused request: the process ends with its traceback and exit
+    status 1, and prints no usage line."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = fault + "import sys\nfrom pillowcount.cli import main\nmain(sys.argv[1:])\n"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("Traceback")
+    assert done.stderr.splitlines()[-1] == error
+    assert "Usage:" not in done.stderr
 
 
 def test_verify_reports_a_failing_check_as_an_error_not_a_usage_error(monkeypatch):

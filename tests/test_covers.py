@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from pillowcount import covers as covers_mod
 from pillowcount.covers import (
     FORK_MIN_DEGREE,
+    NAIVE_MAX_DEGREE,
     _character_columns,
     _conjugates,
     _mask_hook_product,
@@ -32,6 +33,7 @@ from pillowcount.covers import (
     sq_count,
     zeros_and_poles,
 )
+from pillowcount.rationals import Refused
 
 from oracles import (
     bead_mask,
@@ -144,7 +146,7 @@ def test_frobenius_pinned_examples():
         (((2,), (1, 1), (1, 1), (1, 1)), 0),
     ]
     sums = {
-        tuple(sorted(combo)): value for _, values in _multiset_values(3, 12, 12) for combo, value in values.items()
+        tuple(sorted(combo)): value for _, values in _multiset_values(3, 8) for combo, value in values.items()
     }
     for profile, count in pinned:
         assert sums.get(tuple(sorted(profile)), 0) == count
@@ -152,10 +154,12 @@ def test_frobenius_pinned_examples():
 
 
 def test_corner_types_enumeration():
-    assert corner_types(3, 1, 3) == [(2, 1), (1, 1, 1), (3,)]
-    assert corner_types(3, 0, 3) == [(2, 1), (1, 1, 1)]
-    assert corner_types(3, 1, 1) == [(2, 1), (3,)]
-    assert corner_types(2, 2, 0) == [(2,)]
+    assert corner_types(3, 1) == [(2, 1), (1, 1, 1), (3,)]
+    assert corner_types(3, 0) == [(2, 1), (1, 1, 1)]
+    assert corner_types(2, 0) == [(2,), (1, 1)]
+    # at most k + 4 fixed points: 1^6 is left out at k = 0
+    assert corner_types(6, 0) == [(2, 2, 2), (2, 2, 1, 1), (2, 1, 1, 1, 1)]
+    assert corner_types(6, 2)[-1] == (3, 3)
 
 
 def test_zeros_and_poles():
@@ -195,12 +199,20 @@ def test_naive_counts_visit_each_multiset_within_bounds_once(monkeypatch):
             assert all(sum(cls) == n for cls in combo)
         assert walked == [
             combo
-            for combo in itertools.combinations_with_replacement(corner_types(n, 1, 5), 4)
+            for combo in itertools.combinations_with_replacement(corner_types(n, 1), 4)
             if sum(cls.count(3) for cls in combo) <= 1 and sum(cls.count(1) for cls in combo) <= 5
         ]
         assert len({tuple(sorted(combo)) for combo in walked}) == len(walked)
         assert list(sums) == [combo for combo in walked if combo in sums]
     assert any(sum(cls.count(2) for cls in combo) % 2 for combo in visited)
+
+
+def test_naive_counts_refuses_past_its_degree_limit_before_degree_1(monkeypatch):
+    visited = []
+    monkeypatch.setattr(covers_mod, "naive_enumerate", visited.append)
+    with pytest.raises(Refused, match="^--method naive handles degrees up to 5 only$"):
+        next(naive_counts(1, NAIVE_MAX_DEGREE + 1))
+    assert visited == []
 
 
 def test_genus_formula():
@@ -214,7 +226,7 @@ def test_genus_formula():
 def test_target_profiles_have_genus_zero():
     """z = K and p = K+4 over the four corners forces genus 0."""
     for n in (3, 4, 5):
-        for profile in itertools.product(corner_types(n, 2, 6), repeat=4):
+        for profile in itertools.product(corner_types(n, 2), repeat=4):
             zeros, poles = zeros_and_poles(profile)
             if zeros <= 2 and poles <= 6 and zeros - poles == -4:
                 assert genus(profile) == 0
@@ -246,7 +258,7 @@ def test_odd_total_of_two_cycles_counts_nothing():
     character sum skips profiles with an odd total of 2-cycles exactly."""
     odd = 0
     for n in range(1, 6):
-        for profile in itertools.product(corner_types(n, 2, 6), repeat=4):
+        for profile in itertools.product(corner_types(n, 2), repeat=4):
             zeros, poles = zeros_and_poles(profile)
             if zeros <= 2 and poles <= 6 and sum(cls.count(2) for cls in profile) % 2:
                 odd += 1
@@ -254,7 +266,7 @@ def test_odd_total_of_two_cycles_counts_nothing():
     assert odd == 104
     # and the four-way sums leave every such multiset out, as does the
     # direct walk, which visits them all
-    for (_, values), (_, sums, _) in zip(_multiset_values(5, 2, 6), naive_counts(2, 5)):
+    for (_, values), (_, sums, _) in zip(_multiset_values(5, 2), naive_counts(2, 5)):
         assert all(sum(cls.count(2) for cls in combo) % 2 == 0 for combo in values)
         assert all(sum(cls.count(2) for cls in combo) % 2 == 0 for combo in sums)
 
@@ -265,7 +277,7 @@ def test_connected_counts_against_naive_per_profile(monkeypatch):
     direct walk visits each of their 126 multisets once.  The bounds
     z <= 16 and p <= 20 reach every profile."""
     checked = 0
-    for n, values in _multiset_values(5, 16, 20):
+    for n, values in _multiset_values(5, 16):
         by_multiset = {tuple(sorted(combo)): value for combo, value in values.items()}
         for profile in itertools.product(partitions(n, 3), repeat=4):
             assert naive_enumerate(profile)[0] == by_multiset.get(tuple(sorted(profile)), 0)
@@ -287,7 +299,7 @@ def test_naive_counts_match_the_character_route(k: int):
     transitive tuples, summed by (degree, zeros, poles), equal the shipped
     log-inversion."""
     sums, table = _walked_tables(k, 5)
-    character = list(_multiset_values(5, k, k + 4))
+    character = list(_multiset_values(5, k))
     assert sums == character
     assert [list(values) for _, values in sums] == [list(values) for _, values in character]
     assert table == connected_counts(k, 5)
@@ -305,7 +317,7 @@ def test_multiset_values_match_frobenius():
     degree at most 5, equals the direct enumeration, and is absent exactly
     where that count is 0."""
     checked = 0
-    for n, values in _multiset_values(5, 5, 20):
+    for n, values in _multiset_values(5, 16):
         by_multiset = {tuple(sorted(combo)): value for combo, value in values.items()}
         for combo in itertools.combinations_with_replacement(partitions(n, 3), 4):
             assert by_multiset.get(tuple(sorted(combo)), 0) == naive_enumerate(combo)[0]
@@ -423,33 +435,33 @@ def test_two_core_size_and_conjugate_of_bead_masks(parity: int):
 def test_character_columns_match_reference():
     """The packed power-sum builder yields, at every degree, exactly the
     lower mask of each conjugate pair among the shapes whose 2-core has at
-    most (3 max_threes + max_ones) // 4 cells, read here from partitions,
-    conjugate_partition and two_core, and marks as paired those with a
-    conjugate other than themselves.  Every column equals character on
-    them.  Of the shapes left out, a conjugate of a yielded one has the
-    yielded values times (-1)^c on 3^a 2^c 1^b, and every other one has a
-    zero character product on every 4-multiset of classes within the
-    bounds.  Checked for every max_degree up to 12, for bounds that give no
-    class at odd n, a few slots, and every class with parts in {1, 2, 3}:
-    the slot layout depends on all three arguments.  The expected classes
-    are read off partitions(n, 3), independently of corner_types, which the
-    builder follows for the order."""
+    most k + 1 cells, read here from partitions, conjugate_partition and
+    two_core, and marks as paired those with a conjugate other than
+    themselves.  Every column equals character on them.  Of the shapes
+    left out, a conjugate of a yielded one has the yielded values times
+    (-1)^c on 3^a 2^c 1^b, and every other one has a zero character product
+    on every 4-multiset of classes with at most k 3-cycles and k + 4 fixed
+    points.  Checked for every max_degree up to 12, for k = 0, 1 and 2,
+    which leave classes and shapes out and give a few slots, and for k =
+    max_degree, which keeps every class with parts in {1, 2, 3}: the slot
+    layout depends on every argument.  The expected classes are read off
+    partitions(n, 3), independently of corner_types, which the builder
+    follows for the order."""
 
-    def bounded(n, max_threes, max_ones):
-        return sorted(cls for cls in partitions(n, 3) if cls.count(3) <= max_threes and cls.count(1) <= max_ones)
+    def bounded(n, k):
+        return sorted(cls for cls in partitions(n, 3) if cls.count(3) <= k and cls.count(1) <= k + 4)
 
     classes = 0
     for max_degree in range(1, 13):
-        bounds = ((0, 0), (1, 5), (2, 6), (max_degree // 3, max_degree))
-        for row, (max_threes, max_ones) in enumerate(bounds):
-            most = (3 * max_threes + max_ones) // 4
+        for k in sorted({0, 1, 2, max_degree}):
+            most = k + 1
             degrees = []
             for parity in (0, 1):
-                for n, masks, paired, dense in _character_columns(max_degree, max_threes, max_ones, parity):
+                for n, masks, paired, dense in _character_columns(max_degree, k, parity):
                     assert n % 2 == parity
                     degrees.append(n)
-                    assert list(dense) == corner_types(n, max_threes, max_ones)
-                    assert sorted(dense) == bounded(n, max_threes, max_ones)
+                    assert list(dense) == corner_types(n, k)
+                    assert sorted(dense) == bounded(n, k)
                     shapes = {_padded_mask(shape, max_degree): shape for shape in partitions(n)}
                     lower = {
                         mask
@@ -471,8 +483,8 @@ def test_character_columns_match_reference():
                         nonzero = [cls for cls in dense if character(shape, cls)]
                         for combo in itertools.combinations_with_replacement(nonzero, 4):
                             threes = sum(cls.count(3) for cls in combo)
-                            assert threes > max_threes or sum(cls.count(1) for cls in combo) > max_ones
-                    if row == 3:  # every class with parts in {1, 2, 3}
+                            assert threes > k or sum(cls.count(1) for cls in combo) > k + 4
+                    if k == max_degree:  # every class with parts in {1, 2, 3}
                         assert sorted(dense) == sorted(partitions(n, 3))
                         classes += len(dense)
             assert sorted(degrees) == list(range(1, max_degree + 1))
@@ -482,17 +494,18 @@ def test_character_columns_match_reference():
 _FROBENIUS: dict = {}
 
 
-def _frobenius_sums(n: int, max_threes: int, max_ones: int) -> dict:
+def _frobenius_sums(n: int, k: int) -> dict:
     """The four-way character sum over every shape of degree n, by oracle
     characters and dimensions, as tuples, for every multiset of classes
-    with parts in {1, 2, 3} within the bounds, sorted, where it is nonzero."""
-    key = n, max_threes, max_ones
+    with parts in {1, 2, 3} with at most k 3-cycles and k + 4 fixed points,
+    sorted, where it is nonzero."""
+    key = n, k
     if key not in _FROBENIUS:
-        bounded = [cls for cls in partitions(n, 3) if cls.count(3) <= max_threes and cls.count(1) <= max_ones]
+        bounded = [cls for cls in partitions(n, 3) if cls.count(3) <= k and cls.count(1) <= k + 4]
         shapes = list(partitions(n))
         sums = {}
         for combo in itertools.combinations_with_replacement(bounded, 4):
-            if sum(cls.count(3) for cls in combo) > max_threes or sum(cls.count(1) for cls in combo) > max_ones:
+            if sum(cls.count(3) for cls in combo) > k or sum(cls.count(1) for cls in combo) > k + 4:
                 continue
             total = sum(
                 Fraction(math.prod(character(shape, cls) for cls in combo), dimension(shape) ** 2) for shape in shapes
@@ -510,12 +523,12 @@ def test_parity_values_match_the_full_frobenius_sum():
     from degree 6 on a 2-core of six cells is left out at every bound
     tried, and at each bound some shape left out has a nonzero character
     on a class within the bounds."""
-    for max_threes, max_ones in ((0, 4), (1, 5), (2, 6), (3, 7)):
-        most = (3 * max_threes + max_ones) // 4
+    for k in range(4):
+        most = k + 1
         for max_degree in range(6, 12):
             for parity in (0, 1):
-                for n, values in _parity_values(max_degree, max_threes, max_ones, parity):
-                    expected = _frobenius_sums(n, max_threes, max_ones)
+                for n, values in _parity_values(max_degree, k, parity):
+                    expected = _frobenius_sums(n, k)
                     assert len(values) == len(expected)
                     assert {tuple(sorted(combo)): value for combo, value in values.items()} == expected
         assert any(
@@ -523,7 +536,7 @@ def test_parity_values_match_the_full_frobenius_sum():
             for n in range(6, 12)
             for shape in partitions(n)
             if sum(two_core(shape)) > most
-            for cls in corner_types(n, max_threes, max_ones)
+            for cls in corner_types(n, k)
         )
 
 
@@ -561,10 +574,8 @@ def test_unpack_balanced_slots():
     # values unpack independently, each slot a list aligned to them, zeros included
     assert _unpack([3, -2 << width, 0], 3, width) == [[3, 0, 0], [0, -2, 0], [0, 0, 0]]
     # the width the builder uses holds chi^(1)(1) = 1 at max_degree = 1 (bead 0 moved to 1)
-    assert list(_character_columns(1, 0, 4, 1)) == [(1, [0b10], [False], {(1,): [1]})]
-    assert list(_character_columns(1, 0, 4, 0)) == []
-    # at (0, 1) no four classes reach the 2-core of (1), so it is left out
-    assert list(_character_columns(1, 0, 1, 1)) == [(1, [], [], {(1,): []})]
+    assert list(_character_columns(1, 0, 1)) == [(1, [0b10], [False], {(1,): [1]})]
+    assert list(_character_columns(1, 0, 0)) == []
 
 
 @pytest.mark.parametrize(
@@ -629,8 +640,8 @@ def test_failed_forked_half_raises(monkeypatch, sent, failure):
     parent = os.getpid()
     real = covers_mod._parity_values
 
-    def forked_half_fails(max_degree, max_threes, max_ones, parity):
-        values = real(max_degree, max_threes, max_ones, parity)
+    def forked_half_fails(max_degree, k, parity):
+        values = real(max_degree, k, parity)
         if parity != max_degree % 2:
             yield from values
             return
@@ -658,10 +669,10 @@ def test_a_failing_forked_half_reports_its_error(monkeypatch, capfd):
 
     real_values, real_print = covers_mod._parity_values, traceback.print_exc
 
-    def refused(max_degree, max_threes, max_ones, parity):
+    def refused(max_degree, k, parity):
         if parity == max_degree % 2:
             raise ArithmeticError("seeded non-integral sum")
-        return real_values(max_degree, max_threes, max_ones, parity)
+        return real_values(max_degree, k, parity)
 
     def slow_print():
         time.sleep(0.2)
@@ -677,7 +688,7 @@ def test_a_failing_forked_half_reports_its_error(monkeypatch, capfd):
 def test_closing_early_reaps_the_forked_half(monkeypatch):
     children = _forked_children(monkeypatch)
     for max_degree in (FORK_MIN_DEGREE, FORK_MIN_DEGREE + 1):
-        values = _multiset_values(max_degree, 1, 5)
+        values = _multiset_values(max_degree, 1)
         assert next(values)[0] == 1
         values.close()
     assert len(children) == 2

@@ -8,7 +8,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "pillowcount"
 
 # the Laplace-transform block waits for its caller in verify, which ROADMAP
-# item 4 (Kontsevich's identity and the pole recurrence as checks) gives it
+# item 6 (Kontsevich's identity and the pole recurrence as checks) gives it
 ALLOWED = {"laplace_of_polynomial", "verify_pole_recurrence"}
 
 

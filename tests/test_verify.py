@@ -100,8 +100,8 @@ def test_cover_check_reads_the_shipped_four_way_sums(monkeypatch):
     real = verify_mod._multiset_values
     moved = ((3,), (2, 1), (2, 1), (1, 1, 1))
 
-    def shifted(max_degree, max_threes, max_ones):
-        for n, values in real(max_degree, max_threes, max_ones):
+    def shifted(max_degree, k):
+        for n, values in real(max_degree, k):
             if n == 3:
                 key = next(combo for combo in values if sorted(combo) == sorted(moved))
                 values = {**values, key: values[key] + 2}
