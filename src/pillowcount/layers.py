@@ -87,8 +87,6 @@ def f_closed(sig: LayerSignature) -> Polynomial:
 
 def f_kontsevich_base(m: int) -> Polynomial:
     """No-pole base case: F_{m,0} = m! sum multinomial(k-1;k_i) prod w_i^{2k_i}/k_i!."""
-    if m <= 0 or m % 2 != 0:
-        raise ValueError(f"base case needs positive even m, got {m}")
     check_local_size(LayerSignature(m, 0))
     k = m // 2
     l = k + 2

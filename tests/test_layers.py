@@ -19,6 +19,7 @@ from pillowcount.layers import (
     f_recurrence,
 )
 from pillowcount.polynomials import Polynomial
+from pillowcount.rationals import Refused
 
 from oracles import f_special_diagonal, valid_signatures
 
@@ -89,10 +90,9 @@ def test_closed_equals_base_case(m: int):
 
 
 def test_base_case_rejects_bad_m():
-    with pytest.raises(ValueError):
-        f_kontsevich_base(3)
-    with pytest.raises(ValueError):
-        f_kontsevich_base(0)
+    for m in (3, 0, -2):
+        with pytest.raises(Refused):
+            f_kontsevich_base(m)
 
 
 def test_term_count_matches_closed_form():

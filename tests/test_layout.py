@@ -7,10 +7,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pillowcount"
 
-# the Laplace-transform block waits for its caller in verify, which ROADMAP
-# item 6 (Kontsevich's identity and the pole recurrence as checks) gives it
-ALLOWED = {"laplace_of_polynomial", "verify_pole_recurrence"}
-
 
 def unreferenced_definitions() -> list[str]:
     """module.name for each module-level function or class of the package
@@ -31,7 +27,4 @@ def unreferenced_definitions() -> list[str]:
 
 def test_src_defines_nothing_it_never_calls():
     unused = unreferenced_definitions()
-    stray = [q for q in unused if q.split(".")[1] not in ALLOWED]
-    assert not stray, "no code under src/ calls " + ", ".join(stray)
-    # an allowlisted name that gains a caller leaves the list
-    assert {q.split(".")[1] for q in unused} >= ALLOWED
+    assert not unused, "no code under src/ calls " + ", ".join(unused)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 import pillowcount.covers as covers_mod
+import pillowcount.layers as layers_mod
+import pillowcount.ribbon as ribbon_mod
 import pillowcount.verify as verify_mod
 from pillowcount.polynomials import Polynomial
 from pillowcount.verify import run_verification
@@ -141,8 +143,51 @@ def test_default_cover_checks_walk_each_multiset_once(monkeypatch):
     real = covers_mod.naive_enumerate
     monkeypatch.setattr(covers_mod, "naive_enumerate", lambda classes: calls.append(classes) or real(classes))
     results = run_verification()
-    assert len(results) == 37 and all(r.passed for r in results)
+    assert len(results) == 42 and all(r.passed for r in results)
     assert len(calls) == len({tuple(sorted(classes)) for classes in calls}) == 38
+
+
+def test_default_check_names_are_distinct():
+    """No two default lines compare the same routes at the same signature,
+    and each n = 0 signature appears once among the local-poly lines, as
+    the cylinder base case that f_recurrence returns there."""
+    names = [r.name for r in run_verification()]
+    assert len(names) == len(set(names))
+    at_n_0 = [name for name in names if name.startswith("local-poly") and name.endswith(",0)")]
+    assert at_n_0 == [f"local-poly closed = cylinder base at (m,n)=({m},0)" for m in (2, 4, 6, 8)]
+
+
+def test_a_wrong_base_case_fails_one_line(monkeypatch):
+    """A cylinder base case doubled at m = 8 alone fails the one line that
+    compares it with the closed form."""
+    real = layers_mod.f_kontsevich_base
+    monkeypatch.setattr(layers_mod, "f_kontsevich_base", lambda m: 2 * real(m) if m == 8 else real(m))
+    failed = [r.name for r in run_verification() if not r.passed]
+    assert failed == ["local-poly closed = cylinder base at (m,n)=(8,0)"]
+
+
+def test_a_graph_transform_fault_fails_the_ribbon_lines(monkeypatch):
+    """A graph transform without its 2^(m+n-1) leaves the local polynomials
+    and the fit alone, and fails Kontsevich's identity at every fit
+    signature and each pole-recurrence step.  A failing line shows the
+    terms of both transforms."""
+    real = ribbon_mod.laplace_transform
+
+    def unscaled(g):
+        c, forms = real(g)
+        return c / 2 ** (g.m + g.n - 1), forms
+
+    monkeypatch.setattr(ribbon_mod, "laplace_transform", unscaled)
+    results = run_verification()
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == [r.name for r in results if r.name.startswith("ribbon transform")]
+    assert len(failed) == 9 and all(r.lhs and r.rhs for r in failed)
+    first = failed[0]
+    assert first.name == "ribbon transform = Laplace of closed form at (m,n)=(0,2)"
+    assert (first.lhs, first.rhs) == (
+        "[(Fraction(1, 2), Counter({(1,): 1}))]",
+        "[(Fraction(1, 1), Counter({(1,): 1}))]",
+    )
 
 
 def test_oversized_bounds_are_refused_before_any_work(monkeypatch):
